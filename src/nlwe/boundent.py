@@ -67,13 +67,13 @@ class DensityMatrix:
         return int(np.prod(self.dims))
 
 
-def be_state(upb: Upb, tol=None, threads: int = 1) -> DensityMatrix:
+def be_state(upb: Upb, tol=None) -> DensityMatrix:
     """Uniform mixture on the complement of a UPB.
 
     The input must actually be unextendible, otherwise the entanglement
     conclusion would not follow and a contract error is raised.
     """
-    res = extendibility_search(upb.states, upb.dims, tol=tol, threads=threads)
+    res = extendibility_search(upb.states, upb.dims, tol=tol)
     if res.extendible:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"

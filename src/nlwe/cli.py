@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
 def cmd_upb(args) -> int:
     if getattr(args, "upb_cmd", None) == "check":
         upb = serialize.upb_from_obj(serialize.load_file(args.infile))
-        report = is_unextendible(upb, threads=args.threads)
+        report = is_unextendible(upb)
         print(report.checks[0].detail)
         print(report.table())
         return 0 if report.passed else 1
@@ -142,7 +142,7 @@ def cmd_upb(args) -> int:
 
 def cmd_bestate(args) -> int:
     upb = serialize.upb_from_obj(serialize.load_file(args.infile))
-    rho = be_state(upb, threads=args.threads)
+    rho = be_state(upb)
     report = VerificationReport()
     total = rho.total_dimension()
     trace_dev = abs(complex(np.trace(rho.matrix)) - 1.0)
@@ -246,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify control-DFT product bases, UPBs, "
         "and bound-entangled states.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallelizable searches")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="emit a preset product basis as JSON")

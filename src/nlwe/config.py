@@ -3,21 +3,41 @@
 Rank/orthogonality decisions default to 1e-9 and may be overridden either
 per call or globally through the NLWE_TOLERANCE environment variable.
 Eigenvalue sign decisions use the tighter 1e-10 default.
+
+A tolerance must be finite and lie in (0, 1/sqrt(2)).  Below 1/sqrt(2) no
+unit vector can be both within tolerance of another unit vector's span
+(residual <= tol) and orthogonal to it within tolerance (overlap <= tol),
+since residual^2 + overlap^2 = 1.  That rules out only this pairwise
+contradiction; the extendibility search further requires tol < 1/sqrt(d)
+on its largest local dimension d (see ``upb.extendibility_search``).
 """
 
 from __future__ import annotations
 
+import math
 import os
+
+from .errors import PreconditionError
 
 DEFAULT_TOLERANCE = 1e-9
 EIGENVALUE_SIGN_TOL = 1e-10
+MAX_TOLERANCE = 1 / math.sqrt(2)
 
 
 def tolerance(override: float | None = None) -> float:
     """Resolve the span/orthogonality tolerance for one operation."""
     if override is not None:
-        return float(override)
-    env = os.environ.get("NLWE_TOLERANCE")
-    if env:
-        return float(env)
-    return DEFAULT_TOLERANCE
+        value, source = override, "tolerance"
+    else:
+        value, source = os.environ.get("NLWE_TOLERANCE"), "NLWE_TOLERANCE"
+        if not value:
+            return DEFAULT_TOLERANCE
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{source} {value!r} is not a number") from None
+    if not 0.0 < tol < MAX_TOLERANCE:
+        raise PreconditionError(
+            f"{source} {value!r} must be finite and in (0, 1/sqrt(2))"
+        )
+    return tol

@@ -37,6 +37,8 @@ class Dense:
         arr = np.asarray(entries, dtype=complex).copy()
         if arr.ndim != 1:
             raise DimensionMismatchError("dense factor must be a 1-D vector")
+        if not np.all(np.isfinite(arr)):
+            raise ContractViolationError("dense factor has a non-finite entry")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -105,7 +107,7 @@ class ProductState:
                         f"dense factor dimension {f.entries.shape[0]} != {d}"
                     )
                 nrm = float(np.linalg.norm(f.entries))
-                if abs(nrm - 1.0) > DENSE_FACTOR_NORM_TOL:
+                if not abs(nrm - 1.0) <= DENSE_FACTOR_NORM_TOL:
                     raise ContractViolationError(
                         f"dense factor norm {nrm} deviates from 1 beyond 1e-12"
                     )

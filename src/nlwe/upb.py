@@ -7,11 +7,19 @@ below the local dimension; the assigned party is the one whose factor must
 kill any new orthogonal product state.  The search enumerates assignments
 depth-first (members in listed order, parties ascending) and prunes a branch
 as soon as one party's assigned factors span its whole local space.
+
+Before the search each party's local factors are interned: factors whose
+dense renderings are bit-identical share one id, so a party's assigned
+factors are an integer mask over a handful of ids.  The span rank of each
+(party, mask) pair is computed once per search, by ``linalg.span_dimension``
+on the masked factors in id order, and looked up at every later node.  The
+first successful assignment is the lexicographically least; its orthogonal
+product witness is checked against every member before it is reported.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +28,7 @@ from .circuit import Circuit, apply_symbolic
 from .config import tolerance
 from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
-from .linalg import gram, orthogonal_complement_basis
+from .linalg import gram, orthogonal_complement_basis, span_dimension
 from .report import VerificationReport
 from .states import DFT, Dense, ProductState, factor_dense
 
@@ -65,7 +73,7 @@ class Upb:
             )
         g = gram([s.dense() for s in states])
         off = float(np.max(np.abs(g - np.diag(np.diag(g))), initial=0.0))
-        if off > UPB_ORTHOGONALITY_TOL:
+        if not off <= UPB_ORTHOGONALITY_TOL:
             raise ContractViolationError(
                 f"states are not mutually orthogonal (max overlap {off:.3e})"
             )
@@ -148,51 +156,70 @@ class ExtendibilityResult:
     witness_state: ProductState | None = None
 
 
-def _search_branch(local, dims, tol, first_party=None):
+def _intern(local, n):
+    """Per party, number the distinct local factors in first-seen order.
+
+    Two factors share an id only when their dense renderings are
+    bit-identical.  Returns (member -> one-bit mask of its factor id, per
+    party) and (per party, the distinct dense vectors in id order).
+    """
+    bits = [[0] * n for _ in local]
+    vectors = [[] for _ in range(n)]
+    for j in range(n):
+        ids = {}
+        for i, row in enumerate(local):
+            k = ids.setdefault(row[j].tobytes(), len(ids))
+            if k == len(vectors[j]):
+                vectors[j].append(row[j])
+            bits[i][j] = 1 << k
+    return bits, vectors
+
+
+def _search(local, dims, tol):
     """Depth-first search over member->party assignments.
 
-    ``local[i][j]`` is the dense factor of member i at party j.  Returns
-    (witness assignment or None, assignments covered, nodes visited).
-    Covered counts complete assignments either reached or ruled out by
-    pruning, so an unextendible input always covers the full n^m bound.
+    ``local[i][j]`` is the dense factor of member i at party j.  Each party
+    keeps the mask of the factor ids assigned to it, whose span stays below
+    the local dimension; assigning member i to party j is pruned iff the
+    rank of the mask with its id added reaches d_j.  Ranks are memoised per
+    (party, mask) and come from ``span_dimension`` on the masked factors in
+    id order.  Returns (witness assignment or None, assignments covered,
+    nodes visited).  Covered counts complete assignments either reached or
+    ruled out by pruning, so an unextendible input always covers the full
+    n^m bound.
     """
     m = len(local)
     n = len(dims)
-    ortho = [[] for _ in range(n)]
+    bits, vectors = _intern(local, n)
+    memo = [{} for _ in range(n)]
+    masks = [0] * n
     assignment = []
     covered = 0
     nodes = 0
-
-    def residual(v, basis):
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        return v
 
     def dfs(i):
         nonlocal covered, nodes
         if i == m:
             covered += 1
             return tuple(assignment)
-        choices = (first_party,) if (i == 0 and first_party is not None) else range(n)
-        for j in choices:
+        for j, bit in enumerate(bits[i]):
             nodes += 1
-            v = residual(local[i][j], ortho[j])
-            nrm = float(np.linalg.norm(v))
-            grows = nrm > tol
-            if grows and len(ortho[j]) + 1 == dims[j]:
+            mask = masks[j]
+            grown = mask | bit
+            rank = memo[j].get(grown)
+            if rank is None:
+                picked = [v for k, v in enumerate(vectors[j]) if grown >> k & 1]
+                rank = memo[j][grown] = span_dimension(picked, tol)
+            if rank >= dims[j]:
                 # party j would be fully spanned: no product state can be
                 # orthogonal there, so every completion of this branch fails
                 covered += n ** (m - i - 1)
                 continue
-            if grows:
-                ortho[j].append(v / nrm)
+            masks[j] = grown
             assignment.append(j)
             found = dfs(i + 1)
             assignment.pop()
-            if grows:
-                ortho[j].pop()
+            masks[j] = mask
             if found is not None:
                 return found
         return None
@@ -200,54 +227,70 @@ def _search_branch(local, dims, tol, first_party=None):
     return dfs(0), covered, nodes
 
 
-def extendibility_search(states, dims, tol=None, threads: int = 1) -> ExtendibilityResult:
+def _witness_state(local, dims, witness, tol) -> ProductState:
+    """Orthogonal product witness for a successful assignment, checked on
+    its own: its overlap with every member, the product of the local
+    overlaps, must be at most ``tol``."""
+    factors = []
+    for j, d in enumerate(dims):
+        assigned = [row[j] for row, p in zip(local, witness) if p == j]
+        comp = orthogonal_complement_basis(assigned, d, tol)
+        if not comp:
+            raise ContractViolationError(
+                f"witness assignment {witness} leaves party {j} no orthogonal "
+                f"direction at tolerance {tol:g}"
+            )
+        factors.append(comp[0])
+    for i, row in enumerate(local):
+        overlap = float(np.prod([abs(np.vdot(w, v)) for w, v in zip(factors, row)]))
+        if not overlap <= tol:
+            raise ContractViolationError(
+                f"witness for assignment {witness} overlaps member {i} "
+                f"by {overlap:.3e}, above tolerance {tol:g}"
+            )
+    return ProductState(tuple(Dense(f) for f in factors), dims)
+
+
+def extendibility_search(states, dims, tol=None) -> ExtendibilityResult:
     """Decide whether a set of orthogonal product states is extendible.
 
     When extendible, the result carries the lexicographically least
     successful assignment and an orthogonal product witness built from the
-    per-party complements of the assigned factors.
+    per-party complements of the assigned factors; the witness is checked
+    against every member before it is returned.  The tolerance must be below
+    1/sqrt(d) for the largest local dimension d, else ``PreconditionError``.
     """
     states = list(states)
     dims = tuple(int(d) for d in dims)
     tol = tolerance(tol)
-    m = len(states)
+    d_max = max(dims, default=1)
+    if not tol < 1 / math.sqrt(d_max):
+        # the witness's complement sweep keeps computational basis vectors
+        # whose residual exceeds tol; while the complement is incomplete the
+        # squared residuals sum to at least 1, so one is >= 1/sqrt(d), but
+        # none need be larger
+        raise PreconditionError(
+            f"tolerance {tol:g} must be below 1/sqrt({d_max}) on a "
+            f"{d_max}-dimensional party"
+        )
     n = len(dims)
     local = [
         [factor_dense(s.factors[j], dims[j]) for j in range(n)] for s in states
     ]
-    bound = n**m
-    if threads > 1 and m > 0:
-        with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
-            branches = list(
-                pool.map(
-                    lambda j: _search_branch(local, dims, tol, first_party=j),
-                    range(n),
-                )
-            )
-        covered = sum(b[1] for b in branches)
-        nodes = sum(b[2] for b in branches)
-        witness = next((b[0] for b in branches if b[0] is not None), None)
-    else:
-        witness, covered, nodes = _search_branch(local, dims, tol)
-
+    witness, covered, nodes = _search(local, dims, tol)
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
-        assignment_bound=bound,
+        assignment_bound=n ** len(states),
         nodes_visited=nodes,
         witness_assignment=witness,
     )
     if witness is not None:
-        factors = []
-        for j in range(n):
-            assigned = [local[i][j] for i in range(m) if witness[i] == j]
-            comp = orthogonal_complement_basis(assigned, dims[j], tol)
-            factors.append(Dense(comp[0]))
-        result.witness_state = ProductState(tuple(factors), dims)
+        result.witness_state = _witness_state(local, dims, witness, tol)
     return result
 
 
-def is_unextendible(upb: Upb, tol=None, threads: int = 1) -> VerificationReport:
+def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
     """Exhaustively decide unextendibility of a UPB candidate.
 
     The report passes iff no member->party assignment leaves every party's
@@ -257,7 +300,7 @@ def is_unextendible(upb: Upb, tol=None, threads: int = 1) -> VerificationReport:
     """
     if len(upb) >= upb.total_dimension():
         raise PreconditionError("set already spans the full space; nothing to extend")
-    res = extendibility_search(upb.states, upb.dims, tol=tol, threads=threads)
+    res = extendibility_search(upb.states, upb.dims, tol=tol)
     report = VerificationReport()
     if res.extendible:
         detail = (

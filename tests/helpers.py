@@ -64,6 +64,55 @@ def brute_force_extendible(states, dims, tol=1e-9):
     return hits, first
 
 
+def residual_search(states, dims, tol=1e-9):
+    """Reference decider: depth-first search over member->party assignments
+    with a running Gram-Schmidt basis per party, the way the library decided
+    extendibility before it interned local factors.
+
+    Members in listed order, parties ascending; a branch is pruned when the
+    member's residual would complete its party's span.  Returns (witness
+    assignment or None, assignments covered, nodes visited).
+    """
+    local = local_factors(states, dims)
+    m, n = len(local), len(dims)
+    ortho = [[] for _ in range(n)]
+    assignment = []
+    covered = 0
+    nodes = 0
+
+    def residual(v, basis):
+        for _ in range(2):
+            for b in basis:
+                v = v - np.vdot(b, v) * b
+        return v
+
+    def dfs(i):
+        nonlocal covered, nodes
+        if i == m:
+            covered += 1
+            return tuple(assignment)
+        for j in range(n):
+            nodes += 1
+            v = residual(local[i][j], ortho[j])
+            nrm = float(np.linalg.norm(v))
+            grows = nrm > tol
+            if grows and len(ortho[j]) + 1 == dims[j]:
+                covered += n ** (m - i - 1)
+                continue
+            if grows:
+                ortho[j].append(v / nrm)
+            assignment.append(j)
+            found = dfs(i + 1)
+            assignment.pop()
+            if grows:
+                ortho[j].pop()
+            if found is not None:
+                return found
+        return None
+
+    return dfs(0), covered, nodes
+
+
 def min_total_overlap(states, dims, restarts=20, iters=200, seed=7):
     """Minimize sum_i |<psi_i| prod_j phi_j>|^2 by alternating eigenvector
     updates with random restarts.  Independent certificate: a minimum bounded

@@ -8,7 +8,7 @@ import pytest
 from nlwe import serialize
 from nlwe.cli import main
 from nlwe.ensembles import shift_circuit, shift_ensemble
-from nlwe.states import CB, Dense, ProductState
+from nlwe.states import CB, Dense, ProductBasis, ProductState
 from nlwe.upb import extract_upb
 
 
@@ -93,14 +93,53 @@ class TestCliFlows:
         assert "FAIL" in capsys.readouterr().out
 
     def test_verify_tolerance_env_override(self, tmp_path, capsys, monkeypatch):
+        # |1>(sin t|0> + cos t|1>) overlaps |1>|0> by sin t = 1e-6: above the
+        # default tolerance, below the one set in the environment
+        t = np.arcsin(1e-6)
+        tilted = Dense(np.array([np.sin(t), np.cos(t)]))
+        states = [ProductState((CB(a), CB(b)), (2, 2)) for a, b in ((0, 0), (0, 1), (1, 0))]
+        states.append(ProductState((CB(1), tilted), (2, 2)))
         path = tmp_path / "basis.json"
-        main(["generate", "--preset", "shift", "--out", str(path)])
-        obj = json.loads(path.read_text())
-        obj["states"][1] = obj["states"][0]
-        del obj["circuit"]
-        path.write_text(json.dumps(obj))
-        monkeypatch.setenv("NLWE_TOLERANCE", "10")
+        path.write_text(serialize.dumps(serialize.basis_to_obj(ProductBasis((2, 2), states))))
+        assert main(["verify", "--in", str(path), "--checks", "orth"]) == 1
+        monkeypatch.setenv("NLWE_TOLERANCE", "1e-5")
         assert main(["verify", "--in", str(path), "--checks", "orth"]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf", "0.9", "10"])
+    def test_bad_tolerance_is_one_error_line(self, tmp_path, capsys, monkeypatch, value):
+        path = tmp_path / "upb.json"
+        main(["upb", "--preset", "shift", "--out", str(path)])
+        capsys.readouterr()
+        monkeypatch.setenv("NLWE_TOLERANCE", value)
+        assert main(["upb", "check", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:precondition-failed:")
+        assert err.count("\n") == 1
+
+    def test_nan_dense_factor_is_one_error_line(self, tmp_path, capsys):
+        # a NaN entry used to pass both the norm and the orthogonality gate
+        # and turn the shift UPB into an "extendible" set
+        path = tmp_path / "upb.json"
+        main(["upb", "--preset", "shift", "--out", str(path)])
+        capsys.readouterr()
+        obj = json.loads(path.read_text())
+        obj["states"][0]["factors"][0] = {"kind": "dense", "entries": [[float("nan"), 0.0], [0.0, 0.0]]}
+        path.write_text(json.dumps(obj))
+        assert main(["upb", "check", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:contract-violation:")
+
+    def test_tolerance_too_large_for_a_qutrit_party_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # 0.6 is valid on qubits but not below 1/sqrt(3)
+        path = tmp_path / "upb.json"
+        main(["upb", "--preset", "canonical:n=4,d=3", "--out", str(path)])
+        capsys.readouterr()
+        monkeypatch.setenv("NLWE_TOLERANCE", "0.6")
+        assert main(["upb", "check", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:precondition-failed:")
+        assert err.count("\n") == 1
+        assert err.count("\n") == 1
 
     def test_verify_json_report(self, tmp_path):
         path = tmp_path / "basis.json"

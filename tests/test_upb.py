@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwe.ensembles import (
     extended_circuit_fig4,
@@ -9,9 +11,9 @@ from nlwe.ensembles import (
     preset_circuit,
     shift_circuit,
 )
-from nlwe.errors import ContractViolationError
+from nlwe.errors import ContractViolationError, PreconditionError
 from nlwe.linalg import dft_matrix, gram
-from nlwe.states import CB, DFT, ProductState
+from nlwe.states import CB, DFT, Dense, ProductState
 from nlwe.upb import (
     Upb,
     extendibility_search,
@@ -20,7 +22,13 @@ from nlwe.upb import (
     minimal_size,
 )
 
-from helpers import brute_force_extendible, ket, kron_chain, min_total_overlap
+from helpers import (
+    brute_force_extendible,
+    ket,
+    kron_chain,
+    min_total_overlap,
+    residual_search,
+)
 
 
 def shift_upb():
@@ -187,12 +195,24 @@ class TestUnextendibility:
         ]
         assert not extendibility_search(relabeled, tuple(u.dims[p] for p in perm)).extendible
 
-    def test_threaded_search_matches_sequential(self):
+    def test_shift_search_counts(self):
         u = shift_upb()
-        seq = extendibility_search(u.states, u.dims, threads=1)
-        par = extendibility_search(u.states, u.dims, threads=3)
-        assert seq.extendible == par.extendible is False
-        assert seq.assignments_covered == par.assignments_covered == 81
+        res = extendibility_search(u.states, u.dims)
+        assert (res.nodes_visited, res.assignments_covered) == (48, 81)
+
+    def test_shift_times_qutrit_basis_counts(self):
+        # SHIFT (x) {|0>,|1>,|2>}, members x-major: unextendible, and the
+        # search exhausts a tree of 20 040 nodes
+        u = shift_upb()
+        states = [
+            ProductState(s.factors + (CB(k),), u.dims + (3,))
+            for s in u.states
+            for k in range(3)
+        ]
+        res = extendibility_search(states, u.dims + (3,))
+        assert not res.extendible
+        assert res.nodes_visited == 20_040
+        assert res.assignments_covered == res.assignment_bound == 4**12
 
     def test_minimization_oracle_shift_bounded_away_from_zero(self):
         u = shift_upb()
@@ -234,3 +254,76 @@ class TestQutritExtractionIsExtendible:
         assert extendibility_search(u.states, u.dims).extendible
         u2 = extract_upb(canonical_3x3, {0: 0, 1: 1, 2: 2})
         assert extendibility_search(u2.states, u2.dims).extendible
+
+
+@st.composite
+def factor_sets(draw):
+    """Small sets of product states whose factors are drawn from three
+    complete bases per party: computational, dual and a random unitary's
+    columns (dense).  Members need not be orthogonal."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitaries = []
+    for d in dims:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        unitaries.append(q)
+    states = []
+    for _ in range(m):
+        factors = []
+        for d, q in zip(dims, unitaries):
+            k = draw(st.integers(0, d - 1))
+            kind = draw(st.sampled_from(("cb", "dft", "dense")))
+            factors.append({"cb": CB(k), "dft": DFT(k), "dense": Dense(q[:, k])}[kind])
+        states.append(ProductState(tuple(factors), dims))
+    return states, dims
+
+
+class TestSearchProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(factor_sets())
+    def test_agrees_with_brute_force_and_residual_search(self, case):
+        states, dims = case
+        res = extendibility_search(states, dims)
+        hits, first = brute_force_extendible(states, dims)
+        assert res.extendible == (hits > 0)
+        assert res.witness_assignment == first
+        witness, covered, nodes = residual_search(states, dims)
+        assert res.witness_assignment == witness
+        assert (res.assignments_covered, res.nodes_visited) == (covered, nodes)
+        if res.extendible:
+            w = res.witness_state.dense()
+            for s in states:
+                assert abs(np.vdot(s.dense(), w)) <= 1e-9
+
+
+class TestWitnessCheck:
+    def test_empty_complement_is_contract_violation(self, monkeypatch):
+        # a search that thinks every party has room reaches the all-party-0
+        # assignment, whose four factors span party 0 completely
+        monkeypatch.setattr("nlwe.upb.span_dimension", lambda vecs, tol: min(len(vecs), 1))
+        u = shift_upb()
+        with pytest.raises(ContractViolationError, match="no orthogonal direction"):
+            extendibility_search(u.states, u.dims)
+
+    def test_tolerance_must_stay_below_the_sweep_residual(self):
+        # party 0's two factors span the plane orthogonal to (1,1,1)/sqrt(3),
+        # so every computational basis vector leaves residual 1/sqrt(3) there
+        a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
+        b = Dense(np.array([1.0, 1.0, -2.0]) / np.sqrt(6))
+        states = [ProductState((a, CB(0)), (3, 2)), ProductState((b, CB(1)), (3, 2))]
+        with pytest.raises(PreconditionError, match=r"1/sqrt\(3\)"):
+            extendibility_search(states, (3, 2), tol=0.6)
+        res = extendibility_search(states, (3, 2), tol=0.5)
+        assert res.witness_assignment == (0, 0)
+        w = res.witness_state.dense().reshape(3, 2)
+        np.testing.assert_allclose(np.abs(w[:, 0]), np.full(3, 1 / np.sqrt(3)), atol=1e-12)
+
+    def test_overlapping_witness_is_contract_violation(self, monkeypatch):
+        # the members |0,1,->, |1,-,0> and |-,0,1> each overlap |---> by 1/2
+        monkeypatch.setattr(
+            "nlwe.upb.orthogonal_complement_basis", lambda vecs, d, tol: [dft_matrix(d)[:, 1]]
+        )
+        u = shift_upb()
+        with pytest.raises(ContractViolationError, match="overlaps member"):
+            extendibility_search(u.states[:3], u.dims)
