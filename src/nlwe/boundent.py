@@ -7,11 +7,15 @@ state is entangled; at the same time every bipartition has positive partial
 transpose, and when the circuit dimensions are saturated (n = d+1 parties of
 dimension d) each d x d^d cut even admits an explicit completion of the UPB
 to a full orthogonal product basis, certifying zero entanglement there.
+
+Each matrix is diagonalised once: ``DensityMatrix`` keeps the spectrum of
+rho that its positivity gate computed, ``state_rank`` reads it, and
+``ppt_report`` diagonalises each partial transpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .linalg import (
     kron_all,
     orthogonal_complement_basis,
     partial_transpose,
+    require_dense_budget,
 )
 from .report import VerificationReport, cut_label, party_label
 from .states import CB, DFT, Dense, ProductState, factor_dense
@@ -36,10 +41,13 @@ COMPLETION_GRAM_TOL = 1e-9
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix tagged with the
-    tensor-factor dimensions.  Positivity is checked down to -1e-10."""
+    tensor-factor dimensions.  Positivity is checked down to -1e-10; the
+    ascending spectrum computed for that check is kept as ``eigenvalues``.
+    A NaN or infinite entry fails the Hermiticity gate."""
 
     matrix: np.ndarray
     dims: tuple
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -52,13 +60,15 @@ class DensityMatrix:
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
         herm = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise ContractViolationError(f"matrix not Hermitian within 1e-12 ({herm:.3e})")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ContractViolationError(f"trace {tr} deviates from 1 beyond 1e-10")
-        low = float(hermitian_eigenvalues(mat)[0])
-        if low < -EIGENVALUE_SIGN_TOL:
+        evals = hermitian_eigenvalues(mat)
+        object.__setattr__(self, "eigenvalues", evals)
+        low = float(evals[0])
+        if not low >= -EIGENVALUE_SIGN_TOL:
             raise ContractViolationError(
                 f"matrix has a negative eigenvalue ({low:.3e})"
             )
@@ -73,12 +83,13 @@ def be_state(upb: Upb, tol=None) -> DensityMatrix:
     The input must actually be unextendible, otherwise the entanglement
     conclusion would not follow and a contract error is raised.
     """
+    total = upb.total_dimension()
+    require_dense_budget(total, total, "the complement mixture")
     res = extendibility_search(upb.states, upb.dims, tol=tol)
     if res.extendible:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"
         )
-    total = upb.total_dimension()
     m = len(upb)
     proj = np.zeros((total, total), dtype=complex)
     for s in upb.states:
@@ -89,10 +100,9 @@ def be_state(upb: Upb, tol=None) -> DensityMatrix:
     return DensityMatrix(rho, upb.dims)
 
 
-def state_rank(rho: DensityMatrix, threshold: float = RANK_EIGENVALUE_THRESHOLD) -> int:
-    """Number of eigenvalues above the rank-counting threshold."""
-    evals = hermitian_eigenvalues(rho.matrix)
-    return int(np.sum(evals > threshold))
+def state_rank(rho: DensityMatrix) -> int:
+    """Number of eigenvalues above ``RANK_EIGENVALUE_THRESHOLD``."""
+    return int(np.sum(rho.eigenvalues > RANK_EIGENVALUE_THRESHOLD))
 
 
 def member_annihilation(rho: DensityMatrix, upb: Upb) -> float:
@@ -113,10 +123,10 @@ def bipartitions(n: int):
     return cuts
 
 
-def ppt_report(rho: DensityMatrix, eig_tol: float = EIGENVALUE_SIGN_TOL) -> VerificationReport:
+def ppt_report(rho: DensityMatrix) -> VerificationReport:
     """Minimum partial-transpose eigenvalue for every bipartition.
 
-    Passes iff every cut's minimum eigenvalue is >= -eig_tol.
+    Passes iff every cut's minimum eigenvalue is >= -EIGENVALUE_SIGN_TOL.
     """
     n = len(rho.dims)
     report = VerificationReport()
@@ -129,7 +139,7 @@ def ppt_report(rho: DensityMatrix, eig_tol: float = EIGENVALUE_SIGN_TOL) -> Veri
         min_eigs[label] = low
         report.add(
             f"ppt[{label}]",
-            low >= -eig_tol,
+            low >= -EIGENVALUE_SIGN_TOL,
             residual=low,
             detail="min eigenvalue of the partial transpose",
         )
@@ -173,6 +183,11 @@ def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[Prod
     singled party first and the remaining parties in ascending order; the
     first m states are the input members regrouped across that cut.
     """
+    return _completion(upb, singled_party, tol)[0]
+
+
+def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], float]:
+    """``separability_completion`` and the completed basis's Gram deviation."""
     dims = upb.dims
     n = len(dims)
     d = dims[0]
@@ -180,6 +195,8 @@ def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[Prod
         raise UnsupportedShapeError(
             f"completion needs n = d+1 equal dimensions, got dims {dims}"
         )
+    total = d ** (d + 1)
+    require_dense_budget(total, total, "the completed basis's Gram matrix")
     s = int(singled_party)
     if not 0 <= s < n:
         raise ContractViolationError(f"singled party {s} outside 0..{n - 1}")
@@ -261,44 +278,38 @@ def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[Prod
         out.append(ProductState((DFT(k), Dense(pattern_perp)), cut_dims))
     out.append(ProductState((DFT(excluded), Dense(stopper_perp)), cut_dims))
 
-    total = d ** (d + 1)
     if len(out) != total:
         raise ContractViolationError(
             f"completion produced {len(out)} states, expected {total}"
         )
     g = gram([state.dense() for state in out])
     deviation = float(np.max(np.abs(g - np.eye(total))))
-    if deviation > COMPLETION_GRAM_TOL:
+    if not deviation <= COMPLETION_GRAM_TOL:
         raise ContractViolationError(
             f"completed basis is not orthonormal (Gram deviation {deviation:.3e})"
         )
-    return out
+    return out, deviation
 
 
 def separability_report(upb: Upb, tol=None) -> VerificationReport:
-    """Run the completion for every singled party; passes iff all succeed."""
-    dims = upb.dims
-    n = len(dims)
-    d = dims[0]
-    if any(dj != d for dj in dims) or n != d + 1:
-        raise UnsupportedShapeError(
-            f"separability report needs n = d+1 equal dimensions, got dims {dims}"
-        )
+    """Run the completion for every singled party; passes iff all succeed.
+
+    An input outside the saturated shape raises ``UnsupportedShapeError``
+    from the first completion."""
+    n = len(upb.dims)
     report = VerificationReport()
     completions = {}
     for s in range(n):
         label = cut_label({s}, n)
         try:
-            states = separability_completion(upb, s, tol=tol)
+            states, deviation = _completion(upb, s, tol)
         except ContractViolationError as exc:
             report.add(f"completion[{label}]", False, detail=str(exc))
             continue
-        g = gram([state.dense() for state in states])
-        deviation = float(np.max(np.abs(g - np.eye(len(states)))))
         completions[party_label(s)] = states
         report.add(
             f"completion[{label}]",
-            deviation <= COMPLETION_GRAM_TOL,
+            True,
             residual=deviation,
             detail=f"{len(states)} cut-product states, Gram deviation",
         )

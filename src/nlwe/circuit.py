@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError
-from .linalg import dft_matrix, kron_all
+from .linalg import dft_matrix, kron_all, require_dense_budget
 from .report import VerificationReport, party_label
 from .states import CB, DFT, ProductBasis, ProductState
 
@@ -123,6 +123,8 @@ def gate_unitary(gate: ControlDftGate, dims) -> np.ndarray:
     """Full-space unitary of one gate: DFT on the target inside the control
     subspace, identity outside."""
     dims = tuple(int(d) for d in dims)
+    total = int(np.prod(dims))
+    require_dense_budget(total, total, "the gate unitary")
     controls = gate.control_map
     proj_factors = []
     act_factors = []
@@ -139,7 +141,6 @@ def gate_unitary(gate: ControlDftGate, dims) -> np.ndarray:
             eye = np.eye(d, dtype=complex)
             proj_factors.append(eye)
             act_factors.append(eye)
-    total = int(np.prod(dims))
     proj = kron_all(proj_factors)
     act = kron_all(act_factors)
     return act + np.eye(total, dtype=complex) - proj
@@ -148,6 +149,7 @@ def gate_unitary(gate: ControlDftGate, dims) -> np.ndarray:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries in listed order (last gate acts first)."""
     total = circuit.total_dimension()
+    require_dense_budget(total, total, "the circuit unitary")
     u = np.eye(total, dtype=complex)
     for gate in circuit.gates:
         u = u @ gate_unitary(gate, circuit.dims)

@@ -45,6 +45,10 @@ class UnsupportedShapeError(NlweError):
     code = "unsupported-shape"
 
 
+class TooLargeError(NlweError):
+    code = "too-large"
+
+
 class UnknownPresetError(NlweError):
     code = "unknown-preset"
 

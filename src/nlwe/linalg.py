@@ -6,6 +6,15 @@ Vectors are 1-D complex ndarrays, matrices are 2-D (row-major).  Party 0
 occupies the most significant tensor slot, i.e. ``tensor(a, b)`` puts ``a``
 on the slower-varying index.  The DFT uses the +i sign convention, so for
 qubits it coincides with the Hadamard.
+
+Every spectrum the library needs comes from ``hermitian_eigenvalues``, i.e.
+LAPACK through ``np.linalg.eigvalsh``.  ``jacobi_eigh`` is a pure-Python
+cyclic-Jacobi solver kept as the independent reference the tests compare
+against; no library code calls it.
+
+The dense checks on whole spaces (a basis's Gram matrix, gate and circuit
+unitaries, the complement mixture, the completed basis) first pass their
+largest array's shape to ``require_dense_budget``.
 """
 
 from __future__ import annotations
@@ -19,11 +28,26 @@ from .errors import (
     DegenerateCutError,
     DimensionMismatchError,
     InvalidDimensionError,
+    TooLargeError,
 )
 
 HERMITICITY_TOL = 1e-10
 JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+# 64 MiB admits a 2048 x 2048 complex matrix, so every dense check on the
+# canonical (5,4) basis (D = 1024) runs, while (6,5) (D = 15625) is refused.
+DENSE_BYTES_BUDGET = 2**26
+
+
+def require_dense_budget(rows: int, cols: int, what: str) -> None:
+    """Raise ``TooLargeError`` if a rows x cols complex array would exceed
+    ``DENSE_BYTES_BUDGET``; call it before the array is formed."""
+    nbytes = 16 * int(rows) * int(cols)
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise TooLargeError(
+            f"{what} needs a {rows} x {cols} complex array ({nbytes / 2**20:.0f} MiB), "
+            f"above the {DENSE_BYTES_BUDGET >> 20} MiB budget"
+        )
 
 
 def dft_matrix(d: int) -> np.ndarray:
@@ -90,7 +114,8 @@ def jacobi_eigh(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
+    The pure-Python reference for ``hermitian_eigenvalues``.  Returns
+    ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvector k stored in column k.  Sweeps run until the off-diagonal
     Frobenius norm drops below ``offdiag_tol``; exceeding ``max_sweeps``
     raises a convergence error.
@@ -150,15 +175,15 @@ def jacobi_eigh(
     return evals[order], vecs[:, order]
 
 
-def hermitian_eigenvalues(
-    a: np.ndarray,
-    *,
-    offdiag_tol: float = JACOBI_OFFDIAG_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending."""
-    evals, _ = jacobi_eigh(a, offdiag_tol=offdiag_tol, max_sweeps=max_sweeps)
-    return evals
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, from LAPACK.  A NaN or
+    infinite entry fails the Hermiticity gate."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError("eigensolver requires a square matrix")
+    if not float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= HERMITICITY_TOL:
+        raise ContractViolationError("matrix is not Hermitian within 1e-10")
+    return np.linalg.eigvalsh((a + a.conj().T) / 2)
 
 
 def partial_transpose(rho: np.ndarray, dims, subset) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError
-from .linalg import dft_matrix, gram, kron_all
+from .linalg import dft_matrix, gram, kron_all, require_dense_budget
 
 DENSE_FACTOR_NORM_TOL = 1e-12
 
@@ -150,11 +150,9 @@ class ProductBasis:
     def __len__(self) -> int:
         return len(self.states)
 
-    def dense_matrix(self) -> np.ndarray:
-        """Row i is the dense rendering of state i."""
-        return np.array([s.dense() for s in self.states])
-
     def gram(self) -> np.ndarray:
+        m = len(self.states)
+        require_dense_budget(m, max(m, int(np.prod(self.dims))), "the Gram matrix")
         return gram([s.dense() for s in self.states])
 
     def gram_deviation(self) -> float:

@@ -187,44 +187,48 @@ def _search(local, dims, tol):
     nodes visited).  Covered counts complete assignments either reached or
     ruled out by pruning, so an unextendible input always covers the full
     n^m bound.
+
+    The search runs on an explicit stack, so its depth (one level per
+    member) is not bounded by the interpreter's recursion limit.
     """
     m = len(local)
     n = len(dims)
     bits, vectors = _intern(local, n)
     memo = [{} for _ in range(n)]
     masks = [0] * n
-    assignment = []
+    assignment = []  # party chosen for each member placed so far
+    saved = []  # the mask each placement replaced, restored on backtrack
     covered = 0
     nodes = 0
-
-    def dfs(i):
-        nonlocal covered, nodes
+    j = 0  # next party to try for member len(assignment)
+    while True:
+        i = len(assignment)
         if i == m:
-            covered += 1
-            return tuple(assignment)
-        for j, bit in enumerate(bits[i]):
-            nodes += 1
-            mask = masks[j]
-            grown = mask | bit
-            rank = memo[j].get(grown)
-            if rank is None:
-                picked = [v for k, v in enumerate(vectors[j]) if grown >> k & 1]
-                rank = memo[j][grown] = span_dimension(picked, tol)
-            if rank >= dims[j]:
-                # party j would be fully spanned: no product state can be
-                # orthogonal there, so every completion of this branch fails
-                covered += n ** (m - i - 1)
-                continue
-            masks[j] = grown
-            assignment.append(j)
-            found = dfs(i + 1)
-            assignment.pop()
-            masks[j] = mask
-            if found is not None:
-                return found
-        return None
-
-    return dfs(0), covered, nodes
+            return tuple(assignment), covered + 1, nodes
+        if j == n:
+            # every party tried for member i: backtrack to member i - 1
+            if not assignment:
+                return None, covered, nodes
+            j = assignment.pop()
+            masks[j] = saved.pop()
+            j += 1
+            continue
+        nodes += 1
+        grown = masks[j] | bits[i][j]
+        rank = memo[j].get(grown)
+        if rank is None:
+            picked = [v for k, v in enumerate(vectors[j]) if grown >> k & 1]
+            rank = memo[j][grown] = span_dimension(picked, tol)
+        if rank >= dims[j]:
+            # party j would be fully spanned: no product state can be
+            # orthogonal there, so every completion of this branch fails
+            covered += n ** (m - i - 1)
+            j += 1
+            continue
+        saved.append(masks[j])
+        masks[j] = grown
+        assignment.append(j)
+        j = 0
 
 
 def _witness_state(local, dims, witness, tol) -> ProductState:

@@ -148,6 +148,22 @@ def min_total_overlap(states, dims, restarts=20, iters=200, seed=7):
     return float(best)
 
 
+# I/4 spoiled by a NaN on the diagonal, a NaN off it, or an infinite pair
+NON_FINITE_CASES = {
+    "nan-diagonal": ([(3, 3)], np.nan),
+    "nan-off-diagonal": ([(0, 1)], np.nan),
+    "inf-symmetric": ([(1, 2), (2, 1)], np.inf),
+}
+
+
+def non_finite_matrix(case):
+    entries, value = NON_FINITE_CASES[case]
+    a = np.eye(4, dtype=complex) / 4
+    for pos in entries:
+        a[pos] = value
+    return a
+
+
 def random_hermitian(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (a + a.conj().T) / 2

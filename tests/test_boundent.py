@@ -12,12 +12,12 @@ from nlwe.boundent import (
     state_rank,
 )
 from nlwe.ensembles import four_qutrit_circuit, preset_circuit, shift_circuit
-from nlwe.errors import ContractViolationError, UnsupportedShapeError
+from nlwe.errors import ContractViolationError, TooLargeError, UnsupportedShapeError
 from nlwe.linalg import gram, hermitian_eigenvalues, partial_transpose, span_dimension
 from nlwe.states import Dense, ProductState
 from nlwe.upb import extract_upb
 
-from helpers import ket, kron_chain
+from helpers import NON_FINITE_CASES, ket, kron_chain, non_finite_matrix
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -50,9 +50,24 @@ class TestBeState:
         assert np.allclose(evals[:4], 0.0, atol=1e-12)
         assert np.allclose(evals[4:], 0.25, atol=1e-12)
 
+    def test_rank_reads_the_kept_spectrum(self, monkeypatch):
+        rho = be_state(shift_upb())
+        assert np.array_equal(rho.eigenvalues, hermitian_eigenvalues(rho.matrix))
+
+        def second_spectrum(a):
+            raise AssertionError("rho diagonalised a second time")
+
+        monkeypatch.setattr("nlwe.boundent.hermitian_eigenvalues", second_spectrum)
+        assert state_rank(rho) == 8 - 4
+
     def test_extendible_input_rejected(self):
         with pytest.raises(ContractViolationError):
             be_state(extract_upb(four_qutrit_circuit()))
+
+    def test_beyond_the_dense_budget(self):
+        # D = 15625: refused before the search and before any D x D array
+        with pytest.raises(TooLargeError):
+            be_state(extract_upb(preset_circuit("canonical:n=6,d=5")))
 
     def test_four_qutrit_complement_mixture_characterized_directly(self):
         # The four-qutrit extraction is extendible (see test_upb), so the
@@ -119,6 +134,14 @@ class TestDensityMatrixContract:
         bad = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
         with pytest.raises(ContractViolationError):
             DensityMatrix(bad, (2, 2))
+
+    @pytest.mark.parametrize("case", NON_FINITE_CASES)
+    def test_rejects_non_finite(self, case):
+        # a NaN at (3,3) leaves LAPACK the spectrum [0, -0, 1/4, 1/4], which
+        # passes a positivity gate written as low < -tol; off the diagonal
+        # LAPACK may ignore the entry or fail to converge
+        with pytest.raises(ContractViolationError):
+            DensityMatrix(non_finite_matrix(case), (2, 2))
 
 
 class TestSeparabilityCompletion:

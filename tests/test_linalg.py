@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwe.errors import (
     ContractViolationError,
@@ -19,7 +21,7 @@ from nlwe.linalg import (
     tensor,
 )
 
-from helpers import ket, kron_chain, random_hermitian
+from helpers import NON_FINITE_CASES, dft_col, ket, kron_chain, non_finite_matrix, random_hermitian
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -116,7 +118,7 @@ class TestJacobiEigensolver:
         bell = (kron_chain(ket(0, 2), ket(0, 2)) + kron_chain(ket(1, 2), ket(1, 2))) * SQ2
         proj = np.outer(bell, bell.conj())
         pt = partial_transpose(proj, (2, 2), {0})
-        evals = hermitian_eigenvalues(pt)
+        evals, _ = jacobi_eigh(pt)
         assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
@@ -124,7 +126,7 @@ class TestJacobiEigensolver:
         rng = np.random.default_rng(42 + n)
         for _ in range(4):
             a = random_hermitian(rng, n)
-            evals = hermitian_eigenvalues(a)
+            evals, _ = jacobi_eigh(a)
             expected = np.linalg.eigvalsh(a)
             assert np.max(np.abs(evals - expected)) < 1e-10
 
@@ -139,7 +141,7 @@ class TestJacobiEigensolver:
     def test_trace_consistency(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 7)
-        evals = hermitian_eigenvalues(a)
+        evals, _ = jacobi_eigh(a)
         assert abs(np.sum(evals) - np.trace(a).real) <= 1e-9
 
     def test_degenerate_spectrum(self):
@@ -149,23 +151,67 @@ class TestJacobiEigensolver:
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         diag = np.diag([0.0] * 4 + [1.0] * 4 + [2.0])
         a = q @ diag @ q.conj().T
-        evals = hermitian_eigenvalues(a)
+        evals, _ = jacobi_eigh(a)
         assert np.allclose(evals, sorted([0.0] * 4 + [1.0] * 4 + [2.0]), atol=1e-11)
 
     def test_medium_size_against_numpy(self):
         rng = np.random.default_rng(14)
         a = random_hermitian(rng, 64, scale=3.0)
-        evals = hermitian_eigenvalues(a)
+        evals, _ = jacobi_eigh(a)
         assert np.max(np.abs(evals - np.linalg.eigvalsh(a))) < 1e-9
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ContractViolationError):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("case", NON_FINITE_CASES)
+    def test_non_finite_rejected(self, case):
+        # LAPACK alone returns finite eigenvalues for some of these and
+        # fails to converge on others
+        with pytest.raises(ContractViolationError):
+            hermitian_eigenvalues(non_finite_matrix(case))
+
     def test_sweep_cap_reported(self):
         a = np.array([[0, 1], [1, 0]], dtype=complex)
         with pytest.raises(ConvergenceError):
             jacobi_eigh(a, max_sweeps=0)
+
+
+@st.composite
+def hermitian_cases(draw):
+    """A random Hermitian matrix, or a partial transpose of the uniform
+    mixture on the complement of an orthogonal product set.  The set is
+    drawn greedily from product states whose local factors are
+    computational, dual or random-unitary basis kets, keeping each one
+    orthogonal to those kept before it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_hermitian(rng, draw(st.integers(1, 16)))
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    bases = []
+    for d in dims:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        cols = [np.eye(d)[:, k] for k in range(d)] + [dft_col(k, d) for k in range(d)]
+        bases.append(cols + [q[:, k] for k in range(d)])
+    total = int(np.prod(dims))
+    members = []
+    for _ in range(draw(st.integers(1, total - 1))):
+        v = kron_chain(*(basis[draw(st.integers(0, len(basis) - 1))] for basis in bases))
+        if all(abs(np.vdot(w, v)) <= 1e-12 for w in members):
+            members.append(v)
+    proj = sum(np.outer(v, v.conj()) for v in members)
+    rho = (np.eye(total) - proj) / (total - len(members))
+    n = len(dims)
+    subset = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return partial_transpose((rho + rho.conj().T) / 2, dims, subset)
+
+
+class TestLapackAgreesWithJacobi:
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_cases())
+    def test_spectra_agree(self, a):
+        evals, _ = jacobi_eigh(a)
+        assert np.max(np.abs(hermitian_eigenvalues(a) - evals)) <= 1e-10
 
 
 class TestPartialTranspose:

@@ -58,6 +58,14 @@ class TestSerialization:
             serialize.basis_from_obj({"dims": [2, 2]})
 
 
+@pytest.fixture(scope="module")
+def big_basis(tmp_path_factory):
+    """The canonical (6,5) basis: D = 15625, so a D x D array needs 3.6 GiB."""
+    path = tmp_path_factory.mktemp("big") / "basis.json"
+    assert main(["generate", "--preset", "canonical:n=6,d=5", "--out", str(path)]) == 0
+    return path
+
+
 class TestCliFlows:
     def test_generate_shift(self, tmp_path, capsys):
         out = tmp_path / "basis.json"
@@ -177,6 +185,23 @@ class TestCliFlows:
         main(["upb", "--preset", "canonical:n=4,d=3", "--out", str(path)])
         assert main(["upb", "check", "--in", str(path)]) == 1
         assert "extendible" in capsys.readouterr().out
+
+    def test_upb_check_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # the 40 x 40 computational basis without |39,39>: the search places
+        # all 1599 members before it finds the missing state
+        members = [{"factors": [{"kind": "cb", "index": a}, {"kind": "cb", "index": b}]}
+                   for a in range(40) for b in range(40) if (a, b) != (39, 39)]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps({"dims": [40, 40], "states": members, "stopper_index": 0}))
+        assert main(["upb", "check", "--in", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("extendible, ")
+
+    @pytest.mark.parametrize("check", ["orth", "commutation"])
+    def test_verify_beyond_the_dense_budget_is_one_error_line(self, big_basis, capsys, check):
+        assert main(["verify", "--in", str(big_basis), "--checks", check]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:too-large:")
+        assert err.count("\n") == 1
 
     def test_upb_rejects_non_canonical_preset(self, capsys):
         assert main(["upb", "--preset", "fig4"]) == 2
