@@ -43,7 +43,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix tagged with the
     tensor-factor dimensions.  Positivity is checked down to -1e-10; the
     ascending spectrum computed for that check is kept as ``eigenvalues``.
-    A NaN or infinite entry fails the Hermiticity gate."""
+    A NaN or infinite entry is rejected first."""
 
     matrix: np.ndarray
     dims: tuple
@@ -59,6 +59,8 @@ class DensityMatrix:
             raise ContractViolationError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ContractViolationError("matrix has a non-finite entry")
         herm = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
         if not herm <= 1e-12:
             raise ContractViolationError(f"matrix not Hermitian within 1e-12 ({herm:.3e})")

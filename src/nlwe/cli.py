@@ -95,9 +95,7 @@ def cmd_verify(args) -> int:
         report.add("orthogonality", deviation <= tol, residual=deviation,
                    detail="max deviation of the Gram matrix from identity")
     if "product" in names:
-        worst = 0.0
-        for s in basis.states:
-            worst = max(worst, abs(float(np.linalg.norm(s.dense())) - 1.0))
+        worst = basis.norm_deviation()
         report.add("product-form", worst <= 1e-10, residual=worst,
                    detail="max state-norm deviation from 1")
     if "exclusivity" in names:

@@ -12,9 +12,11 @@ LAPACK through ``np.linalg.eigvalsh``.  ``jacobi_eigh`` is a pure-Python
 cyclic-Jacobi solver kept as the independent reference the tests compare
 against; no library code calls it.
 
-The dense checks on whole spaces (a basis's Gram matrix, gate and circuit
-unitaries, the complement mixture, the completed basis) first pass their
-largest array's shape to ``require_dense_budget``.
+The arrays on whole spaces first pass their largest shape to
+``require_dense_budget``: the complement mixture and the completed basis of
+``boundent``, and the dense references that the tests compare the factored
+``verify`` checks against (a basis's Gram matrix, gate and circuit
+unitaries).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
-# 64 MiB admits a 2048 x 2048 complex matrix, so every dense check on the
-# canonical (5,4) basis (D = 1024) runs, while (6,5) (D = 15625) is refused.
+# 64 MiB admits a 2048 x 2048 complex matrix: D = 1024 for canonical (5,4)
+# fits, D = 15625 for (6,5) does not.
 DENSE_BYTES_BUDGET = 2**26
 
 
@@ -177,10 +179,12 @@ def jacobi_eigh(
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, from LAPACK.  A NaN or
-    infinite entry fails the Hermiticity gate."""
+    infinite entry is rejected before the Hermiticity gate."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("eigensolver requires a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ContractViolationError("matrix has a non-finite entry")
     if not float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= HERMITICITY_TOL:
         raise ContractViolationError("matrix is not Hermitian within 1e-10")
     return np.linalg.eigvalsh((a + a.conj().T) / 2)

@@ -4,6 +4,12 @@ A factor is either ``CB(i)`` (computational-basis ket), ``DFT(i)`` (the DFT
 image of a computational ket, i.e. a dual-basis ket), or ``Dense(vector)``.
 Symbolic factors are kept exact end-to-end; densification happens only when
 a verification needs numbers.
+
+The checks on a whole set (norms and the Gram matrix) work on local factors:
+``LocalFactors`` interns each party's factors and tabulates their overlaps,
+so no vector or matrix of the full dimension D = prod(d_j) is formed.  A
+product overlap is the product of the local overlaps, and it vanishes
+exactly when one local overlap does (Bennett et al., PRL 82, 5385 (1999)).
 """
 
 from __future__ import annotations
@@ -131,6 +137,125 @@ class ProductState:
         return tuple((type(f).__name__, f.index) for f in self.factors)
 
 
+class LocalFactors:
+    """The local factors of a product set, interned per party.
+
+    At each party, factors share an id when they are the same symbolic ket
+    or dense factors with bit-identical entries; ids count up in first-seen
+    order.  ``ids[i, p]`` is the id of member i's factor at party p,
+    ``vectors[p]`` stacks the distinct factors' renderings in id order, and
+    ``overlaps[p][a, b]`` is <f_a|f_b>, written as an exact 0 when f_a and
+    f_b are distinct kets of one basis (computational or DFT).
+    """
+
+    def __init__(self, states, dims):
+        dims = tuple(int(d) for d in dims)
+        seen = [{} for _ in dims]
+        distinct = [[] for _ in dims]
+        rows = []
+        for s in states:
+            if s.dims != dims:
+                raise DimensionMismatchError("state dims differ from the set's dims")
+            row = []
+            for key_ids, kept, f in zip(seen, distinct, s.factors):
+                k = key_ids.setdefault(
+                    f.entries.tobytes() if isinstance(f, Dense) else f, len(kept)
+                )
+                if k == len(kept):
+                    kept.append(f)
+                row.append(k)
+            rows.append(row)
+        self.ids = np.array(rows, dtype=np.intp).reshape(len(rows), len(dims))
+        self.vectors = [
+            np.array([factor_dense(f, d) for f in kept]).reshape(len(kept), d)
+            for kept, d in zip(distinct, dims)
+        ]
+        self.overlaps = [
+            _overlap_table(kept, v) for kept, v in zip(distinct, self.vectors)
+        ]
+
+    def norms(self) -> np.ndarray:
+        """Each member's norm: the product of its local factor norms."""
+        out = np.ones(self.ids.shape[0])
+        for p, v in enumerate(self.vectors):
+            out *= np.linalg.norm(v, axis=1)[self.ids[:, p]]
+        return out
+
+    def gram_extremes(self) -> tuple[float, float]:
+        """(max_i |G_ii - 1|, max_{i != j} |G_ij|) for the Gram matrix
+        G_ij = <psi_i|psi_j> = prod_p overlaps[p][ids[i, p], ids[j, p]].
+
+        Members are sorted by their id tuples, and pairs of members are
+        walked party by party over the trie of shared id prefixes: a pair
+        of subtrees is dropped at the first party whose overlap is an exact
+        0, so the work scales with the pairs that are not orthogonal early,
+        not with m^2.  Identical members meet at a leaf and show their
+        overlap (about 1) off the diagonal.
+        """
+        m, n = self.ids.shape
+        if m == 0:
+            return 0.0, 0.0
+        rows = self.ids[np.lexsort(self.ids.T[::-1])]
+        # children[p][node] lists (factor id at party p, child node) for the
+        # trie nodes at depth p, i.e. the runs of equal prefixes rows[:, :p]
+        children = []
+        new_run = np.zeros(m - 1, dtype=bool)
+        starts = np.zeros(1, dtype=np.intp)
+        for p in range(n):
+            new_run |= rows[1:, p] != rows[:-1, p]
+            child_starts = np.flatnonzero(np.concatenate(([True], new_run)))
+            parents = np.searchsorted(starts, child_starts, side="right") - 1
+            level = [[] for _ in starts]
+            for c, (q, k) in enumerate(zip(parents.tolist(), rows[child_starts, p].tolist())):
+                level[q].append((k, c))
+            children.append(level)
+            starts = child_starts
+        leaf_sizes = np.diff(np.append(starts, m)).tolist()
+        tables = [t.tolist() for t in self.overlaps]
+
+        diag = off = 0.0
+        stack = [(0, 0, 0, 1.0)]  # (depth, node a, node b, partial product)
+        while stack:
+            p, a, b, value = stack.pop()
+            if p == n:
+                if a != b:
+                    off = max(off, abs(value))
+                else:
+                    diag = max(diag, abs(value - 1.0))
+                    if leaf_sizes[a] > 1:
+                        off = max(off, abs(value))
+                continue
+            table = tables[p]
+            kids_a = children[p][a]
+            for x, (ka, na) in enumerate(kids_a):
+                row = table[ka]
+                # a node paired with itself meets each unordered child pair
+                # once; |G_ij| = |G_ji|, so the order within a pair is free
+                for kb, nb in kids_a[x:] if a == b else children[p][b]:
+                    t = row[kb]
+                    if t != 0:
+                        stack.append((p + 1, na, nb, value * t))
+        return float(diag), float(off)
+
+
+_BASIS_KIND = {CB: 0, DFT: 1}
+
+
+def _overlap_table(factors, vectors: np.ndarray) -> np.ndarray:
+    """<f_a|f_b> for the distinct factors of one party, with an exact 0 for
+    two distinct kets of the computational or of the DFT basis.  Symbolic
+    factors give at most 2d x 2d; only distinct dense factors can make the
+    table large, so it is held to the dense budget."""
+    k = len(factors)
+    require_dense_budget(k, k, "the local overlap table")
+    table = vectors.conj() @ vectors.T
+    kind = np.array([_BASIS_KIND.get(type(f), -1) for f in factors])
+    index = np.array([getattr(f, "index", -1) for f in factors])
+    one_basis = (kind[:, None] == kind[None, :]) & (kind[:, None] >= 0)
+    table[one_basis & (index[:, None] != index[None, :])] = 0.0
+    return table
+
+
 @dataclass(frozen=True)
 class ProductBasis:
     """Ordered set of mutually orthogonal product states on shared dims."""
@@ -151,10 +276,20 @@ class ProductBasis:
         return len(self.states)
 
     def gram(self) -> np.ndarray:
+        """Dense Gram matrix of the rendered states: the reference that
+        ``gram_deviation`` is tested against."""
         m = len(self.states)
         require_dense_budget(m, max(m, int(np.prod(self.dims))), "the Gram matrix")
         return gram([s.dense() for s in self.states])
 
     def gram_deviation(self) -> float:
-        g = self.gram()
-        return float(np.max(np.abs(g - np.eye(len(self.states)))))
+        """Largest entry of |G - I|, G the states' Gram matrix, computed from
+        the local overlap tables (``LocalFactors.gram_extremes``) with no
+        m x m or m x D array."""
+        return max(LocalFactors(self.states, self.dims).gram_extremes())
+
+    def norm_deviation(self) -> float:
+        """Largest |<psi|psi>^(1/2) - 1| over the states, from the norms of
+        their distinct local factors."""
+        norms = LocalFactors(self.states, self.dims).norms()
+        return float(np.max(np.abs(norms - 1.0), initial=0.0))

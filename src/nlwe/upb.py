@@ -8,9 +8,10 @@ kill any new orthogonal product state.  The search enumerates assignments
 depth-first (members in listed order, parties ascending) and prunes a branch
 as soon as one party's assigned factors span its whole local space.
 
-Before the search each party's local factors are interned: factors whose
-dense renderings are bit-identical share one id, so a party's assigned
-factors are an integer mask over a handful of ids.  The span rank of each
+Before the search each party's local factors are interned
+(``states.LocalFactors``: the same symbolic ket, or dense factors with
+bit-identical entries, share one id), so a party's assigned factors are an
+integer mask over a handful of ids.  The span rank of each
 (party, mask) pair is computed once per search, by ``linalg.span_dimension``
 on the masked factors in id order, and looked up at every later node.  The
 first successful assignment is the lexicographically least; its orthogonal
@@ -28,9 +29,9 @@ from .circuit import Circuit, apply_symbolic
 from .config import tolerance
 from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
-from .linalg import gram, orthogonal_complement_basis, span_dimension
+from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport
-from .states import DFT, Dense, ProductState, factor_dense
+from .states import DFT, Dense, LocalFactors, ProductState
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -44,7 +45,8 @@ def minimal_size(dims) -> int:
 class Upb:
     """Stopper-completed orthogonal product set meeting the minimal UPB size.
 
-    Construction enforces mutual orthogonality, the size bound
+    Construction enforces mutual orthogonality (checked from the local
+    overlap tables of ``LocalFactors``), the size bound
     sum(d_j - 1) + 1 <= m < D, and a valid stopper position.  Whether the
     set is actually unextendible is a property to verify with
     ``is_unextendible``, not an invariant of the container.
@@ -71,8 +73,7 @@ class Upb:
             raise ContractViolationError(
                 f"a UPB must be incomplete: {m} states in dimension {total}"
             )
-        g = gram([s.dense() for s in states])
-        off = float(np.max(np.abs(g - np.diag(np.diag(g))), initial=0.0))
+        off = LocalFactors(states, dims).gram_extremes()[1]
         if not off <= UPB_ORTHOGONALITY_TOL:
             raise ContractViolationError(
                 f"states are not mutually orthogonal (max overlap {off:.3e})"
@@ -156,29 +157,10 @@ class ExtendibilityResult:
     witness_state: ProductState | None = None
 
 
-def _intern(local, n):
-    """Per party, number the distinct local factors in first-seen order.
-
-    Two factors share an id only when their dense renderings are
-    bit-identical.  Returns (member -> one-bit mask of its factor id, per
-    party) and (per party, the distinct dense vectors in id order).
-    """
-    bits = [[0] * n for _ in local]
-    vectors = [[] for _ in range(n)]
-    for j in range(n):
-        ids = {}
-        for i, row in enumerate(local):
-            k = ids.setdefault(row[j].tobytes(), len(ids))
-            if k == len(vectors[j]):
-                vectors[j].append(row[j])
-            bits[i][j] = 1 << k
-    return bits, vectors
-
-
-def _search(local, dims, tol):
+def _search(factors: LocalFactors, dims, tol):
     """Depth-first search over member->party assignments.
 
-    ``local[i][j]`` is the dense factor of member i at party j.  Each party
+    ``factors`` holds the members' interned local factors.  Each party
     keeps the mask of the factor ids assigned to it, whose span stays below
     the local dimension; assigning member i to party j is pruned iff the
     rank of the mask with its id added reaches d_j.  Ranks are memoised per
@@ -191,9 +173,9 @@ def _search(local, dims, tol):
     The search runs on an explicit stack, so its depth (one level per
     member) is not bounded by the interpreter's recursion limit.
     """
-    m = len(local)
+    ids = factors.ids.tolist()
+    m = len(ids)
     n = len(dims)
-    bits, vectors = _intern(local, n)
     memo = [{} for _ in range(n)]
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
@@ -214,10 +196,10 @@ def _search(local, dims, tol):
             j += 1
             continue
         nodes += 1
-        grown = masks[j] | bits[i][j]
+        grown = masks[j] | 1 << ids[i][j]
         rank = memo[j].get(grown)
         if rank is None:
-            picked = [v for k, v in enumerate(vectors[j]) if grown >> k & 1]
+            picked = [v for k, v in enumerate(factors.vectors[j]) if grown >> k & 1]
             rank = memo[j][grown] = span_dimension(picked, tol)
         if rank >= dims[j]:
             # party j would be fully spanned: no product state can be
@@ -231,10 +213,13 @@ def _search(local, dims, tol):
         j = 0
 
 
-def _witness_state(local, dims, witness, tol) -> ProductState:
+def _witness_state(members: LocalFactors, dims, witness, tol) -> ProductState:
     """Orthogonal product witness for a successful assignment, checked on
     its own: its overlap with every member, the product of the local
     overlaps, must be at most ``tol``."""
+    local = [
+        [members.vectors[j][k] for j, k in enumerate(row)] for row in members.ids.tolist()
+    ]
     factors = []
     for j, d in enumerate(dims):
         assigned = [row[j] for row, p in zip(local, witness) if p == j]
@@ -278,10 +263,8 @@ def extendibility_search(states, dims, tol=None) -> ExtendibilityResult:
             f"{d_max}-dimensional party"
         )
     n = len(dims)
-    local = [
-        [factor_dense(s.factors[j], dims[j]) for j in range(n)] for s in states
-    ]
-    witness, covered, nodes = _search(local, dims, tol)
+    members = LocalFactors(states, dims)
+    witness, covered, nodes = _search(members, dims, tol)
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
@@ -290,7 +273,7 @@ def extendibility_search(states, dims, tol=None) -> ExtendibilityResult:
         witness_assignment=witness,
     )
     if witness is not None:
-        result.witness_state = _witness_state(local, dims, witness, tol)
+        result.witness_state = _witness_state(members, dims, witness, tol)
     return result
 
 

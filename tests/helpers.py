@@ -3,8 +3,9 @@
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from nlwe.states import factor_dense
+from nlwe.states import CB, DFT, Dense, ProductState, factor_dense
 
 
 def ket(index, d):
@@ -167,3 +168,26 @@ def non_finite_matrix(case):
 def random_hermitian(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (a + a.conj().T) / 2
+
+
+@st.composite
+def factor_sets(draw):
+    """Small sets of product states whose factors are drawn from three
+    complete bases per party: computational, dual and a random unitary's
+    columns (dense).  Members need not be orthogonal."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitaries = []
+    for d in dims:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        unitaries.append(q)
+    states = []
+    for _ in range(m):
+        factors = []
+        for d, q in zip(dims, unitaries):
+            k = draw(st.integers(0, d - 1))
+            kind = draw(st.sampled_from(("cb", "dft", "dense")))
+            factors.append({"cb": CB(k), "dft": DFT(k), "dense": Dense(q[:, k])}[kind])
+        states.append(ProductState(tuple(factors), dims))
+    return states, dims

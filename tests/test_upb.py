@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nlwe.ensembles import (
     extended_circuit_fig4,
@@ -24,6 +23,7 @@ from nlwe.upb import (
 
 from helpers import (
     brute_force_extendible,
+    factor_sets,
     ket,
     kron_chain,
     min_total_overlap,
@@ -254,29 +254,6 @@ class TestQutritExtractionIsExtendible:
         assert extendibility_search(u.states, u.dims).extendible
         u2 = extract_upb(canonical_3x3, {0: 0, 1: 1, 2: 2})
         assert extendibility_search(u2.states, u2.dims).extendible
-
-
-@st.composite
-def factor_sets(draw):
-    """Small sets of product states whose factors are drawn from three
-    complete bases per party: computational, dual and a random unitary's
-    columns (dense).  Members need not be orthogonal."""
-    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
-    m = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    unitaries = []
-    for d in dims:
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        unitaries.append(q)
-    states = []
-    for _ in range(m):
-        factors = []
-        for d, q in zip(dims, unitaries):
-            k = draw(st.integers(0, d - 1))
-            kind = draw(st.sampled_from(("cb", "dft", "dense")))
-            factors.append({"cb": CB(k), "dft": DFT(k), "dense": Dense(q[:, k])}[kind])
-        states.append(ProductState(tuple(factors), dims))
-    return states, dims
 
 
 class TestSearchProperties:
