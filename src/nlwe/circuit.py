@@ -166,6 +166,7 @@ def _generator_factors(gate: ControlDftGate, dims) -> list[np.ndarray]:
     controls = gate.control_map
     factors = []
     for p, d in enumerate(dims):
+        require_dense_budget(d, d, "a local gate factor")
         if p in controls:
             g = np.zeros((d, d), dtype=complex)
             g[controls[p], controls[p]] = 1.0
@@ -190,7 +191,8 @@ def check_commutation(circuit: Circuit, tol: float = COMMUTATION_TOL) -> Verific
     times the largest entry of the one block (x)_S g_p h_p - (x)_S h_p g_p
     on the remaining parties S (at most two, so at most d^2 x d^2).  It is
     an exact 0 when a shared factor vanishes (conflicting controls) or when
-    S is empty.  ``gate_unitary`` is the dense reference for this check.
+    S is empty.  The local factors and the block are held to the dense
+    budget.  ``gate_unitary`` is the dense reference for this check.
     """
     report = VerificationReport()
     factors = [_generator_factors(g, circuit.dims) for g in circuit.gates]
@@ -198,6 +200,8 @@ def check_commutation(circuit: Circuit, tol: float = COMMUTATION_TOL) -> Verific
         gi, gj = circuit.gates[i], circuit.gates[j]
         # the parties where a control projector meets the other's F - I
         clash = ({gj.target} & gi.control_map.keys()) | ({gi.target} & gj.control_map.keys())
+        block = int(np.prod([circuit.dims[p] for p in clash]))
+        require_dense_budget(block, block, "the commutator block")
         shared = 1.0
         gh, hg = [], []
         for p, (a, b) in enumerate(zip(factors[i], factors[j])):

@@ -166,6 +166,8 @@ class LocalFactors:
                 row.append(k)
             rows.append(row)
         self.ids = np.array(rows, dtype=np.intp).reshape(len(rows), len(dims))
+        for kept, d in zip(distinct, dims):
+            require_dense_budget(len(kept), d, "the local factor table")
         self.vectors = [
             np.array([factor_dense(f, d) for f in kept]).reshape(len(kept), d)
             for kept, d in zip(distinct, dims)

@@ -22,6 +22,7 @@ from nlwe.circuit import (
     validate_exclusivity,
 )
 from nlwe.config import tolerance
+from nlwe.errors import TooLargeError
 from nlwe.ensembles import local_factor_census, preset_circuit
 from nlwe.states import CB, DFT, LocalFactors, ProductBasis, ProductState
 
@@ -76,6 +77,14 @@ class TestCommutationAgainstDense:
             dense = float(np.max(np.abs(u @ v - v @ u)))
             assert abs(check.residual - dense) <= 1e-12
             assert check.passed == (dense <= COMMUTATION_TOL)
+
+    def test_commutator_block_beyond_the_dense_budget(self):
+        # each party is a control of one gate and the target of the other:
+        # the block spans both parties, 10^4 x 10^4, though each factor is 100 x 100
+        circuit = Circuit((100, 100), [ControlDftGate({1: 0}, target=0),
+                                       ControlDftGate({0: 0}, target=1)])
+        with pytest.raises(TooLargeError):
+            check_commutation(circuit)
 
 
 class TestGramAgainstDense:

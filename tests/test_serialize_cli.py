@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlwe import serialize
+from nlwe.circuit import Circuit, ControlDftGate
 from nlwe.cli import main
 from nlwe.ensembles import shift_circuit, shift_ensemble
 from nlwe.states import CB, Dense, ProductBasis, ProductState
@@ -63,6 +64,21 @@ def big_basis(tmp_path_factory):
     """The canonical (6,5) basis: D = 15625, so a D x D array would need 3.6 GiB."""
     path = tmp_path_factory.mktemp("big") / "basis.json"
     assert main(["generate", "--preset", "canonical:n=6,d=5", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def wide_basis(tmp_path_factory):
+    """A basis on dims (2100, 2) whose party 0 holds 2100 distinct kets: its
+    local factor table and a local gate factor would each be 2100 x 2100
+    (67 MiB), above the dense budget, though D is only 4200."""
+    path = tmp_path_factory.mktemp("wide") / "basis.json"
+    basis = ProductBasis((2100, 2), tuple(
+        ProductState((CB(i), CB(0)), (2100, 2)) for i in range(2100)
+    ))
+    circuit = Circuit((2100, 2), [ControlDftGate({1: 0}, target=0),
+                                  ControlDftGate({0: 0}, target=1)])
+    path.write_text(serialize.dumps(serialize.basis_to_obj(basis, circuit)))
     return path
 
 
@@ -206,6 +222,13 @@ class TestCliFlows:
         assert len(rows) == 1 + 1 + 15 + 15 + 6
         assert all(row["pass"] for row in rows)
         assert all(row["residual"] == 0.0 for row in rows if row["name"].startswith("commute["))
+
+    @pytest.mark.parametrize("check", ["orth", "commutation"])
+    def test_verify_beyond_the_dense_budget_is_one_error_line(self, wide_basis, capsys, check):
+        assert main(["verify", "--in", str(wide_basis), "--checks", check]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:too-large:")
+        assert err.count("\n") == 1
 
     def test_generate_beyond_the_basis_limit_is_one_error_line(self, capsys):
         # 11^12 states: refused before the first one is made
