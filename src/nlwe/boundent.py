@@ -6,7 +6,11 @@ complement contains no product state (that is the UPB property), so the
 state is entangled; at the same time every bipartition has positive partial
 transpose, and when the circuit dimensions are saturated (n = d+1 parties of
 dimension d) each d x d^d cut even admits an explicit completion of the UPB
-to a full orthogonal product basis, certifying zero entanglement there.
+to a full orthogonal product basis, certifying zero entanglement there
+(Bennett et al., PRL 82, 5385 (1999); DiVincenzo et al., CMP 238, 379
+(2003)).  The completion follows one rule for every member whose factor on
+the singled party is a computational or dual-basis ket (see
+``_completion``) and is certified only by its size and its Gram deviation.
 
 Each matrix is diagonalised once: ``DensityMatrix`` keeps the spectrum of
 rho that its positivity gate computed, ``state_rank`` reads it, and
@@ -22,15 +26,15 @@ import numpy as np
 from .config import EIGENVALUE_SIGN_TOL, tolerance
 from .errors import ContractViolationError, UnsupportedShapeError
 from .linalg import (
-    gram,
     hermitian_eigenvalues,
     kron_all,
     orthogonal_complement_basis,
+    orthonormalize,
     partial_transpose,
     require_dense_budget,
 )
 from .report import VerificationReport, cut_label, party_label
-from .states import CB, DFT, Dense, ProductState, factor_dense
+from .states import CB, DFT, Dense, ProductBasis, ProductState, factor_dense
 from .upb import Upb, extendibility_search
 
 RANK_EIGENVALUE_THRESHOLD = 1e-8
@@ -149,34 +153,6 @@ def ppt_report(rho: DensityMatrix) -> VerificationReport:
     return report
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    """Normalize and rotate the global phase so the first nonzero coordinate
-    is real-positive."""
-    v = v / np.linalg.norm(v)
-    for z in v:
-        if abs(z) > 1e-12:
-            return v * (np.conj(z) / abs(z))
-    return v
-
-
-def _classify_members(upb: Upb):
-    """Group non-stopper members by the party carrying their DFT factor."""
-    families: dict[int, list[tuple[int, ProductState]]] = {}
-    for idx, state in enumerate(upb.states):
-        if idx == upb.stopper_index:
-            continue
-        dft_parties = state.dft_parties()
-        if len(dft_parties) != 1 or not state.is_symbolic():
-            raise ContractViolationError(
-                "members must carry exactly one symbolic DFT factor each"
-            )
-        t = dft_parties[0]
-        families.setdefault(t, []).append((state.factors[t].index, state))
-    for t in families:
-        families[t].sort(key=lambda pair: pair[0])
-    return families
-
-
 def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[ProductState]:
     """Complete the UPB to a full orthogonal product basis across one cut.
 
@@ -189,7 +165,20 @@ def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[Prod
 
 
 def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], float]:
-    """``separability_completion`` and the completed basis's Gram deviation."""
+    """``separability_completion`` and the completed basis's Gram deviation.
+
+    Every member must carry a computational ket |c> or a dual-basis ket
+    F|k> on the singled party s; r_i is member i's rest vector (its other
+    factors, kron'ed) and R_F the span of the rest vectors of the F|k>
+    members.  As |<c|F k>| = 1/sqrt(d), a |c> member is orthogonal to an
+    F|k> member only through its rest vector, so every |c> rest lies in
+    the complement of R_F.  The completion is the members regrouped as
+    (f_s, r_i), in member order, then for each c the kets |c> (x) w with w
+    spanning the complement of the |c> rests and R_F, then for each k the
+    kets F|k> (x) u with u spanning R_F minus the F|k> rests.  The result
+    is certified by its size D and its Gram deviation; a dense factor on s
+    is a contract violation.
+    """
     dims = upb.dims
     n = len(dims)
     d = dims[0]
@@ -204,88 +193,38 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
         raise ContractViolationError(f"singled party {s} outside 0..{n - 1}")
     tol = tolerance(tol)
     rest = [p for p in range(n) if p != s]
-    rest_dim = d**d
-
-    def rest_vector(state: ProductState) -> np.ndarray:
-        return kron_all(factor_dense(state.factors[p], dims[p]) for p in rest)
-
-    families = _classify_members(upb)
-    if set(families.keys()) != set(range(n)):
-        raise ContractViolationError("expected one member family per party")
-    stopper = upb.states[upb.stopper_index]
-    if not isinstance(stopper.factors[s], DFT):
-        raise ContractViolationError("stopper must be a dual-basis ket on every party")
-    excluded = stopper.factors[s].index
-
-    # Rest-side anchors of the 2-dimensional subspace that the new family
-    # complements avoid: the shared computational pattern of the family whose
-    # DFT factor sits on the singled party, and the stopper's rest factors.
-    own_family = families[s]
-    cb_pattern = rest_vector(own_family[0][1])
-    for _, state in own_family[1:]:
-        if np.max(np.abs(rest_vector(state) - cb_pattern)) > 1e-12:
-            raise ContractViolationError(
-                "members with a DFT factor on the singled party must share "
-                "one computational rest pattern"
-            )
-    stopper_rest = rest_vector(stopper)
-
-    # Every other family's rest factors must lie in the complement of
-    # span(cb_pattern, stopper_rest).
-    for t in rest:
-        for _, state in families[t]:
-            rv = rest_vector(state)
-            if abs(np.vdot(cb_pattern, rv)) > 1e-10 or abs(np.vdot(stopper_rest, rv)) > 1e-10:
-                raise ContractViolationError(
-                    "family rest factor leaks outside the expected subspace"
-                )
+    cut_dims = (d, d**d)
 
     out: list[ProductState] = []
-    cut_dims = (d, rest_dim)
-    for state in upb.states:
-        out.append(
-            ProductState((state.factors[s], Dense(rest_vector(state))), cut_dims)
-        )
-
-    def singled_cb_value(t: int) -> int:
-        values = {state.factors[s].index for _, state in families[t]}
-        if len(values) != 1:
+    rests: dict[CB | DFT, list[np.ndarray]] = {}
+    for i, state in enumerate(upb.states):
+        ket = state.factors[s]
+        if not isinstance(ket, (CB, DFT)):
             raise ContractViolationError(
-                "family members must share their control value on the singled party"
+                f"member {i} has a dense factor on party {party_label(s)}; "
+                "the completion needs a computational or dual-basis ket there"
             )
-        return values.pop()
+        r = kron_all(factor_dense(state.factors[p], d) for p in rest)
+        rests.setdefault(ket, []).append(r)
+        out.append(ProductState((ket, Dense(r)), cut_dims))
 
-    for t in sorted(rest, key=singled_cb_value):
-        c_t = singled_cb_value(t)
-        rest_vecs = [rest_vector(state) for _, state in families[t]]
-        comp = orthogonal_complement_basis(
-            [cb_pattern, stopper_rest] + rest_vecs, rest_dim, tol
-        )
-        expected = rest_dim - d - 1
-        if len(comp) != expected:
-            raise ContractViolationError(
-                f"family complement has {len(comp)} vectors, expected {expected}"
-            )
-        for w in comp:
-            out.append(ProductState((CB(c_t), Dense(w)), cut_dims))
-
-    # The two leftover directions inside span(cb_pattern, stopper_rest).
-    pattern_perp = _phase_fix(
-        stopper_rest - np.vdot(cb_pattern, stopper_rest) * cb_pattern
+    dual_span = orthonormalize(
+        [r for ket, rs in rests.items() if isinstance(ket, DFT) for r in rs], tol
     )
-    stopper_perp = _phase_fix(
-        cb_pattern - np.vdot(stopper_rest, cb_pattern) * stopper_rest
-    )
-    for k, _ in own_family:
-        out.append(ProductState((DFT(k), Dense(pattern_perp)), cut_dims))
-    out.append(ProductState((DFT(excluded), Dense(stopper_perp)), cut_dims))
+    for c in range(d):
+        own = rests.get(CB(c), [])
+        for w in orthogonal_complement_basis(own + dual_span, cut_dims[1], tol):
+            out.append(ProductState((CB(c), Dense(w)), cut_dims))
+    for k in range(d):
+        own = rests.get(DFT(k), [])
+        for u in orthonormalize(own + dual_span, tol)[len(own):]:
+            out.append(ProductState((DFT(k), Dense(u)), cut_dims))
 
     if len(out) != total:
         raise ContractViolationError(
             f"completion produced {len(out)} states, expected {total}"
         )
-    g = gram([state.dense() for state in out])
-    deviation = float(np.max(np.abs(g - np.eye(total))))
+    deviation = ProductBasis(cut_dims, out).gram_deviation()
     if not deviation <= COMPLETION_GRAM_TOL:
         raise ContractViolationError(
             f"completed basis is not orthonormal (Gram deviation {deviation:.3e})"

@@ -196,6 +196,7 @@ def cmd_lemma(args) -> int:
         raise PreconditionError("lemma needs --dim (or --kraus file.json)")
     if d < 1 or args.samples < 0:
         raise PreconditionError("lemma needs --dim >= 1 and --samples >= 0")
+    weyl = weyl_operators(d)  # first, so an oversized --dim is refused before sampling
     rng = np.random.default_rng(args.seed)
     report = VerificationReport()
 
@@ -216,7 +217,7 @@ def cmd_lemma(args) -> int:
     cb = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
     weyl_ok = all(
         preserves_orthogonality(w, cb) and preserves_orthogonality(w, db)
-        for w in weyl_operators(d)
+        for w in weyl
     )
     report.add("weyl-family", weyl_ok,
                detail=f"{d * d} shift-and-phase operators preserve both bases")

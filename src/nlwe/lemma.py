@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import DimensionMismatchError
-from .linalg import dft_matrix
+from .linalg import dft_matrix, require_dense_budget
 
 
 def preserves_orthogonality(k: np.ndarray, basis, tol=None) -> bool:
@@ -73,8 +73,10 @@ def weyl_operators(d: int) -> list[np.ndarray]:
     """All d^2 shift-and-phase operators X^a Z^b.
 
     X is the cyclic shift |j> -> |j+1 mod d| and Z the diagonal of d-th
-    roots of unity; every one preserves orthogonality in both bases.
+    roots of unity; every one preserves orthogonality in both bases.  The
+    d^2 matrices of d x d entries are held to the dense budget.
     """
+    require_dense_budget(d * d, d * d, "the Weyl operator family")
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
     ops = []

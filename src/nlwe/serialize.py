@@ -2,7 +2,10 @@
 
 Complex values are always two-element [re, im] arrays; floats are emitted
 with 17 significant digits so re-serialization is byte-identical and
-round-trips exactly.  Party indices are 0-based in files.
+round-trips exactly.  Party indices are 0-based in files.  Integer fields
+(dims, indices, targets, control values, rows and cols) must be JSON
+integers and control keys decimal strings; anything else is malformed, not
+truncated.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import numpy as np
 
 from .circuit import Circuit, ControlDftGate
-from .errors import MalformedJsonError
+from .errors import DimensionMismatchError, MalformedJsonError
 from .states import CB, DFT, Dense, ProductBasis, ProductState
 from .upb import Upb
 
@@ -66,6 +69,24 @@ def load_file(path: str):
         raise MalformedJsonError(f"cannot read {path}: {exc}") from exc
 
 
+def _int(value, field: str) -> int:
+    """A JSON integer field; a float, boolean or string is refused."""
+    if type(value) is not int:
+        raise MalformedJsonError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _dims(obj) -> tuple:
+    return tuple(_int(d, "dims entry") for d in obj["dims"])
+
+
+def _party_key(key) -> int:
+    """A control key: the party index as a decimal string (JSON keys are strings)."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise MalformedJsonError(f"control key must be a decimal string, got {key!r}")
+    return int(key)
+
+
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -87,9 +108,9 @@ def factor_from_obj(obj):
     try:
         kind = obj["kind"]
         if kind == "cb":
-            return CB(int(obj["index"]))
+            return CB(_int(obj["index"], "factor index"))
         if kind == "dft":
-            return DFT(int(obj["index"]))
+            return DFT(_int(obj["index"], "factor index"))
         if kind == "dense":
             return Dense(np.array([_pair_complex(p) for p in obj["entries"]]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -121,11 +142,11 @@ def circuit_to_obj(circuit: Circuit) -> dict:
 
 def circuit_from_obj(obj) -> Circuit:
     try:
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = _dims(obj)
         gates = [
             ControlDftGate(
-                {int(p): int(v) for p, v in g["controls"].items()},
-                target=int(g["target"]),
+                {_party_key(p): _int(v, "control value") for p, v in g["controls"].items()},
+                target=_int(g["target"], "target"),
             )
             for g in obj["gates"]
         ]
@@ -146,11 +167,15 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
 
 def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
     try:
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = _dims(obj)
         states = tuple(state_from_obj(s, dims) for s in obj["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad basis object: {exc}") from exc
     circuit = circuit_from_obj(obj["circuit"]) if "circuit" in obj else None
+    if circuit is not None and circuit.dims != dims:
+        raise DimensionMismatchError(
+            f"embedded circuit dims {circuit.dims} differ from the basis dims {dims}"
+        )
     return ProductBasis(dims, states), circuit
 
 
@@ -164,9 +189,9 @@ def upb_to_obj(upb: Upb) -> dict:
 
 def upb_from_obj(obj) -> Upb:
     try:
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = _dims(obj)
         states = tuple(state_from_obj(s, dims) for s in obj["states"])
-        stopper = int(obj["stopper_index"])
+        stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad UPB object: {exc}") from exc
     return Upb(states, dims, stopper_index=stopper)
@@ -185,9 +210,9 @@ def density_to_obj(matrix: np.ndarray, dims) -> dict:
 
 def density_from_obj(obj) -> tuple[np.ndarray, tuple]:
     try:
-        dims = tuple(int(d) for d in obj["dims"])
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        dims = _dims(obj)
+        rows = _int(obj["rows"], "rows")
+        cols = _int(obj["cols"], "cols")
         flat = np.array([_pair_complex(p) for p in obj["entries"]])
         matrix = flat.reshape(rows, cols)
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,9 +13,15 @@ from nlwe.boundent import (
 )
 from nlwe.ensembles import four_qutrit_circuit, preset_circuit, shift_circuit
 from nlwe.errors import ContractViolationError, TooLargeError, UnsupportedShapeError
-from nlwe.linalg import gram, hermitian_eigenvalues, partial_transpose, span_dimension
-from nlwe.states import Dense, ProductState
-from nlwe.upb import extract_upb
+from nlwe.linalg import (
+    gram,
+    hermitian_eigenvalues,
+    orthogonal_complement_basis,
+    partial_transpose,
+    span_dimension,
+)
+from nlwe.states import CB, Dense, ProductBasis, ProductState
+from nlwe.upb import Upb, extract_upb
 
 from helpers import NON_FINITE_CASES, ket, kron_chain, non_finite_matrix
 
@@ -211,3 +217,54 @@ class TestSeparabilityCompletion:
             assert isinstance(st, ProductState)
             if isinstance(st.factors[1], Dense):
                 assert abs(np.linalg.norm(st.factors[1].entries) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("make_upb", [shift_upb, lambda: extract_upb(four_qutrit_circuit())],
+                             ids=["shift", "four-qutrit"])
+    def test_reversed_members_complete_every_cut(self, make_upb):
+        u = make_upb()
+        m = len(u)
+        rev = Upb(u.states[::-1], u.dims, stopper_index=m - 1 - u.stopper_index)
+        total = rev.total_dimension()
+        for s in range(len(u.dims)):
+            states = separability_completion(rev, s)
+            assert len(states) == total
+            g = ProductBasis(states[0].dims, states).gram()
+            assert np.max(np.abs(g - np.eye(total))) <= 1e-9
+            for st, member in zip(states[:m], rev.states):
+                assert st.factors[0] == member.factors[s]
+
+    def test_dense_factor_fails_only_its_own_cut(self):
+        # member 0 is |0>|0>|0> on SHIFT; an equal Dense ket on party A keeps
+        # the set orthogonal, but only the A|BC completion needs A's ket to
+        # be a computational or dual-basis ket
+        u = shift_upb()
+        assert u.states[0].factors[0] == CB(0)
+        first = ProductState((Dense([1.0, 0.0]),) + u.states[0].factors[1:], u.dims)
+        mixed = Upb((first,) + u.states[1:], u.dims, stopper_index=u.stopper_index)
+        with pytest.raises(ContractViolationError):
+            separability_completion(mixed, 0)
+        report = separability_report(mixed)
+        flags = {c.name: c.passed for c in report.checks}
+        assert flags == {"completion[A|BC]": False, "completion[B|AC]": True,
+                         "completion[C|AB]": True}
+        assert "dense factor" in report.checks[0].detail
+        for check in report.checks[1:]:
+            assert check.residual <= 1e-9
+            assert check.detail.startswith("8 cut-product states")
+
+    def test_five_ququart_single_cut(self):
+        u = extract_upb(preset_circuit("canonical:n=5,d=4"))
+        states = separability_completion(u, 2)
+        assert len(states) == 1024
+        g = ProductBasis((4, 256), states).gram()
+        assert np.max(np.abs(g - np.eye(1024))) <= 1e-9
+
+    def test_gram_certificate_catches_a_wrong_complement(self, monkeypatch):
+        # the right number of states, but every complement vector repeated
+        def repeated_first(vectors, ambient_dim, tol=None):
+            comp = orthogonal_complement_basis(vectors, ambient_dim, tol)
+            return comp[:1] * len(comp)
+
+        monkeypatch.setattr("nlwe.boundent.orthogonal_complement_basis", repeated_first)
+        with pytest.raises(ContractViolationError, match="not orthonormal"):
+            separability_completion(extract_upb(four_qutrit_circuit()), 0)

@@ -322,3 +322,108 @@ class TestCliFlows:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["dims"] == [2, 2]
+
+    def test_lemma_beyond_the_dense_budget_is_one_error_line(self, capsys):
+        # 46^2 Weyl operators of 46 x 46 entries: 68 MiB, refused before any is built
+        assert main(["lemma", "--dim", "46", "--samples", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:too-large:")
+        assert err.count("\n") == 1
+
+
+def _set_dims(obj, value):
+    obj["dims"] = value
+
+
+def _set_index(obj, value):
+    obj["states"][0]["factors"][0]["index"] = value
+
+
+def _set_target(obj, value):
+    obj["circuit"]["gates"][0]["target"] = value
+
+
+def _set_control_value(obj, value):
+    obj["circuit"]["gates"][0]["controls"]["0"] = value
+
+
+def _set_control_key(obj, key):
+    controls = obj["circuit"]["gates"][0]["controls"]
+    controls[key] = controls.pop("0")
+
+
+class TestIntegerFields:
+    """Integer fields must be JSON integers and control keys decimal strings;
+    a float, boolean or string is malformed, not truncated."""
+
+    @pytest.fixture
+    def shift_file(self, tmp_path):
+        path = tmp_path / "basis.json"
+        assert main(["generate", "--preset", "shift", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("edit, value", [
+        (_set_dims, [2.9, 2, 2]),
+        (_set_dims, [2.0, 2, 2]),
+        (_set_dims, [True, 2, 2]),
+        (_set_dims, ["2", 2, 2]),
+        (_set_dims, "222"),
+        (_set_index, 0.9),
+        (_set_index, 0.0),
+        (_set_index, True),
+        (_set_index, "0"),
+        (_set_target, 2.0),
+        (_set_target, "2"),
+        (_set_control_value, 0.5),
+        (_set_control_value, False),
+        (_set_control_key, "a"),
+        (_set_control_key, "-0"),
+        (_set_control_key, " 0"),
+        (_set_control_key, "0.0"),
+    ])
+    def test_non_integer_basis_field_is_one_error_line(self, shift_file, capsys, edit, value):
+        obj = json.loads(shift_file.read_text())
+        edit(obj, value)
+        shift_file.write_text(json.dumps(obj))
+        assert main(["verify", "--in", str(shift_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:malformed-json:")
+        assert err.count("\n") == 1
+
+    def test_decimal_control_keys_still_load(self, shift_file):
+        obj = json.loads(shift_file.read_text())
+        _set_control_key(obj, "00")
+        _, circuit = serialize.basis_from_obj(obj)
+        assert dict(circuit.gates[0].controls)[0] == 0
+
+    @pytest.mark.parametrize("value", [3.0, 3.5, True, "3"])
+    def test_non_integer_stopper_index_is_one_error_line(self, tmp_path, capsys, value):
+        path = tmp_path / "upb.json"
+        main(["upb", "--preset", "shift", "--out", str(path)])
+        obj = json.loads(path.read_text())
+        obj["stopper_index"] = value
+        path.write_text(json.dumps(obj))
+        assert main(["upb", "check", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:malformed-json:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("rows", 4.0), ("cols", 4.0), ("dims", [2, "2"])])
+    def test_non_integer_density_field(self, field, value):
+        from nlwe.errors import MalformedJsonError
+
+        obj = serialize.density_to_obj(np.eye(4) / 4, (2, 2))
+        obj[field] = value
+        with pytest.raises(MalformedJsonError):
+            serialize.density_from_obj(obj)
+
+    def test_embedded_circuit_on_other_dims_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        main(["generate", "--preset", "shift", "--out", str(path)])
+        obj = json.loads(path.read_text())
+        obj["circuit"]["dims"] = [3, 3, 3]
+        path.write_text(json.dumps(obj))
+        assert main(["verify", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:dimension-mismatch:")
+        assert err.count("\n") == 1
