@@ -187,7 +187,9 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
             f"completion needs n = d+1 equal dimensions, got dims {dims}"
         )
     total = d ** (d + 1)
-    require_dense_budget(total, total, "the completed basis's Gram matrix")
+    # the largest array formed: the overlap table of the rest party's
+    # distinct factors (at most D of them) in the Gram check
+    require_dense_budget(total, total, "the rest party's local overlap table")
     s = int(singled_party)
     if not 0 <= s < n:
         raise ContractViolationError(f"singled party {s} outside 0..{n - 1}")

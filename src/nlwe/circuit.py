@@ -234,16 +234,23 @@ def _check_input(circuit: Circuit, cb_input) -> tuple:
     return cb_input
 
 
-def _fire_symbolic(circuit: Circuit, cb_input) -> ProductState:
+def _factor_tables(dims) -> tuple[list, list]:
+    """Per-party tables ``cbs[p][x] = CB(x)`` and ``dfts[p][x] = DFT(x)``,
+    so the states of a set share their symbolic factors."""
+    return ([[CB(x) for x in range(d)] for d in dims],
+            [[DFT(x) for x in range(d)] for d in dims])
+
+
+def _fire_symbolic(circuit: Circuit, cb_input, cbs, dfts) -> ProductState:
     fired = [g for g in circuit.gates if g.matches(cb_input)]
     if len(fired) > 1:
         raise ContractViolationError(
             "more than one gate fired; circuit is not exclusive"
         )
-    factors = [CB(x) for x in cb_input]
+    factors = [row[x] for row, x in zip(cbs, cb_input)]
     if fired:
         t = fired[0].target
-        factors[t] = DFT(cb_input[t])
+        factors[t] = dfts[t][cb_input[t]]
     return ProductState(tuple(factors), circuit.dims)
 
 
@@ -257,7 +264,7 @@ def apply_symbolic(circuit: Circuit, cb_input) -> ProductState:
     cb_input = _check_input(circuit, cb_input)
     if not is_exclusive(circuit):
         raise ContractViolationError("apply_symbolic requires an exclusive circuit")
-    return _fire_symbolic(circuit, cb_input)
+    return _fire_symbolic(circuit, cb_input, *_factor_tables(circuit.dims))
 
 
 def apply_dense(circuit: Circuit, cb_input) -> np.ndarray:
@@ -275,7 +282,8 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
 
     For an exclusive circuit the result is a full orthogonal product basis
     of size prod(dims).  A basis of more than ``MAX_BASIS_STATES`` states is
-    refused with ``TooLargeError`` before any state is made.
+    refused with ``TooLargeError`` before any state is made.  The states
+    share their factors (``_factor_tables``).
     """
     total = circuit.total_dimension()
     if total > MAX_BASIS_STATES:
@@ -285,7 +293,9 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
     if not is_exclusive(circuit):
         raise ContractViolationError("generate_basis requires an exclusive circuit")
     ranges = [range(d) for d in circuit.dims]
+    cbs, dfts = _factor_tables(circuit.dims)
     states = tuple(
-        _fire_symbolic(circuit, cb_input) for cb_input in itertools.product(*ranges)
+        _fire_symbolic(circuit, cb_input, cbs, dfts)
+        for cb_input in itertools.product(*ranges)
     )
     return ProductBasis(circuit.dims, states)

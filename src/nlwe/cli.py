@@ -40,11 +40,16 @@ VERIFY_CHECKS = ("orth", "product", "exclusivity", "commutation", "census")
 
 
 def _write_or_print(text: str, path: str | None) -> None:
-    if path:
+    """Write ``text`` to ``path``, or to stdout when no path is given; a
+    path that cannot be written is a precondition error."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_excluded(spec: str | None, n_parties: int):
@@ -117,8 +122,7 @@ def cmd_verify(args) -> int:
             )
     print(report.table())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(report.to_obj()))
+        _write_or_print(serialize.dumps(report.to_obj()), args.json)
     return 0 if report.passed else 1
 
 
@@ -159,8 +163,7 @@ def cmd_bestate(args) -> int:
         report.merge(separability_report(upb))
     print(report.table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(serialize.density_to_obj(rho.matrix, rho.dims)))
+        _write_or_print(serialize.dumps(serialize.density_to_obj(rho.matrix, rho.dims)), args.out)
     return 0 if report.passed else 1
 
 

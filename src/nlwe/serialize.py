@@ -6,6 +6,13 @@ round-trips exactly.  Party indices are 0-based in files.  Integer fields
 (dims, indices, targets, control values, rows and cols) must be JSON
 integers and control keys decimal strings; anything else is malformed, not
 truncated.
+
+A basis or UPB file repeats a few local factors many times (at most 2d
+distinct kets per party for a control-DFT basis), so the per-factor work is
+done once per distinct factor: ``basis_to_obj`` and ``upb_to_obj`` share
+one factor object among its occurrences, ``dumps`` encodes each container
+object once per indent depth and reuses the text, and ``basis_from_obj``
+and ``upb_from_obj`` build each distinct symbolic factor once.
 """
 
 from __future__ import annotations
@@ -20,38 +27,73 @@ from .states import CB, DFT, Dense, ProductBasis, ProductState
 from .upb import Upb
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """Standard encoder with floats formatted to 17 significant digits."""
+_encode_str = json.encoder.encode_basestring_ascii
 
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-        if self.ensure_ascii:
-            _encoder = json.encoder.encode_basestring_ascii
-        else:
-            _encoder = json.encoder.encode_basestring
 
-        def floatstr(x, _inf=float("inf")):
-            if x != x or x == _inf or x == -_inf:
-                raise ValueError("non-finite float is not serializable")
-            return format(x, ".17g")
+def _scalar_text(value, _inf=float("inf")) -> str:
+    """JSON text of a str, None, bool, int or float (subclasses included);
+    a float has 17 significant digits, and NaN or an infinity raises."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value or value == _inf or value == -_inf:
+            raise ValueError("non-finite float is not serializable")
+        return format(value, ".17g")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-        iterencode = json.encoder._make_iterencode(
-            markers,
-            self.default,
-            _encoder,
-            self.indent,
-            floatstr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )
-        return iterencode(o, 0)
+
+def _key_text(key) -> str:
+    """A dict key's JSON text: a string, or a number, bool or None quoted."""
+    return _encode_str(key) if isinstance(key, str) else '"' + _scalar_text(key) + '"'
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, cls=_Float17Encoder, indent=2) + "\n"
+    """JSON text of ``obj`` with a 2-space indent, ASCII-escaped strings and
+    floats in 17 significant digits, plus a final newline; a non-finite
+    float raises ``ValueError``.
+
+    Values are dicts, lists, tuples, strings, ints, floats (numpy floats
+    included), booleans and None.  The text of each dict, list or tuple is
+    cached by its id and indent depth, so an object that occurs many times
+    at one depth (a shared factor object) is encoded once.
+    """
+    texts = {}
+    open_ids = set()
+
+    def encode(value, depth):
+        if not isinstance(value, (list, tuple, dict)):
+            return _scalar_text(value)
+        key = (id(value), depth)
+        text = texts.get(key)
+        if text is not None:
+            return text
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            items = [_key_text(k) + ": " + encode(v, depth + 1) for k, v in value.items()]
+            brackets = "{}"
+        else:
+            items = [encode(v, depth + 1) for v in value]
+            brackets = "[]"
+        open_ids.discard(id(value))
+        if items:
+            text = brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+        else:
+            text = brackets
+        texts[key] = text
+        return text
+
+    return encode(obj, 0) + "\n"
 
 
 def loads(text: str):
@@ -67,6 +109,8 @@ def load_file(path: str):
             return loads(fh.read())
     except OSError as exc:
         raise MalformedJsonError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedJsonError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _int(value, field: str) -> int:
@@ -104,13 +148,24 @@ def factor_to_obj(factor) -> dict:
     return {"kind": "dense", "entries": [_complex_pair(z) for z in factor.entries]}
 
 
-def factor_from_obj(obj):
+_SYMBOLIC = {"cb": CB, "dft": DFT}
+
+
+def factor_from_obj(obj, symbolic: dict | None = None):
+    """The factor an object describes.  With a ``symbolic`` memo, a CB or
+    DFT factor is looked up by its validated (kind, index) and built only
+    on a miss; the key is never the raw JSON index, which for ``true`` or
+    ``1.0`` would hash like ``1``."""
+    if symbolic is None:
+        symbolic = {}
     try:
         kind = obj["kind"]
-        if kind == "cb":
-            return CB(_int(obj["index"], "factor index"))
-        if kind == "dft":
-            return DFT(_int(obj["index"], "factor index"))
+        if kind == "cb" or kind == "dft":
+            key = (kind, _int(obj["index"], "factor index"))
+            factor = symbolic.get(key)
+            if factor is None:
+                factor = symbolic[key] = _SYMBOLIC[kind](key[1])
+            return factor
         if kind == "dense":
             return Dense(np.array([_pair_complex(p) for p in obj["entries"]]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -119,15 +174,36 @@ def factor_from_obj(obj):
 
 
 def state_to_obj(state: ProductState) -> dict:
-    return {"factors": [factor_to_obj(f) for f in state.factors]}
+    return _states_to_obj([state])[0]
 
 
-def state_from_obj(obj, dims) -> ProductState:
+def state_from_obj(obj, dims, symbolic: dict | None = None) -> ProductState:
     try:
-        factors = tuple(factor_from_obj(f) for f in obj["factors"])
+        factors = tuple(factor_from_obj(f, symbolic) for f in obj["factors"])
     except (KeyError, TypeError) as exc:
         raise MalformedJsonError(f"bad state object: {exc}") from exc
     return ProductState(factors, dims)
+
+
+def _states_to_obj(states) -> list:
+    """The states' objects, with one factor object shared by all occurrences
+    of a factor: CB and DFT factors by value, Dense ones by entry bytes."""
+    shared = {}
+
+    def factor_obj(f):
+        key = f.entries.tobytes() if isinstance(f, Dense) else (type(f), f.index)
+        obj = shared.get(key)
+        if obj is None:
+            obj = shared[key] = factor_to_obj(f)
+        return obj
+
+    return [{"factors": [factor_obj(f) for f in s.factors]} for s in states]
+
+
+def _states_from_obj(objs, dims) -> tuple:
+    """The states of a set, sharing one memo of symbolic factors."""
+    symbolic = {}
+    return tuple(state_from_obj(s, dims, symbolic) for s in objs)
 
 
 def circuit_to_obj(circuit: Circuit) -> dict:
@@ -156,9 +232,11 @@ def circuit_from_obj(obj) -> Circuit:
 
 
 def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
+    """The basis file's object.  Its factor objects are shared between
+    states (see ``_states_to_obj``), so it must not be mutated."""
     obj = {
         "dims": list(basis.dims),
-        "states": [state_to_obj(s) for s in basis.states],
+        "states": _states_to_obj(basis.states),
     }
     if circuit is not None:
         obj["circuit"] = circuit_to_obj(circuit)
@@ -168,7 +246,7 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
 def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
     try:
         dims = _dims(obj)
-        states = tuple(state_from_obj(s, dims) for s in obj["states"])
+        states = _states_from_obj(obj["states"], dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad basis object: {exc}") from exc
     circuit = circuit_from_obj(obj["circuit"]) if "circuit" in obj else None
@@ -180,9 +258,11 @@ def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
 
 
 def upb_to_obj(upb: Upb) -> dict:
+    """The UPB file's object; like ``basis_to_obj``'s, it shares factor
+    objects and must not be mutated."""
     return {
         "dims": list(upb.dims),
-        "states": [state_to_obj(s) for s in upb.states],
+        "states": _states_to_obj(upb.states),
         "stopper_index": upb.stopper_index,
     }
 
@@ -190,7 +270,7 @@ def upb_to_obj(upb: Upb) -> dict:
 def upb_from_obj(obj) -> Upb:
     try:
         dims = _dims(obj)
-        states = tuple(state_from_obj(s, dims) for s in obj["states"])
+        states = _states_from_obj(obj["states"], dims)
         stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad UPB object: {exc}") from exc

@@ -94,7 +94,7 @@ class ProductState:
 
     def __post_init__(self):
         factors = tuple(self.factors)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "dims", dims)
         if len(factors) != len(dims):

@@ -1,6 +1,7 @@
 """Shared test oracles, independent of the library code paths they check."""
 
 import itertools
+import json
 
 import numpy as np
 from hypothesis import strategies as st
@@ -191,3 +192,40 @@ def factor_sets(draw):
             factors.append({"cb": CB(k), "dft": DFT(k), "dense": Dense(q[:, k])}[kind])
         states.append(ProductState(tuple(factors), dims))
     return states, dims
+
+
+class Float17Encoder(json.JSONEncoder):
+    """The standard library's pure-Python encoder with floats formatted to
+    17 significant digits: the reference that ``serialize.dumps`` must
+    match byte for byte (it was the program's encoder before ``dumps``
+    cached the text of shared objects)."""
+
+    def iterencode(self, o, _one_shot=False):
+        markers = {} if self.check_circular else None
+        if self.ensure_ascii:
+            _encoder = json.encoder.encode_basestring_ascii
+        else:
+            _encoder = json.encoder.encode_basestring
+
+        def floatstr(x, _inf=float("inf")):
+            if x != x or x == _inf or x == -_inf:
+                raise ValueError("non-finite float is not serializable")
+            return format(x, ".17g")
+
+        iterencode = json.encoder._make_iterencode(
+            markers,
+            self.default,
+            _encoder,
+            self.indent,
+            floatstr,
+            self.key_separator,
+            self.item_separator,
+            self.sort_keys,
+            self.skipkeys,
+            _one_shot,
+        )
+        return iterencode(o, 0)
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, cls=Float17Encoder, indent=2) + "\n"

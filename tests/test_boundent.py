@@ -259,6 +259,26 @@ class TestSeparabilityCompletion:
         g = ProductBasis((4, 256), states).gram()
         assert np.max(np.abs(g - np.eye(1024))) <= 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_completion_budget_by_shape(self, d, monkeypatch):
+        # n = d+1: the rest party's overlap table is up to D x D with
+        # D = d^(d+1), 16 MiB at d = 4 and 3.6 GiB at d = 5.  The budget is
+        # checked before the first rest vector is built; stop there.
+        class Reached(Exception):
+            pass
+
+        def first_rest_vector(factors):
+            raise Reached
+
+        monkeypatch.setattr("nlwe.boundent.kron_all", first_rest_vector)
+        u = extract_upb(preset_circuit(f"canonical:n={d + 1},d={d}"))
+        if d <= 4:
+            with pytest.raises(Reached):
+                separability_completion(u, 0)
+        else:
+            with pytest.raises(TooLargeError, match="the rest party's local overlap table"):
+                separability_completion(u, 0)
+
     def test_gram_certificate_catches_a_wrong_complement(self, monkeypatch):
         # the right number of states, but every complement vector repeated
         def repeated_first(vectors, ambient_dim, tol=None):

@@ -1,16 +1,21 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwe import serialize
-from nlwe.circuit import Circuit, ControlDftGate
+from nlwe.circuit import Circuit, ControlDftGate, generate_basis
 from nlwe.cli import main
-from nlwe.ensembles import shift_circuit, shift_ensemble
+from nlwe.ensembles import preset_circuit, shift_circuit, shift_ensemble
 from nlwe.states import CB, Dense, ProductBasis, ProductState
 from nlwe.upb import extract_upb
+
+from helpers import reference_dumps
 
 
 class TestSerialization:
@@ -57,6 +62,135 @@ class TestSerialization:
             serialize.loads("{not json")
         with pytest.raises(MalformedJsonError):
             serialize.basis_from_obj({"dims": [2, 2]})
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FINITE,
+    _FINITE.map(np.float64),
+    st.sampled_from([-0.0, 1e-300, 1e22, 5e-324, np.float64(-0.0), np.float64(1e22)]),
+    st.text(),  # non-ASCII and control characters included
+)
+_KEYS = st.one_of(st.text(max_size=6), st.integers(), _FINITE, st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    )
+
+
+@st.composite
+def json_trees(draw):
+    """JSON trees in which a few sub-objects (empty ones included) occur
+    many times, at several depths."""
+    shared = draw(st.lists(st.recursive(_SCALARS, _containers, max_leaves=8), max_size=3))
+    shared += [[], {}, ()]
+    leaves = st.one_of(_SCALARS, st.sampled_from(shared))
+    tree = draw(st.recursive(leaves, _containers, max_leaves=20))
+    return [tree, shared, {"deeper": [shared, tree]}]
+
+
+class TestEncoder:
+    """``serialize.dumps`` against the standard library's pure-Python
+    encoder with 17-digit floats (``helpers.reference_dumps``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_trees())
+    def test_matches_the_reference_encoder(self, tree):
+        assert serialize.dumps(tree) == reference_dumps(tree)
+
+    @pytest.mark.parametrize("value", [
+        3, 2.5, np.float64(0.1), -0.0, "\u00e9\u2603\n\"", None, True, [], {}, (), [[]],
+        {7: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+    ])
+    def test_matches_the_reference_at_the_top_level(self, value):
+        assert serialize.dumps(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    @pytest.mark.parametrize("where", [
+        lambda x: x, lambda x: [1, {"a": x}], lambda x: {"k": [[x]]}, lambda x: {x: 1},
+    ])
+    def test_non_finite_float_raises(self, bad, where):
+        obj = where(bad)
+        with pytest.raises(ValueError):
+            reference_dumps(obj)
+        with pytest.raises(ValueError):
+            serialize.dumps(obj)
+
+    @pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, [np.float32(0.5)], {(1, 2): 0}])
+    def test_unsupported_value_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            reference_dumps(obj)
+        with pytest.raises(TypeError):
+            serialize.dumps(obj)
+
+    def test_circular_reference_raises(self):
+        loop = [1]
+        loop.append({"back": loop})
+        with pytest.raises(ValueError, match="Circular"):
+            serialize.dumps(loop)
+
+    def test_basis_shares_one_object_per_distinct_factor(self):
+        circuit = preset_circuit("canonical:n=4,d=3")
+        states = serialize.basis_to_obj(generate_basis(circuit), circuit)["states"]
+        factors = [f for s in states for f in s["factors"]]
+        assert len({id(f) for f in factors}) == len({json.dumps(f) for f in factors}) <= 2 * 3
+
+    def test_load_builds_each_symbolic_factor_once(self):
+        text = serialize.dumps(serialize.basis_to_obj(shift_ensemble()))
+        basis, _ = serialize.basis_from_obj(serialize.loads(text))
+        factors = [f for s in basis.states for f in s.factors]
+        assert len({id(f) for f in factors}) == len(set(factors)) == 4
+
+
+# sha256 of the files written by the encoder that ``dumps`` replaced
+# (``helpers.reference_dumps``); the test also re-encodes each object with it
+GENERATE_SHA256 = {
+    "oneway": "c0bd9db76389213242fbe7071896ea4afa89361391826d1a637d35364fa71776",
+    "shift": "1ab71acb41d2e756e3948b5b4b8753e3ac5fc44d9775ec8350b9d77ea544abd8",
+    "fig4": "ae64358d2ee9d2ec8eac93b92977fa20f1fb0406359653e3291f256d7c92ea3c",
+    "canonical:n=4,d=3": "07ef0d97638d3a8618753550dfec22f70a491bc31560a4fd61234e72d333a2d2",
+    "canonical:n=4,d=3,4,3,3": "ac129a3f9abba3cd98c634bff7a0dc3b5f996ce000c169195712c1c5ad90fc5e",
+    "canonical:n=5,d=4": "2ca93747fccdc75609ed771560953a8b8d5ebe1a07662a1faa8c7b970f7638d8",
+    "canonical:n=6,d=5": "0b37049debcf13bd513fb011132c07a8710ba8f338bfe7d52074e4201551af22",
+}
+UPB_SHA256 = {
+    "shift": "b4be942232d1817c005b1a9feda06c83b2e0a434b667b0955071d2a22c5142d6",
+    "canonical:n=4,d=3": "1b65e38dd168639652eb143823edf6879f9d04c4d7f75c12f787173cb6abdaac",
+    "canonical:n=4,d=3,4,3,3": "f7225027dbb3a1119fac73e864cb11ffa88491b87a7877b4fb872e72019c957a",
+    "canonical:n=5,d=4": "039403ece1b574e3f5797c6dfb26734d90dd9c57d22a7f6afcf496ed5a5f98af",
+    "canonical:n=6,d=5": "9e3c6120bff80113e821046666bc6a8122ff169f97c99547bb605f65321ab3f0",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("preset", sorted(GENERATE_SHA256))
+    def test_generate(self, preset, tmp_path):
+        path = tmp_path / "basis.json"
+        assert main(["generate", "--preset", preset, "--out", str(path)]) == 0
+        text = path.read_text()
+        assert _sha256(text) == GENERATE_SHA256[preset]
+        circuit = preset_circuit(preset)
+        obj = serialize.basis_to_obj(generate_basis(circuit), circuit)
+        assert reference_dumps(obj) == text
+
+    @pytest.mark.parametrize("preset", sorted(UPB_SHA256))
+    def test_upb(self, preset, tmp_path):
+        path = tmp_path / "upb.json"
+        assert main(["upb", "--preset", preset, "--out", str(path)]) == 0
+        text = path.read_text()
+        assert _sha256(text) == UPB_SHA256[preset]
+        assert reference_dumps(serialize.upb_to_obj(extract_upb(preset_circuit(preset)))) == text
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +447,41 @@ class TestCliFlows:
         assert main(["verify", "--in", str(path)]) == 2
         assert "error:malformed-json:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "upb", "verify", "bestate"])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, command):
+        upb = tmp_path / "upb.json"
+        basis = tmp_path / "basis.json"
+        assert main(["upb", "--preset", "shift", "--excluded-index", "all=0", "--out", str(upb)]) == 0
+        assert main(["generate", "--preset", "shift", "--out", str(basis)]) == 0
+        capsys.readouterr()
+        target = tmp_path / "missing" / "out.json"
+        argv = {
+            "generate": ["generate", "--preset", "shift", "--out", str(target)],
+            "upb": ["upb", "--preset", "shift", "--out", str(target)],
+            "verify": ["verify", "--in", str(basis), "--json", str(target)],
+            "bestate": ["bestate", "--in", str(upb), "--out", str(target)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:precondition-failed: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_output_path_that_is_a_directory_is_one_error_line(self, tmp_path, capsys):
+        assert main(["generate", "--preset", "oneway", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:precondition-failed: cannot write ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["verify"], ["upb", "check"], ["bestate"]])
+    def test_non_utf8_input_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"dims": [2, 2], "states": ["\xff\xfe\x80"]}')
+        assert main(command + ["--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:malformed-json:")
+        assert "not UTF-8" in err
+        assert err.count("\n") == 1
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "b.json"
         proc = subprocess.run(
@@ -389,6 +558,32 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert err.startswith("error:malformed-json:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["cb", "dft"])
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_non_integer_index_after_a_valid_one(self, shift_file, capsys, kind, value):
+        # the load builds each symbolic factor once; the JSON values true and
+        # 1.0 hash like 1, so they must not find the factor the 1 made
+        obj = json.loads(shift_file.read_text())
+        obj["states"][0]["factors"][0] = {"kind": kind, "index": 1}
+        obj["states"][1]["factors"][0] = {"kind": kind, "index": value}
+        shift_file.write_text(json.dumps(obj))
+        assert main(["verify", "--in", str(shift_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:malformed-json:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_non_integer_upb_index_after_a_valid_one(self, tmp_path, capsys, value):
+        path = tmp_path / "upb.json"
+        main(["upb", "--preset", "shift", "--out", str(path)])
+        capsys.readouterr()
+        obj = json.loads(path.read_text())
+        obj["states"][0]["factors"][1] = {"kind": "cb", "index": 1}
+        obj["states"][1]["factors"][1] = {"kind": "cb", "index": value}
+        path.write_text(json.dumps(obj))
+        assert main(["upb", "check", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:malformed-json:")
 
     def test_decimal_control_keys_still_load(self, shift_file):
         obj = json.loads(shift_file.read_text())
