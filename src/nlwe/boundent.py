@@ -91,7 +91,7 @@ def be_state(upb: Upb, tol=None) -> DensityMatrix:
     """
     total = upb.total_dimension()
     require_dense_budget(total, total, "the complement mixture")
-    res = extendibility_search(upb.states, upb.dims, tol=tol)
+    res = extendibility_search(upb.table, upb.dims, tol=tol)
     if res.extendible:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"
@@ -226,7 +226,7 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
         raise ContractViolationError(
             f"completion produced {len(out)} states, expected {total}"
         )
-    deviation = ProductBasis(cut_dims, out).gram_deviation()
+    deviation = ProductBasis.from_states(out, cut_dims).gram_deviation()
     if not deviation <= COMPLETION_GRAM_TOL:
         raise ContractViolationError(
             f"completed basis is not orthonormal (Gram deviation {deviation:.3e})"

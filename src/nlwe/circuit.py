@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolationError, DimensionMismatchError, TooLargeError
 from .linalg import dft_matrix, kron_all, require_dense_budget
 from .report import VerificationReport, party_label
-from .states import CB, DFT, ProductBasis, ProductState
+from .states import CB, DFT, LocalFactors, ProductBasis, ProductState
 
 COMMUTATION_TOL = 1e-12
 # The largest basis generate_basis enumerates: canonical (6,5) has 15 625
@@ -44,9 +44,6 @@ class ControlDftGate:
     @property
     def control_map(self) -> dict[int, int]:
         return dict(self.controls)
-
-    def matches(self, cb_input) -> bool:
-        return all(cb_input[p] == v for p, v in self.controls)
 
 
 @dataclass
@@ -234,24 +231,41 @@ def _check_input(circuit: Circuit, cb_input) -> tuple:
     return cb_input
 
 
-def _factor_tables(dims) -> tuple[list, list]:
-    """Per-party tables ``cbs[p][x] = CB(x)`` and ``dfts[p][x] = DFT(x)``,
-    so the states of a set share their symbolic factors."""
-    return ([[CB(x) for x in range(d)] for d in dims],
-            [[DFT(x) for x in range(d)] for d in dims])
+def images(circuit: Circuit, inputs: np.ndarray) -> LocalFactors:
+    """The images of computational inputs (one per row of ``inputs``) as
+    one table.
 
-
-def _fire_symbolic(circuit: Circuit, cb_input, cbs, dfts) -> ProductState:
-    fired = [g for g in circuit.gates if g.matches(cb_input)]
-    if len(fired) > 1:
-        raise ContractViolationError(
-            "more than one gate fired; circuit is not exclusive"
-        )
-    factors = [row[x] for row, x in zip(cbs, cb_input)]
-    if fired:
-        t = fired[0].target
-        factors[t] = dfts[t][cb_input[t]]
-    return ProductState(tuple(factors), circuit.dims)
+    A gate fires on the rows where every control party holds its required
+    value, one boolean mask per gate.  On a row where a gate fires, the
+    target's factor is the DFT image DFT(x_t) of the input there; every
+    other factor stays CB(x_p).  A row on which two gates fire raises
+    ``ContractViolationError``.  Each party's factors get ids in
+    first-seen order over the rows.
+    """
+    dims = circuit.dims
+    target = np.full(len(inputs), -1)  # the fired gate's target, or -1
+    for gate in circuit.gates:
+        fires = np.ones(len(inputs), dtype=bool)
+        for p, v in gate.controls:
+            fires &= inputs[:, p] == v
+        if np.any(target[fires] >= 0):
+            raise ContractViolationError(
+                "more than one gate fired; circuit is not exclusive"
+            )
+        target[fires] = gate.target
+    # factor codes: x for CB(x), d + x for DFT(x)
+    codes = inputs.astype(np.intp)
+    fired = np.flatnonzero(target >= 0)
+    codes[fired, target[fired]] += np.array(dims, dtype=np.intp)[target[fired]]
+    factors = []
+    ids = np.empty_like(codes)
+    for p, d in enumerate(dims):
+        distinct = list(dict.fromkeys(codes[:, p].tolist()))  # in first-seen order
+        id_of = np.empty(2 * d, dtype=np.intp)
+        id_of[distinct] = np.arange(len(distinct))
+        ids[:, p] = id_of[codes[:, p]]
+        factors.append([CB(c) if c < d else DFT(c - d) for c in distinct])
+    return LocalFactors(dims, factors, ids)
 
 
 def apply_symbolic(circuit: Circuit, cb_input) -> ProductState:
@@ -259,12 +273,13 @@ def apply_symbolic(circuit: Circuit, cb_input) -> ProductState:
 
     At most one gate's controls can match (guaranteed by exclusivity).  If a
     gate fires, its target factor becomes the DFT image of the input index
-    there; all other factors stay computational.
+    there; all other factors stay computational.  The image is the one row
+    of ``images``, the rule ``generate_basis`` applies to every input.
     """
     cb_input = _check_input(circuit, cb_input)
     if not is_exclusive(circuit):
         raise ContractViolationError("apply_symbolic requires an exclusive circuit")
-    return _fire_symbolic(circuit, cb_input, *_factor_tables(circuit.dims))
+    return images(circuit, np.array([cb_input])).states()[0]
 
 
 def apply_dense(circuit: Circuit, cb_input) -> np.ndarray:
@@ -281,21 +296,17 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
     """Apply the circuit to every computational input in lexicographic order.
 
     For an exclusive circuit the result is a full orthogonal product basis
-    of size prod(dims).  A basis of more than ``MAX_BASIS_STATES`` states is
-    refused with ``TooLargeError`` before any state is made.  The states
-    share their factors (``_factor_tables``).
+    of size prod(dims), built as one table (``images``) with no per-state
+    object.  A basis of more than ``MAX_BASIS_STATES`` states is refused
+    with ``TooLargeError`` before any input is enumerated.  A circuit that
+    is not exclusive raises ``ContractViolationError``: two gates with no
+    conflicting shared control both fire on the input that holds each of
+    their controls at its required value.
     """
     total = circuit.total_dimension()
     if total > MAX_BASIS_STATES:
         raise TooLargeError(
             f"a basis of {total} states exceeds the limit of {MAX_BASIS_STATES}"
         )
-    if not is_exclusive(circuit):
-        raise ContractViolationError("generate_basis requires an exclusive circuit")
-    ranges = [range(d) for d in circuit.dims]
-    cbs, dfts = _factor_tables(circuit.dims)
-    states = tuple(
-        _fire_symbolic(circuit, cb_input, cbs, dfts)
-        for cb_input in itertools.product(*ranges)
-    )
-    return ProductBasis(circuit.dims, states)
+    inputs = np.indices(circuit.dims).reshape(circuit.n_parties, total).T
+    return ProductBasis(images(circuit, inputs))

@@ -9,7 +9,8 @@ every local dimension is at least n-1.
 from __future__ import annotations
 
 import re
-from collections import Counter
+
+import numpy as np
 
 from .circuit import Circuit, ControlDftGate, generate_basis
 from .errors import ConstructionError, UnknownPresetError
@@ -97,10 +98,18 @@ def local_factor_census(basis: ProductBasis, party: int) -> dict[str, int]:
     """Count the distinct local factor descriptors one party sees.
 
     For a basis generated by a canonical circuit the census never exceeds
-    2*d descriptors: the d computational and d dual-basis kets.
+    2*d descriptors: the d computational and d dual-basis kets.  The
+    members of each distinct factor are counted from the basis's table;
+    dense factors that differ only past the descriptor's rounding are
+    counted together.
     """
-    counts = Counter(factor_descriptor(s.factors[party]) for s in basis.states)
-    return dict(counts)
+    kept = basis.table.factors[party]
+    counts = np.bincount(basis.table.ids[:, party], minlength=len(kept))
+    census = {}
+    for factor, count in zip(kept, counts.tolist()):
+        key = factor_descriptor(factor)
+        census[key] = census.get(key, 0) + count
+    return census
 
 
 _CANONICAL_RE = re.compile(r"^canonical:n=(\d+),d=([\d,]+)$")

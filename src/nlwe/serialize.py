@@ -7,12 +7,15 @@ round-trips exactly.  Party indices are 0-based in files.  Integer fields
 integers and control keys decimal strings; anything else is malformed, not
 truncated.
 
-A basis or UPB file repeats a few local factors many times (at most 2d
-distinct kets per party for a control-DFT basis), so the per-factor work is
-done once per distinct factor: ``basis_to_obj`` and ``upb_to_obj`` share
-one factor object among its occurrences, ``dumps`` encodes each container
-object once per indent depth and reuses the text, and ``basis_from_obj``
-and ``upb_from_obj`` build each distinct symbolic factor once.
+A basis or UPB file lists every member's factors, but a set is held as one
+``states.LocalFactors`` table with a few distinct factors per party (at
+most 2d for a control-DFT basis), so the per-factor work is done once per
+distinct factor.  ``basis_to_obj`` and ``upb_to_obj`` take one shared
+factor object per distinct factor from the table and ``dumps`` encodes
+each container object once per indent depth and reuses the text.  One
+loader (``_table_from_obj``) fills the table for both file kinds: it
+checks each factor object's shape, kind and integer index where it reads
+it, and each distinct factor's range, dimension, finiteness and norm once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ import numpy as np
 
 from .circuit import Circuit, ControlDftGate
 from .errors import DimensionMismatchError, MalformedJsonError
-from .states import CB, DFT, Dense, ProductBasis, ProductState
+from .states import (
+    CB,
+    DFT,
+    Dense,
+    LocalFactors,
+    ProductBasis,
+    ProductState,
+    check_factor,
+    factor_key,
+)
 from .upb import Upb
 
 
@@ -93,7 +105,12 @@ def dumps(obj) -> str:
         texts[key] = text
         return text
 
-    return encode(obj, 0) + "\n"
+    try:
+        return encode(obj, 0) + "\n"
+    finally:
+        # ``encode`` refers to itself, a cycle that would keep every cached
+        # text alive until the next full garbage collection
+        texts.clear()
 
 
 def loads(text: str):
@@ -151,59 +168,89 @@ def factor_to_obj(factor) -> dict:
 _SYMBOLIC = {"cb": CB, "dft": DFT}
 
 
-def factor_from_obj(obj, symbolic: dict | None = None):
-    """The factor an object describes.  With a ``symbolic`` memo, a CB or
-    DFT factor is looked up by its validated (kind, index) and built only
-    on a miss; the key is never the raw JSON index, which for ``true`` or
-    ``1.0`` would hash like ``1``."""
-    if symbolic is None:
-        symbolic = {}
+def _factor_key(obj):
+    """The key under which the loader interns the factor a file object
+    describes, after checking the object's shape, kind and index type: a
+    ("cb" | "dft", index) pair, or a dense factor's entry bytes.  The index
+    must be a JSON integer, so ``true`` or ``1.0``, which hash like ``1``,
+    never find the factor a ``1`` made."""
     try:
         kind = obj["kind"]
         if kind == "cb" or kind == "dft":
-            key = (kind, _int(obj["index"], "factor index"))
-            factor = symbolic.get(key)
-            if factor is None:
-                factor = symbolic[key] = _SYMBOLIC[kind](key[1])
-            return factor
+            return kind, _int(obj["index"], "factor index")
         if kind == "dense":
-            return Dense(np.array([_pair_complex(p) for p in obj["entries"]]))
+            return np.array([_pair_complex(p) for p in obj["entries"]], dtype=complex).tobytes()
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad factor object: {exc}") from exc
     raise MalformedJsonError(f"unknown factor kind {kind!r}")
 
 
-def state_to_obj(state: ProductState) -> dict:
-    return _states_to_obj([state])[0]
+def _table_from_obj(objs, dims) -> LocalFactors:
+    """The table of a file's ``states`` list.
+
+    Each state's ``factors`` must be a list with one factor object per
+    party.  A factor seen for the first time at a party is built (once per
+    file for all parties), checked against that party's dimension
+    (``states.check_factor``) and given the next id there.
+    """
+    made = {}
+    seen = [{} for _ in dims]
+    distinct = [[] for _ in dims]
+    rows = []
+    for state in objs:
+        try:
+            factor_objs = state["factors"]
+        except (KeyError, TypeError) as exc:
+            raise MalformedJsonError(f"bad state object: {exc}") from exc
+        if not isinstance(factor_objs, list):
+            raise MalformedJsonError(
+                f"a state's factors must be a list, got {type(factor_objs).__name__}"
+            )
+        keys = [_factor_key(f) for f in factor_objs]
+        if len(keys) != len(dims):
+            raise DimensionMismatchError(f"{len(keys)} factors for {len(dims)} parties")
+        row = []
+        for key, key_ids, kept, d in zip(keys, seen, distinct, dims):
+            k = key_ids.get(key)
+            if k is None:
+                factor = made.get(key)
+                if factor is None:
+                    factor = made[key] = (
+                        Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
+                        else _SYMBOLIC[key[0]](key[1])
+                    )
+                check_factor(factor, d)
+                k = key_ids[key] = len(kept)
+                kept.append(factor)
+            row.append(k)
+        rows.append(row)
+    return LocalFactors(dims, distinct, np.array(rows, dtype=np.intp).reshape(len(rows), len(dims)))
 
 
-def state_from_obj(obj, dims, symbolic: dict | None = None) -> ProductState:
-    try:
-        factors = tuple(factor_from_obj(f, symbolic) for f in obj["factors"])
-    except (KeyError, TypeError) as exc:
-        raise MalformedJsonError(f"bad state object: {exc}") from exc
-    return ProductState(factors, dims)
-
-
-def _states_to_obj(states) -> list:
-    """The states' objects, with one factor object shared by all occurrences
-    of a factor: CB and DFT factors by value, Dense ones by entry bytes."""
+def _table_to_obj(table: LocalFactors) -> list:
+    """The members' objects, with one factor object shared by every
+    occurrence of a factor at any party: CB and DFT factors by value,
+    dense ones by entry bytes."""
     shared = {}
+    columns = []
+    for kept, col in zip(table.factors, table.ids.T.tolist()):
+        objs = []
+        for f in kept:
+            key = factor_key(f)
+            obj = shared.get(key)
+            if obj is None:
+                obj = shared[key] = factor_to_obj(f)
+            objs.append(obj)
+        columns.append([objs[k] for k in col])
+    return [{"factors": list(row)} for row in zip(*columns)]
 
-    def factor_obj(f):
-        key = f.entries.tobytes() if isinstance(f, Dense) else (type(f), f.index)
-        obj = shared.get(key)
-        if obj is None:
-            obj = shared[key] = factor_to_obj(f)
-        return obj
 
-    return [{"factors": [factor_obj(f) for f in s.factors]} for s in states]
+def state_to_obj(state: ProductState) -> dict:
+    return _table_to_obj(LocalFactors.from_states([state], state.dims))[0]
 
 
-def _states_from_obj(objs, dims) -> tuple:
-    """The states of a set, sharing one memo of symbolic factors."""
-    symbolic = {}
-    return tuple(state_from_obj(s, dims, symbolic) for s in objs)
+def state_from_obj(obj, dims) -> ProductState:
+    return _table_from_obj([obj], tuple(dims)).states()[0]
 
 
 def circuit_to_obj(circuit: Circuit) -> dict:
@@ -233,10 +280,10 @@ def circuit_from_obj(obj) -> Circuit:
 
 def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
     """The basis file's object.  Its factor objects are shared between
-    states (see ``_states_to_obj``), so it must not be mutated."""
+    states (see ``_table_to_obj``), so it must not be mutated."""
     obj = {
         "dims": list(basis.dims),
-        "states": _states_to_obj(basis.states),
+        "states": _table_to_obj(basis.table),
     }
     if circuit is not None:
         obj["circuit"] = circuit_to_obj(circuit)
@@ -246,7 +293,7 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
 def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
     try:
         dims = _dims(obj)
-        states = _states_from_obj(obj["states"], dims)
+        table = _table_from_obj(obj["states"], dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad basis object: {exc}") from exc
     circuit = circuit_from_obj(obj["circuit"]) if "circuit" in obj else None
@@ -254,7 +301,7 @@ def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
         raise DimensionMismatchError(
             f"embedded circuit dims {circuit.dims} differ from the basis dims {dims}"
         )
-    return ProductBasis(dims, states), circuit
+    return ProductBasis(table), circuit
 
 
 def upb_to_obj(upb: Upb) -> dict:
@@ -262,7 +309,7 @@ def upb_to_obj(upb: Upb) -> dict:
     objects and must not be mutated."""
     return {
         "dims": list(upb.dims),
-        "states": _states_to_obj(upb.states),
+        "states": _table_to_obj(upb.table),
         "stopper_index": upb.stopper_index,
     }
 
@@ -270,11 +317,11 @@ def upb_to_obj(upb: Upb) -> dict:
 def upb_from_obj(obj) -> Upb:
     try:
         dims = _dims(obj)
-        states = _states_from_obj(obj["states"], dims)
+        table = _table_from_obj(obj["states"], dims)
         stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad UPB object: {exc}") from exc
-    return Upb(states, dims, stopper_index=stopper)
+    return Upb(table, stopper)
 
 
 def density_to_obj(matrix: np.ndarray, dims) -> dict:

@@ -5,9 +5,15 @@ image of a computational ket, i.e. a dual-basis ket), or ``Dense(vector)``.
 Symbolic factors are kept exact end-to-end; densification happens only when
 a verification needs numbers.
 
-The checks on a whole set (norms and the Gram matrix) work on local factors:
-``LocalFactors`` interns each party's factors and tabulates their overlaps,
-so no vector or matrix of the full dimension D = prod(d_j) is formed.  A
+A product set is one ``LocalFactors`` table: per party, the distinct local
+factors in first-seen order, and an m x n integer array ``ids`` whose row i
+names member i's factor at each party.  A control-DFT basis has at most 2d
+distinct kets per party however many members it has, so circuits, files
+and checks all work on the table.  A ``ProductSet`` (``ProductBasis``,
+``upb.Upb``) holds one table; its ``states`` tuple of ``ProductState``
+objects is a view built on first use, for callers that walk members.
+Norms, the Gram matrix and the census come from the table's distinct
+factors, with no vector or matrix of the full dimension D = prod(d_j).  A
 product overlap is the product of the local overlaps, and it vanishes
 exactly when one local overlap does (Bennett et al., PRL 82, 5385 (1999)).
 """
@@ -15,6 +21,7 @@ exactly when one local overlap does (Bennett et al., PRL 82, 5385 (1999)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +92,36 @@ def factor_descriptor(factor: Factor) -> str:
     return "dense:" + ",".join(f"{z.real:+.9f}{z.imag:+.9f}j" for z in rounded)
 
 
+def factor_key(factor: Factor):
+    """The key under which a set interns a factor: the factor itself for a
+    symbolic ket, the entries' bytes for a dense one (bit-identical entries
+    share a key)."""
+    return factor.entries.tobytes() if isinstance(factor, Dense) else factor
+
+
+def check_factor(factor: Factor, dim: int) -> None:
+    """Require a factor to be a unit vector of the given dimension: a
+    symbolic index in range, or dense entries of that length and norm 1.
+    Dense entries are finite by construction."""
+    if isinstance(factor, (CB, DFT)):
+        if not 0 <= factor.index < dim:
+            raise ContractViolationError(
+                f"symbolic index {factor.index} out of range for dimension {dim}"
+            )
+    elif isinstance(factor, Dense):
+        if factor.entries.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"dense factor dimension {factor.entries.shape[0]} != {dim}"
+            )
+        nrm = float(np.linalg.norm(factor.entries))
+        if not abs(nrm - 1.0) <= DENSE_FACTOR_NORM_TOL:
+            raise ContractViolationError(
+                f"dense factor norm {nrm} deviates from 1 beyond 1e-12"
+            )
+    else:
+        raise TypeError(f"not a factor: {factor!r}")
+
+
 @dataclass(frozen=True)
 class ProductState:
     """One local factor per party, all sharing the dimension vector."""
@@ -102,23 +139,7 @@ class ProductState:
                 f"{len(factors)} factors for {len(dims)} parties"
             )
         for f, d in zip(factors, dims):
-            if isinstance(f, (CB, DFT)):
-                if not 0 <= f.index < d:
-                    raise ContractViolationError(
-                        f"symbolic index {f.index} out of range for dimension {d}"
-                    )
-            elif isinstance(f, Dense):
-                if f.entries.shape[0] != d:
-                    raise DimensionMismatchError(
-                        f"dense factor dimension {f.entries.shape[0]} != {d}"
-                    )
-                nrm = float(np.linalg.norm(f.entries))
-                if not abs(nrm - 1.0) <= DENSE_FACTOR_NORM_TOL:
-                    raise ContractViolationError(
-                        f"dense factor norm {nrm} deviates from 1 beyond 1e-12"
-                    )
-            else:
-                raise TypeError(f"not a factor: {f!r}")
+            check_factor(f, d)
 
     def dense(self) -> np.ndarray:
         """Full state vector, party 0 most significant."""
@@ -138,17 +159,27 @@ class ProductState:
 
 
 class LocalFactors:
-    """The local factors of a product set, interned per party.
+    """A product set of m members on n parties, as interned local factors.
 
-    At each party, factors share an id when they are the same symbolic ket
-    or dense factors with bit-identical entries; ids count up in first-seen
-    order.  ``ids[i, p]`` is the id of member i's factor at party p,
-    ``vectors[p]`` stacks the distinct factors' renderings in id order, and
-    ``overlaps[p][a, b]`` is <f_a|f_b>, written as an exact 0 when f_a and
-    f_b are distinct kets of one basis (computational or DFT).
+    ``factors[p]`` lists party p's distinct factors in first-seen order
+    (the same symbolic ket, or dense factors with bit-identical entries,
+    are one factor) and ``ids[i, p]`` is the index there of member i's
+    factor.  The factors are taken as checked (``check_factor``): the
+    builders (``from_states``, ``circuit.images`` and the file loader)
+    check each distinct factor once, or make only valid ones.  ``vectors[p]`` stacks the
+    distinct factors' renderings in id order and ``overlaps[p][a, b]`` is
+    <f_a|f_b>, written as an exact 0 when f_a and f_b are distinct kets of
+    one basis (computational or DFT); both are built on first use.
     """
 
-    def __init__(self, states, dims):
+    def __init__(self, dims, factors, ids):
+        self.dims = tuple(int(d) for d in dims)
+        self.factors = [list(kept) for kept in factors]
+        self.ids = ids
+
+    @classmethod
+    def from_states(cls, states, dims) -> LocalFactors:
+        """The table of ``ProductState`` members in listed order."""
         dims = tuple(int(d) for d in dims)
         seen = [{} for _ in dims]
         distinct = [[] for _ in dims]
@@ -158,27 +189,39 @@ class LocalFactors:
                 raise DimensionMismatchError("state dims differ from the set's dims")
             row = []
             for key_ids, kept, f in zip(seen, distinct, s.factors):
-                k = key_ids.setdefault(
-                    f.entries.tobytes() if isinstance(f, Dense) else f, len(kept)
-                )
+                k = key_ids.setdefault(factor_key(f), len(kept))
                 if k == len(kept):
                     kept.append(f)
                 row.append(k)
             rows.append(row)
-        self.ids = np.array(rows, dtype=np.intp).reshape(len(rows), len(dims))
-        for kept, d in zip(distinct, dims):
+        return cls(dims, distinct, np.array(rows, dtype=np.intp).reshape(len(rows), len(dims)))
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def states(self) -> tuple:
+        """The members as ``ProductState`` objects, sharing the factors."""
+        return tuple(
+            ProductState(tuple(kept[k] for kept, k in zip(self.factors, row)), self.dims)
+            for row in self.ids.tolist()
+        )
+
+    @cached_property
+    def vectors(self) -> list[np.ndarray]:
+        for kept, d in zip(self.factors, self.dims):
             require_dense_budget(len(kept), d, "the local factor table")
-        self.vectors = [
+        return [
             np.array([factor_dense(f, d) for f in kept]).reshape(len(kept), d)
-            for kept, d in zip(distinct, dims)
+            for kept, d in zip(self.factors, self.dims)
         ]
-        self.overlaps = [
-            _overlap_table(kept, v) for kept, v in zip(distinct, self.vectors)
-        ]
+
+    @cached_property
+    def overlaps(self) -> list[np.ndarray]:
+        return [_overlap_table(kept, v) for kept, v in zip(self.factors, self.vectors)]
 
     def norms(self) -> np.ndarray:
         """Each member's norm: the product of its local factor norms."""
-        out = np.ones(self.ids.shape[0])
+        out = np.ones(len(self))
         for p, v in enumerate(self.vectors):
             out *= np.linalg.norm(v, axis=1)[self.ids[:, p]]
         return out
@@ -258,29 +301,41 @@ def _overlap_table(factors, vectors: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class ProductBasis:
-    """Ordered set of mutually orthogonal product states on shared dims."""
+@dataclass(frozen=True, eq=False)
+class ProductSet:
+    """Ordered set of product states on shared dims, held as one
+    ``LocalFactors`` table; ``states`` is a view built on first use."""
 
-    dims: tuple
-    states: tuple
+    table: LocalFactors
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        states = tuple(self.states)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "states", states)
-        for s in states:
-            if s.dims != dims:
-                raise DimensionMismatchError("state dims differ from basis dims")
+    @classmethod
+    def from_states(cls, states, dims, **fields):
+        """The set of ``ProductState`` members in listed order; ``fields``
+        are a subclass's other fields."""
+        states = tuple(states)
+        product_set = cls(LocalFactors.from_states(states, dims), **fields)
+        product_set.__dict__["states"] = states
+        return product_set
+
+    @property
+    def dims(self) -> tuple:
+        return self.table.dims
+
+    @cached_property
+    def states(self) -> tuple:
+        return self.table.states()
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.table)
+
+
+class ProductBasis(ProductSet):
+    """A product set checked as a basis: its norms and Gram matrix."""
 
     def gram(self) -> np.ndarray:
         """Dense Gram matrix of the rendered states: the reference that
         ``gram_deviation`` is tested against."""
-        m = len(self.states)
+        m = len(self)
         require_dense_budget(m, max(m, int(np.prod(self.dims))), "the Gram matrix")
         return gram([s.dense() for s in self.states])
 
@@ -288,10 +343,9 @@ class ProductBasis:
         """Largest entry of |G - I|, G the states' Gram matrix, computed from
         the local overlap tables (``LocalFactors.gram_extremes``) with no
         m x m or m x D array."""
-        return max(LocalFactors(self.states, self.dims).gram_extremes())
+        return max(self.table.gram_extremes())
 
     def norm_deviation(self) -> float:
         """Largest |<psi|psi>^(1/2) - 1| over the states, from the norms of
         their distinct local factors."""
-        norms = LocalFactors(self.states, self.dims).norms()
-        return float(np.max(np.abs(norms - 1.0), initial=0.0))
+        return float(np.max(np.abs(self.table.norms() - 1.0), initial=0.0))

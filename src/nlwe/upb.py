@@ -8,10 +8,10 @@ kill any new orthogonal product state.  The search enumerates assignments
 depth-first (members in listed order, parties ascending) and prunes a branch
 as soon as one party's assigned factors span its whole local space.
 
-Before the search each party's local factors are interned
-(``states.LocalFactors``: the same symbolic ket, or dense factors with
-bit-identical entries, share one id), so a party's assigned factors are an
-integer mask over a handful of ids.  The span rank of each
+The search runs on the set's ``states.LocalFactors`` table (the same
+symbolic ket, or dense factors with bit-identical entries, share one id
+at a party), so a party's assigned factors are an integer mask over a
+handful of ids.  The span rank of each
 (party, mask) pair is computed once per search, by ``linalg.span_dimension``
 on the masked factors in id order, and looked up at every later node.  The
 first successful assignment is the lexicographically least; its orthogonal
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, apply_symbolic
+from .circuit import Circuit, images
 from .config import tolerance
 from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport
-from .states import DFT, Dense, LocalFactors, ProductState
+from .states import DFT, Dense, LocalFactors, ProductSet, ProductState
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -41,27 +41,22 @@ def minimal_size(dims) -> int:
     return sum(int(d) - 1 for d in dims) + 1
 
 
-@dataclass(frozen=True)
-class Upb:
+@dataclass(frozen=True, eq=False)
+class Upb(ProductSet):
     """Stopper-completed orthogonal product set meeting the minimal UPB size.
 
-    Construction enforces mutual orthogonality (checked from the local
-    overlap tables of ``LocalFactors``), the size bound
-    sum(d_j - 1) + 1 <= m < D, and a valid stopper position.  Whether the
-    set is actually unextendible is a property to verify with
-    ``is_unextendible``, not an invariant of the container.
+    Construction enforces mutual orthogonality (checked from the table's
+    local overlaps), the size bound sum(d_j - 1) + 1 <= m < D, and a valid
+    stopper position.  Whether the set is actually unextendible is a
+    property to verify with ``is_unextendible``, not an invariant of the
+    container.
     """
 
-    states: tuple
-    dims: tuple
     stopper_index: int
 
     def __post_init__(self):
-        states = tuple(self.states)
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "dims", dims)
-        m = len(states)
+        dims = self.dims
+        m = len(self)
         total = int(np.prod(dims))
         if not 0 <= self.stopper_index < m:
             raise ContractViolationError(f"stopper index {self.stopper_index} out of range")
@@ -73,14 +68,11 @@ class Upb:
             raise ContractViolationError(
                 f"a UPB must be incomplete: {m} states in dimension {total}"
             )
-        off = LocalFactors(states, dims).gram_extremes()[1]
+        off = self.table.gram_extremes()[1]
         if not off <= UPB_ORTHOGONALITY_TOL:
             raise ContractViolationError(
                 f"states are not mutually orthogonal (max overlap {off:.3e})"
             )
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     def total_dimension(self) -> int:
         return int(np.prod(self.dims))
@@ -130,7 +122,7 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
                     f"excluded index {k} out of range for party dimension {dims[p]}"
                 )
             excluded[p] = k
-    members = []
+    inputs = []
     for gate in circuit.gates:
         t = gate.target
         controls = gate.control_map
@@ -141,10 +133,10 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
             for p, v in controls.items():
                 cb_input[p] = v
             cb_input[t] = k
-            members.append(apply_symbolic(circuit, cb_input))
-    stopper = ProductState(tuple(DFT(excluded[p]) for p in range(n)), dims)
-    members.append(stopper)
-    return Upb(tuple(members), dims, stopper_index=len(members) - 1)
+            inputs.append(cb_input)
+    members = list(images(circuit, np.array(inputs)).states())
+    members.append(ProductState(tuple(DFT(excluded[p]) for p in range(n)), dims))
+    return Upb.from_states(members, dims, stopper_index=len(members) - 1)
 
 
 @dataclass
@@ -240,8 +232,11 @@ def _witness_state(members: LocalFactors, dims, witness, tol) -> ProductState:
     return ProductState(tuple(Dense(f) for f in factors), dims)
 
 
-def extendibility_search(states, dims, tol=None) -> ExtendibilityResult:
+def extendibility_search(members, dims, tol=None) -> ExtendibilityResult:
     """Decide whether a set of orthogonal product states is extendible.
+
+    ``members`` is the set's ``LocalFactors`` table, or its ``ProductState``
+    members in order, which are interned first.
 
     When extendible, the result carries the lexicographically least
     successful assignment and an orthogonal product witness built from the
@@ -249,7 +244,6 @@ def extendibility_search(states, dims, tol=None) -> ExtendibilityResult:
     against every member before it is returned.  The tolerance must be below
     1/sqrt(d) for the largest local dimension d, else ``PreconditionError``.
     """
-    states = list(states)
     dims = tuple(int(d) for d in dims)
     tol = tolerance(tol)
     d_max = max(dims, default=1)
@@ -262,13 +256,13 @@ def extendibility_search(states, dims, tol=None) -> ExtendibilityResult:
             f"tolerance {tol:g} must be below 1/sqrt({d_max}) on a "
             f"{d_max}-dimensional party"
         )
-    n = len(dims)
-    members = LocalFactors(states, dims)
+    if not isinstance(members, LocalFactors):
+        members = LocalFactors.from_states(members, dims)
     witness, covered, nodes = _search(members, dims, tol)
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
-        assignment_bound=n ** len(states),
+        assignment_bound=len(dims) ** len(members),
         nodes_visited=nodes,
         witness_assignment=witness,
     )
@@ -287,7 +281,7 @@ def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
     """
     if len(upb) >= upb.total_dimension():
         raise PreconditionError("set already spans the full space; nothing to extend")
-    res = extendibility_search(upb.states, upb.dims, tol=tol)
+    res = extendibility_search(upb.table, upb.dims, tol=tol)
     report = VerificationReport()
     if res.extendible:
         detail = (

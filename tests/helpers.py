@@ -6,6 +6,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
+from nlwe.circuit import Circuit, ControlDftGate
 from nlwe.states import CB, DFT, Dense, ProductState, factor_dense
 
 
@@ -192,6 +193,24 @@ def factor_sets(draw):
             factors.append({"cb": CB(k), "dft": DFT(k), "dense": Dense(q[:, k])}[kind])
         states.append(ProductState(tuple(factors), dims))
     return states, dims
+
+
+@st.composite
+def control_dft_circuits(draw):
+    """2-4 control-DFT gates on 2-3 parties of dimension 2-3, each with a
+    random target and a random subset of the other parties as controls;
+    the gate set may or may not be exclusive."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    gates = []
+    for _ in range(draw(st.integers(2, 4))):
+        target = draw(st.integers(0, len(dims) - 1))
+        controls = {
+            p: draw(st.integers(0, d - 1))
+            for p, d in enumerate(dims)
+            if p != target and draw(st.booleans())
+        }
+        gates.append(ControlDftGate(controls, target=target))
+    return Circuit(dims, gates)
 
 
 class Float17Encoder(json.JSONEncoder):

@@ -26,27 +26,9 @@ from nlwe.errors import TooLargeError
 from nlwe.ensembles import local_factor_census, preset_circuit
 from nlwe.states import CB, DFT, LocalFactors, ProductBasis, ProductState
 
-from helpers import factor_sets
+from helpers import control_dft_circuits, factor_sets
 
 PRODUCT_FORM_TOL = 1e-10  # the threshold of verify's product-form row
-
-
-@st.composite
-def control_dft_circuits(draw):
-    """2-4 control-DFT gates on 2-3 parties of dimension 2-3, each with a
-    random target and a random subset of the other parties as controls;
-    the gate set may or may not be exclusive."""
-    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
-    gates = []
-    for _ in range(draw(st.integers(2, 4))):
-        target = draw(st.integers(0, len(dims) - 1))
-        controls = {
-            p: draw(st.integers(0, d - 1))
-            for p, d in enumerate(dims)
-            if p != target and draw(st.booleans())
-        }
-        gates.append(ControlDftGate(controls, target=target))
-    return Circuit(dims, gates)
 
 
 @st.composite
@@ -92,9 +74,9 @@ class TestGramAgainstDense:
     @given(sets_with_repeats())
     def test_extremes_and_norms_match_the_dense_gram(self, case):
         states, dims = case
-        basis = ProductBasis(dims, states)
+        basis = ProductBasis.from_states(states, dims)
         diag, off, deviation = dense_gram_extremes(basis)
-        factored = LocalFactors(states, dims).gram_extremes()
+        factored = LocalFactors.from_states(states, dims).gram_extremes()
         assert abs(factored[0] - diag) <= 1e-12
         assert abs(factored[1] - off) <= 1e-12
         assert abs(basis.gram_deviation() - deviation) <= 1e-12
@@ -106,12 +88,12 @@ class TestGramAgainstDense:
     def test_repeated_member_overlaps_by_one(self):
         s = ProductState((DFT(1), CB(0)), (3, 2))
         t = ProductState((DFT(2), CB(0)), (3, 2))
-        diag, off = LocalFactors([s, t, s], (3, 2)).gram_extremes()
+        diag, off = LocalFactors.from_states([s, t, s], (3, 2)).gram_extremes()
         assert diag <= 1e-15
         assert abs(off - 1.0) <= 1e-15
 
     def test_distinct_dual_kets_are_exactly_orthogonal(self):
-        table = LocalFactors(
+        table = LocalFactors.from_states(
             [ProductState((DFT(k),), (3,)) for k in range(3)] + [ProductState((CB(0),), (3,))],
             (3,),
         ).overlaps[0]
@@ -120,7 +102,7 @@ class TestGramAgainstDense:
         assert np.allclose(np.abs(table[3, :3]), 1 / np.sqrt(3))
 
     def test_empty_set(self):
-        assert LocalFactors([], (2, 2)).gram_extremes() == (0.0, 0.0)
+        assert LocalFactors.from_states([], (2, 2)).gram_extremes() == (0.0, 0.0)
 
 
 class TestCanonicalBases:

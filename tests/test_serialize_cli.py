@@ -168,6 +168,17 @@ UPB_SHA256 = {
     "canonical:n=6,d=5": "9e3c6120bff80113e821046666bc6a8122ff169f97c99547bb605f65321ab3f0",
 }
 
+# sha256 of the ``verify --json`` report with all five checks on the
+# generated basis
+VERIFY_SHA256 = {
+    "shift": "557669b974d741960ebb85d1ecfec620eccd148dcd63044a934da821dfb49e66",
+    "fig4": "cff90210d65ad4df64030972cd6b1504842c410708288425e533b2e4de5cedd4",
+    "canonical:n=4,d=3": "019711e9bcae3897914f2d9047aca7f829574ebac47cae650fffa3c0a60fb2fb",
+    "canonical:n=4,d=3,4,3,3": "9492939f8c2efe558491ac3bdc0902c8433c4eae93f61ed6e6a87ed91d85876c",
+    "canonical:n=5,d=4": "170f2c49278eaef91644d587ec7516820407fd8ec3691781d47476563239c1e7",
+    "canonical:n=6,d=5": "6c1ba383ecb19bd3f942d896cb5a8f97fa85dec15247ec93a1056187eb9a1a39",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -192,6 +203,16 @@ class TestPinnedOutput:
         assert _sha256(text) == UPB_SHA256[preset]
         assert reference_dumps(serialize.upb_to_obj(extract_upb(preset_circuit(preset)))) == text
 
+    @pytest.mark.parametrize("preset", sorted(VERIFY_SHA256))
+    def test_verify_report(self, preset, tmp_path, capsys):
+        basis = tmp_path / "basis.json"
+        report = tmp_path / "report.json"
+        assert main(["generate", "--preset", preset, "--out", str(basis)]) == 0
+        checks = "orth,product,exclusivity,commutation,census"
+        assert main(["verify", "--in", str(basis), "--checks", checks,
+                     "--json", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_SHA256[preset]
+
 
 @pytest.fixture(scope="module")
 def big_basis(tmp_path_factory):
@@ -207,9 +228,9 @@ def wide_basis(tmp_path_factory):
     local factor table and a local gate factor would each be 2100 x 2100
     (67 MiB), above the dense budget, though D is only 4200."""
     path = tmp_path_factory.mktemp("wide") / "basis.json"
-    basis = ProductBasis((2100, 2), tuple(
-        ProductState((CB(i), CB(0)), (2100, 2)) for i in range(2100)
-    ))
+    basis = ProductBasis.from_states(
+        [ProductState((CB(i), CB(0)), (2100, 2)) for i in range(2100)], (2100, 2)
+    )
     circuit = Circuit((2100, 2), [ControlDftGate({1: 0}, target=0),
                                   ControlDftGate({0: 0}, target=1)])
     path.write_text(serialize.dumps(serialize.basis_to_obj(basis, circuit)))
@@ -258,7 +279,7 @@ class TestCliFlows:
         states = [ProductState((CB(a), CB(b)), (2, 2)) for a, b in ((0, 0), (0, 1), (1, 0))]
         states.append(ProductState((CB(1), tilted), (2, 2)))
         path = tmp_path / "basis.json"
-        path.write_text(serialize.dumps(serialize.basis_to_obj(ProductBasis((2, 2), states))))
+        path.write_text(serialize.dumps(serialize.basis_to_obj(ProductBasis.from_states(states, (2, 2)))))
         assert main(["verify", "--in", str(path), "--checks", "orth"]) == 1
         monkeypatch.setenv("NLWE_TOLERANCE", "1e-5")
         assert main(["verify", "--in", str(path), "--checks", "orth"]) == 0
@@ -622,3 +643,99 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert err.startswith("error:dimension-mismatch:")
         assert err.count("\n") == 1
+
+
+def _first_state(obj):
+    return obj["states"][0]
+
+
+def _set_first_index(value):
+    return lambda obj: _first_state(obj)["factors"][0].__setitem__("index", value)
+
+
+def _set_first_factor(value):
+    return lambda obj: _first_state(obj)["factors"].__setitem__(0, value)
+
+
+def _set_factors(value):
+    return lambda obj: _first_state(obj).__setitem__("factors", value)
+
+
+def _set_first_state(value):
+    return lambda obj: obj["states"].__setitem__(0, value)
+
+
+def _dense_first_factor(*entries):
+    return _set_first_factor({"kind": "dense", "entries": [list(e) for e in entries]})
+
+
+MALFORMED = "malformed-json"
+CONTRACT = "contract-violation"
+MISMATCH = "dimension-mismatch"
+
+# (edit of a file on dims (2, 2, 2), error code for verify, error code for
+# upb check); None is a file that loads, whose check fails with exit 1
+LOADER_CASES = {
+    "index-true": (_set_first_index(True), MALFORMED, MALFORMED),
+    "index-float": (_set_first_index(1.0), MALFORMED, MALFORMED),
+    "index-missing": (lambda obj: _first_state(obj)["factors"][0].pop("index"),
+                      MALFORMED, MALFORMED),
+    "index-too-large": (_set_first_index(2), CONTRACT, CONTRACT),
+    "index-negative": (_set_first_index(-1), CONTRACT, CONTRACT),
+    "short-row": (lambda obj: _first_state(obj)["factors"].pop(), MISMATCH, MISMATCH),
+    "long-row": (lambda obj: _first_state(obj)["factors"].append({"kind": "cb", "index": 0}),
+                 MISMATCH, MISMATCH),
+    "factor-string": (_set_first_factor("cb"), MALFORMED, MALFORMED),
+    "factor-list": (_set_first_factor(["cb", 0]), MALFORMED, MALFORMED),
+    "factor-null": (_set_first_factor(None), MALFORMED, MALFORMED),
+    "factors-missing": (lambda obj: _first_state(obj).pop("factors"), MALFORMED, MALFORMED),
+    "factors-string": (_set_factors("cb"), MALFORMED, MALFORMED),
+    "factors-object": (_set_factors({"kind": "cb", "index": 0}), MALFORMED, MALFORMED),
+    "factors-number": (_set_factors(3), MALFORMED, MALFORMED),
+    "state-list": (_set_first_state([{"kind": "cb", "index": 0}] * 3), MALFORMED, MALFORMED),
+    "state-string": (_set_first_state("state"), MALFORMED, MALFORMED),
+    "state-null": (_set_first_state(None), MALFORMED, MALFORMED),
+    "kind-unknown": (_set_first_factor({"kind": "ghz", "index": 0}), MALFORMED, MALFORMED),
+    "kind-missing": (_set_first_factor({"index": 0}), MALFORMED, MALFORMED),
+    "dense-bad-norm": (_dense_first_factor((1.0, 0.0), (1.0, 0.0)), CONTRACT, CONTRACT),
+    "dense-nan": (_dense_first_factor((float("nan"), 0.0), (0.0, 0.0)), CONTRACT, CONTRACT),
+    "dense-inf": (_dense_first_factor((float("inf"), 0.0), (0.0, 0.0)), CONTRACT, CONTRACT),
+    "dense-too-long": (_dense_first_factor((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+                       MISMATCH, MISMATCH),
+    "dense-too-short": (_dense_first_factor((1.0, 0.0)), MISMATCH, MISMATCH),
+    "dense-entry-not-a-pair": (_dense_first_factor((1.0, 0.0, 0.0), (0.0, 0.0)),
+                               MALFORMED, MALFORMED),
+    "dense-entries-missing": (_set_first_factor({"kind": "dense"}), MALFORMED, MALFORMED),
+    "duplicated-state": (lambda obj: obj["states"].__setitem__(1, obj["states"][0]),
+                         None, CONTRACT),
+}
+
+
+class TestLoaderErrors:
+    """Every fault the set loader finds in a basis or UPB file is exit 2
+    and one ``error:<code>:`` line, the same for ``verify`` and ``upb
+    check``, except where the two commands' own checks differ: a
+    duplicated member fails verify's orthogonality row (exit 1) but the
+    UPB's orthogonality gate (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["verify", "upb check"])
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_error_line(self, tmp_path, capsys, command, case):
+        edit, verify_code, upb_code = LOADER_CASES[case]
+        path = tmp_path / "set.json"
+        make = ["generate"] if command == "verify" else ["upb"]
+        assert main(make + ["--preset", "shift", "--out", str(path)]) == 0
+        capsys.readouterr()
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        code = verify_code if command == "verify" else upb_code
+        assert main(command.split() + ["--in", str(path)]) == (2 if code else 1)
+        err = capsys.readouterr().err
+        if code is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"error:{code}:")
+            assert err.count("\n") == 1
+        if case.startswith("factors-") and case != "factors-missing":
+            assert "factors must be a list" in err

@@ -118,7 +118,7 @@ class TestUpbContainer:
         u1 = ProductState((CB(1), CB(1), CB(0)), (2, 2, 2))
         u2 = ProductState((CB(1), CB(0), CB(1)), (2, 2, 2))
         with pytest.raises(ContractViolationError):
-            Upb((s, t, u1, u2), (2, 2, 2), stopper_index=0)
+            Upb.from_states((s, t, u1, u2), (2, 2, 2), stopper_index=0)
 
     def test_rejects_undersized(self):
         states = tuple(
@@ -126,7 +126,7 @@ class TestUpbContainer:
             for a, b in [(0, 0), (0, 1), (1, 0)]
         )
         with pytest.raises(ContractViolationError):
-            Upb(states, (2, 2, 2), stopper_index=0)
+            Upb.from_states(states, (2, 2, 2), stopper_index=0)
 
     def test_rejects_complete_basis(self):
         states = tuple(
@@ -134,7 +134,7 @@ class TestUpbContainer:
             for a, b in itertools.product(range(2), repeat=2)
         )
         with pytest.raises(ContractViolationError):
-            Upb(states, (2, 2), stopper_index=0)
+            Upb.from_states(states, (2, 2), stopper_index=0)
 
 
 class TestUnextendibility:
