@@ -88,7 +88,7 @@ def factor_descriptor(factor: Factor) -> str:
         return f"CB{factor.index}"
     if isinstance(factor, DFT):
         return f"DFT{factor.index}"
-    rounded = np.round(factor.entries, 9)
+    rounded = np.round(factor.entries, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
     return "dense:" + ",".join(f"{z.real:+.9f}{z.imag:+.9f}j" for z in rounded)
 
 

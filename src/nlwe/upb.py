@@ -13,18 +13,28 @@ symbolic ket, or dense factors with bit-identical entries, share one id
 at a party), so a party's assigned factors are an integer mask over a
 handful of ids.  The span rank of each
 (party, mask) pair is computed once per search, by ``linalg.span_dimension``
-on the masked factors in id order, and looked up at every later node.  The
-first successful assignment is the lexicographically least; its orthogonal
-product witness is checked against every member before it is reported.
+on the masked factors in id order, and looked up at every later node.
+
+Whether the remaining members can be placed depends only on the search
+state (next member, per-party masks), so the search also remembers the
+states from which every completion failed and skips a subtree that arrives
+at one.  That set is held to ``linalg.DENSE_BYTES_BUDGET``; when it is full
+the search records no more states and stays exact, only slower.  While
+the set has room, the work is bounded by the members times the reachable
+mask combinations, not by n^m.  The first successful assignment is the lexicographically least;
+its orthogonal product witness is checked against every member before it
+is reported.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .circuit import Circuit, images
 from .config import tolerance
 from .ensembles import canonical_circuit
@@ -141,12 +151,33 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
 
 @dataclass
 class ExtendibilityResult:
+    """The decision and the search's counters.
+
+    ``assignments_covered`` counts the complete member->party assignments
+    the search reached or ruled out (pruned at a full-rank party or skipped
+    at a state known to fail); on an unextendible set it equals
+    ``assignment_bound``, n^m.  ``nodes_visited`` counts the (member, party)
+    placements tried, so it falls when failed states are skipped while the
+    verdict, the covered count and the witness stay those of the plain
+    search.
+    """
+
     extendible: bool
     assignments_covered: int
     assignment_bound: int
     nodes_visited: int
     witness_assignment: tuple | None = None
     witness_state: ProductState | None = None
+
+
+def _state_bytes(factors: LocalFactors) -> int:
+    """Bytes one recorded failed state can hold: its (n + 1)-tuple, an int
+    object per entry as wide as the widest party mask or member index, and
+    four set slots (a set is at most 60 % full and grows by up to four
+    times)."""
+    bits = max([len(kept) for kept in factors.factors] + [len(factors).bit_length()])
+    n = len(factors.dims)
+    return sys.getsizeof((0,) * (n + 1)) + (n + 1) * sys.getsizeof((1 << bits) - 1) + 64
 
 
 def _search(factors: LocalFactors, dims, tol):
@@ -159,8 +190,18 @@ def _search(factors: LocalFactors, dims, tol):
     (party, mask) and come from ``span_dimension`` on the masked factors in
     id order.  Returns (witness assignment or None, assignments covered,
     nodes visited).  Covered counts complete assignments either reached or
-    ruled out by pruning, so an unextendible input always covers the full
-    n^m bound.
+    ruled out, so an unextendible input always covers the full n^m bound;
+    nodes counts the (member, party) placements tried.
+
+    Whether the members from i on can be placed depends only on the state
+    (i, masks).  Once every party has been tried for member i, the state is
+    recorded as failed; a later placement that arrives at a recorded state
+    covers its n^(m - i) completions and is undone at once.  Only subtrees
+    already known to fail are skipped, so the visiting order, the witness
+    (the lexicographically least assignment) and the covered count are
+    those of the plain search.  The failed states are held to
+    ``linalg.DENSE_BYTES_BUDGET`` (``_state_bytes`` each); once it is full
+    no more are recorded and the search goes on without them.
 
     The search runs on an explicit stack, so its depth (one level per
     member) is not bounded by the interpreter's recursion limit.
@@ -172,6 +213,8 @@ def _search(factors: LocalFactors, dims, tol):
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
     saved = []  # the mask each placement replaced, restored on backtrack
+    failed = set()  # (i, *masks) states from which no completion succeeds
+    room = linalg.DENSE_BYTES_BUDGET // _state_bytes(factors)
     covered = 0
     nodes = 0
     j = 0  # next party to try for member len(assignment)
@@ -183,6 +226,8 @@ def _search(factors: LocalFactors, dims, tol):
             # every party tried for member i: backtrack to member i - 1
             if not assignment:
                 return None, covered, nodes
+            if len(failed) < room:
+                failed.add((i, *masks))
             j = assignment.pop()
             masks[j] = saved.pop()
             j += 1
@@ -201,6 +246,12 @@ def _search(factors: LocalFactors, dims, tol):
             continue
         saved.append(masks[j])
         masks[j] = grown
+        if (i + 1, *masks) in failed:
+            # member i + 1 arrives at a state already known to fail
+            covered += n ** (m - i - 1)
+            masks[j] = saved.pop()
+            j += 1
+            continue
         assignment.append(j)
         j = 0
 

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nlwe.circuit import Circuit, ControlDftGate
+from nlwe.linalg import span_dimension
 from nlwe.states import CB, DFT, Dense, ProductState, factor_dense
 
 
@@ -114,6 +115,56 @@ def residual_search(states, dims, tol=1e-9):
         return None
 
     return dfs(0), covered, nodes
+
+
+def member_search(factors, dims, tol=1e-9):
+    """Reference decider: the library's member->party search as it was
+    before it remembered failed states, on the same ``LocalFactors`` table.
+
+    Members in listed order, parties ascending; party masks of interned
+    factor ids with memoised ``span_dimension`` ranks; a placement is pruned
+    when its party's rank would reach d_j.  Every subtree is walked, so its
+    node count is that of ``residual_search``.  Returns (witness assignment
+    or None, assignments covered, nodes visited).
+    """
+    ids = factors.ids.tolist()
+    m = len(ids)
+    n = len(dims)
+    memo = [{} for _ in range(n)]
+    masks = [0] * n
+    assignment = []  # party chosen for each member placed so far
+    saved = []  # the mask each placement replaced, restored on backtrack
+    covered = 0
+    nodes = 0
+    j = 0  # next party to try for member len(assignment)
+    while True:
+        i = len(assignment)
+        if i == m:
+            return tuple(assignment), covered + 1, nodes
+        if j == n:
+            # every party tried for member i: backtrack to member i - 1
+            if not assignment:
+                return None, covered, nodes
+            j = assignment.pop()
+            masks[j] = saved.pop()
+            j += 1
+            continue
+        nodes += 1
+        grown = masks[j] | 1 << ids[i][j]
+        rank = memo[j].get(grown)
+        if rank is None:
+            picked = [v for k, v in enumerate(factors.vectors[j]) if grown >> k & 1]
+            rank = memo[j][grown] = span_dimension(picked, tol)
+        if rank >= dims[j]:
+            # party j would be fully spanned: no product state can be
+            # orthogonal there, so every completion of this branch fails
+            covered += n ** (m - i - 1)
+            j += 1
+            continue
+        saved.append(masks[j])
+        masks[j] = grown
+        assignment.append(j)
+        j = 0
 
 
 def min_total_overlap(states, dims, restarts=20, iters=200, seed=7):

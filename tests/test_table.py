@@ -89,6 +89,18 @@ class TestLoaderAgreesWithStates:
         assert len(basis.table.factors[0]) == 2
         assert list(local_factor_census(basis, 0).values()) == [2]
 
+    def test_entry_rounding_to_minus_zero_shares_the_descriptor(self):
+        # times exp(1e-11 i), the second entry's real part is -7e-12,
+        # which rounds to -0.0 where the unrotated ket has 0.0
+        v = np.array([1, 1j]) / np.sqrt(2)
+        near = Dense(v * np.exp(1e-11j))
+        assert near.entries[1].real < 0
+        assert factor_descriptor(Dense(v)) == factor_descriptor(near)
+        states = [ProductState((Dense(v), CB(0)), (2, 2)), ProductState((near, CB(1)), (2, 2))]
+        assert local_factor_census(ProductBasis.from_states(states, (2, 2)), 0) == {
+            factor_descriptor(Dense(v)): 2
+        }
+
 
 def fired_factors(circuit, cb_input):
     """The per-input rule, written out: a gate fires when every control

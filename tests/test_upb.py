@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwe.ensembles import (
     extended_circuit_fig4,
@@ -10,11 +12,13 @@ from nlwe.ensembles import (
     preset_circuit,
     shift_circuit,
 )
+from nlwe import linalg
 from nlwe.errors import ContractViolationError, PreconditionError
 from nlwe.linalg import dft_matrix, gram
-from nlwe.states import CB, DFT, Dense, ProductState
+from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState
 from nlwe.upb import (
     Upb,
+    _state_bytes,
     extendibility_search,
     extract_upb,
     is_unextendible,
@@ -26,6 +30,7 @@ from helpers import (
     factor_sets,
     ket,
     kron_chain,
+    member_search,
     min_total_overlap,
     residual_search,
 )
@@ -33,6 +38,28 @@ from helpers import (
 
 def shift_upb():
     return extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
+
+
+def product_set(left, right):
+    """Members s (x) t, s-major, of two product sets given as (states, dims)."""
+    (a, da), (b, db) = left, right
+    return [ProductState(s.factors + t.factors, da + db) for s in a for t in b], da + db
+
+
+def shift_times_qutrit_basis():
+    u = shift_upb()
+    qutrit = [ProductState((CB(k),), (3,)) for k in range(3)]
+    return product_set((u.states, u.dims), (qutrit, (3,)))
+
+
+def shift_times_shift():
+    u = shift_upb()
+    return product_set((u.states, u.dims), (u.states, u.dims))
+
+
+def reference_counts(states, dims):
+    """(witness, covered, nodes) of the reference member search."""
+    return member_search(LocalFactors.from_states(states, dims), dims)
 
 
 class TestMinimalSize:
@@ -196,23 +223,42 @@ class TestUnextendibility:
         assert not extendibility_search(relabeled, tuple(u.dims[p] for p in perm)).extendible
 
     def test_shift_search_counts(self):
+        # no subtree of SHIFT's search is met twice: both searches walk 48 nodes
         u = shift_upb()
         res = extendibility_search(u.states, u.dims)
         assert (res.nodes_visited, res.assignments_covered) == (48, 81)
+        assert reference_counts(u.states, u.dims) == (None, 81, 48)
 
     def test_shift_times_qutrit_basis_counts(self):
-        # SHIFT (x) {|0>,|1>,|2>}, members x-major: unextendible, and the
-        # search exhausts a tree of 20 040 nodes
-        u = shift_upb()
-        states = [
-            ProductState(s.factors + (CB(k),), u.dims + (3,))
-            for s in u.states
-            for k in range(3)
-        ]
-        res = extendibility_search(states, u.dims + (3,))
+        # SHIFT (x) {|0>,|1>,|2>}, members x-major: unextendible; the
+        # reference walks a tree of 20 040 nodes, the search skips the
+        # subtrees it has seen fail and walks 1 992
+        states, dims = shift_times_qutrit_basis()
+        res = extendibility_search(states, dims)
         assert not res.extendible
-        assert res.nodes_visited == 20_040
+        assert res.nodes_visited == 1_992
         assert res.assignments_covered == res.assignment_bound == 4**12
+        assert reference_counts(states, dims) == (None, 4**12, 20_040)
+
+    def test_shift_times_shift_unextendible(self):
+        # 16 members on six qubits: the reference walks 2 596 074 nodes
+        states, dims = shift_times_shift()
+        res = extendibility_search(states, dims)
+        assert not res.extendible
+        assert res.nodes_visited == 60_660
+        assert res.assignments_covered == res.assignment_bound == 6**16
+
+    @pytest.mark.parametrize("drop", range(16))
+    def test_shift_times_shift_leave_one_out_extendible(self, drop):
+        states, dims = shift_times_shift()
+        rest = states[:drop] + states[drop + 1:]
+        res = extendibility_search(rest, dims)
+        assert res.extendible
+        assert res.assignments_covered < res.assignment_bound
+        w = res.witness_state.dense()
+        assert abs(np.vdot(w, w) - 1) <= 1e-9
+        for s in rest:
+            assert abs(np.vdot(s.dense(), w)) <= 1e-9
 
     def test_minimization_oracle_shift_bounded_away_from_zero(self):
         u = shift_upb()
@@ -265,13 +311,67 @@ class TestSearchProperties:
         hits, first = brute_force_extendible(states, dims)
         assert res.extendible == (hits > 0)
         assert res.witness_assignment == first
-        witness, covered, nodes = residual_search(states, dims)
+        witness, covered, nodes = reference_counts(states, dims)
+        assert residual_search(states, dims) == (witness, covered, nodes)
         assert res.witness_assignment == witness
-        assert (res.assignments_covered, res.nodes_visited) == (covered, nodes)
+        assert res.assignments_covered == covered
+        assert res.nodes_visited <= nodes
         if res.extendible:
             w = res.witness_state.dense()
             for s in states:
                 assert abs(np.vdot(s.dense(), w)) <= 1e-9
+
+
+class TestFailureSet:
+    """The failed states are held to ``linalg.DENSE_BYTES_BUDGET``; a full
+    set only stops recording, so a starved search decides the same."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor_sets(), st.integers(0, 1))
+    def test_starved_set_decides_the_same(self, case, room):
+        states, dims = case
+        table = LocalFactors.from_states(states, dims)
+        table.vectors  # built under the real budget, before it is starved
+        unbounded = extendibility_search(table, dims)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "DENSE_BYTES_BUDGET", room * _state_bytes(table))
+            starved = extendibility_search(table, dims)
+        witness, covered, nodes = member_search(table, dims)
+        hits, first = brute_force_extendible(states, dims)
+        for res in (starved, unbounded):
+            assert res.extendible == (hits > 0)
+            assert res.witness_assignment == witness == first
+            assert res.assignments_covered == covered
+        assert unbounded.nodes_visited <= starved.nodes_visited <= nodes
+        if room == 0:
+            assert starved.nodes_visited == nodes
+
+    @staticmethod
+    def traced_peak(table, dims):
+        tracemalloc.start()
+        try:
+            res = extendibility_search(table, dims)
+            return res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_set_memory_stays_within_the_budget(self, monkeypatch):
+        # on SHIFT (x) {|0>,|1>,|2>} the full set takes about 50 KiB and the
+        # rest of the search (rank memo, stacks) about 4 KiB, so the peak
+        # above a run with no set is the set's own size
+        states, dims = shift_times_qutrit_basis()
+        table = LocalFactors.from_states(states, dims)
+        extendibility_search(table, dims)  # first use of the table and numpy paths
+        full, full_peak = self.traced_peak(table, dims)
+        budget = 2**14
+        monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", 0)
+        plain, floor = self.traced_peak(table, dims)
+        monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", budget)
+        capped, peak = self.traced_peak(table, dims)
+        assert peak - floor <= budget < full_peak - floor
+        assert full.nodes_visited < capped.nodes_visited < plain.nodes_visited == 20_040
+        for res in (plain, capped):
+            assert res.assignments_covered == full.assignments_covered == 4**12
 
 
 class TestWitnessCheck:
