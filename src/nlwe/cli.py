@@ -76,7 +76,7 @@ def _parse_excluded(spec: str | None, n_parties: int):
 def cmd_generate(args) -> int:
     circuit = preset_circuit(args.preset)
     basis = generate_basis(circuit)
-    _write_or_print(serialize.dumps(serialize.basis_to_obj(basis, circuit)), args.out)
+    _write_or_print(serialize.basis_text(basis, circuit), args.out)
     return 0
 
 
@@ -138,7 +138,7 @@ def cmd_upb(args) -> int:
     circuit = preset_circuit(args.preset)
     excluded = _parse_excluded(args.excluded_index, len(circuit.dims))
     upb = extract_upb(circuit, excluded)
-    _write_or_print(serialize.dumps(serialize.upb_to_obj(upb)), args.out)
+    _write_or_print(serialize.upb_text(upb), args.out)
     return 0
 
 

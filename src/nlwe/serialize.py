@@ -1,21 +1,24 @@
 """JSON schemas for circuits, bases, UPBs, density matrices, and reports.
 
-Complex values are always two-element [re, im] arrays; floats are emitted
-with 17 significant digits so re-serialization is byte-identical and
-round-trips exactly.  Party indices are 0-based in files.  Integer fields
-(dims, indices, targets, control values, rows and cols) must be JSON
-integers and control keys decimal strings; anything else is malformed, not
-truncated.
+Complex values are always two-element [re, im] arrays of JSON numbers;
+floats are emitted with 17 significant digits so re-serialization is
+byte-identical and round-trips exactly, except the sign of a zero: -0.0
+is written as ``-0``, which reads back as 0.  Party indices are 0-based in
+files.  Integer fields (dims, indices, targets, control values, rows and
+cols) must be JSON integers and control keys decimal strings; anything
+else is malformed, not truncated.
 
 A basis or UPB file lists every member's factors, but a set is held as one
 ``states.LocalFactors`` table with a few distinct factors per party (at
 most 2d for a control-DFT basis), so the per-factor work is done once per
-distinct factor.  ``basis_to_obj`` and ``upb_to_obj`` take one shared
-factor object per distinct factor from the table and ``dumps`` encodes
-each container object once per indent depth and reuses the text.  One
-loader (``_table_from_obj``) fills the table for both file kinds: it
-checks each factor object's shape, kind and integer index where it reads
-it, and each distinct factor's range, dimension, finiteness and norm once.
+distinct factor.  ``basis_text`` and ``upb_text`` write a file from the
+table: each distinct factor's text is encoded once per party and each
+member's text is one join of those texts, byte for byte the text that
+``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj`` (which share one
+factor object per distinct factor).  One loader (``_table_from_obj``)
+fills the table for both file kinds in one pass: it checks each factor
+object's shape, kind and integer index where it reads it, and each
+distinct factor's range, dimension, finiteness and norm once.
 """
 
 from __future__ import annotations
@@ -67,50 +70,41 @@ def _key_text(key) -> str:
     return _encode_str(key) if isinstance(key, str) else '"' + _scalar_text(key) + '"'
 
 
+def _container_text(items, depth: int, brackets: str = "[]") -> str:
+    """``brackets`` around the element texts ``items``, one per line at
+    indent depth ``depth + 1``, the closing bracket at ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _encode(value, depth: int, open_ids: set) -> str:
+    """JSON text of ``value`` with its first line at indent depth ``depth``;
+    ``open_ids`` holds the ids of the containers being encoded around it."""
+    if not isinstance(value, (list, tuple, dict)):
+        return _scalar_text(value)
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(value))
+    if isinstance(value, dict):
+        items = [_key_text(k) + ": " + _encode(v, depth + 1, open_ids) for k, v in value.items()]
+        text = _container_text(items, depth, "{}")
+    else:
+        text = _container_text([_encode(v, depth + 1, open_ids) for v in value], depth)
+    open_ids.discard(id(value))
+    return text
+
+
 def dumps(obj) -> str:
     """JSON text of ``obj`` with a 2-space indent, ASCII-escaped strings and
     floats in 17 significant digits, plus a final newline; a non-finite
     float raises ``ValueError``.
 
     Values are dicts, lists, tuples, strings, ints, floats (numpy floats
-    included), booleans and None.  The text of each dict, list or tuple is
-    cached by its id and indent depth, so an object that occurs many times
-    at one depth (a shared factor object) is encoded once.
+    included), booleans and None.
     """
-    texts = {}
-    open_ids = set()
-
-    def encode(value, depth):
-        if not isinstance(value, (list, tuple, dict)):
-            return _scalar_text(value)
-        key = (id(value), depth)
-        text = texts.get(key)
-        if text is not None:
-            return text
-        if id(value) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(value))
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            items = [_key_text(k) + ": " + encode(v, depth + 1) for k, v in value.items()]
-            brackets = "{}"
-        else:
-            items = [encode(v, depth + 1) for v in value]
-            brackets = "[]"
-        open_ids.discard(id(value))
-        if items:
-            text = brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
-        else:
-            text = brackets
-        texts[key] = text
-        return text
-
-    try:
-        return encode(obj, 0) + "\n"
-    finally:
-        # ``encode`` refers to itself, a cycle that would keep every cached
-        # text alive until the next full garbage collection
-        texts.clear()
+    return _encode(obj, 0, set()) + "\n"
 
 
 def loads(text: str):
@@ -152,9 +146,16 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+_NUMBER = (int, float)
+
+
 def _pair_complex(pair) -> complex:
+    """A [re, im] entry; each part must be a JSON number, so a string or a
+    boolean is refused rather than converted."""
     re, im = pair
-    return complex(float(re), float(im))
+    if type(re) not in _NUMBER or type(im) not in _NUMBER:
+        raise MalformedJsonError(f"a complex entry must be two JSON numbers, got {pair!r}")
+    return complex(re, im)
 
 
 def factor_to_obj(factor) -> dict:
@@ -168,35 +169,25 @@ def factor_to_obj(factor) -> dict:
 _SYMBOLIC = {"cb": CB, "dft": DFT}
 
 
-def _factor_key(obj):
-    """The key under which the loader interns the factor a file object
-    describes, after checking the object's shape, kind and index type: a
-    ("cb" | "dft", index) pair, or a dense factor's entry bytes.  The index
-    must be a JSON integer, so ``true`` or ``1.0``, which hash like ``1``,
-    never find the factor a ``1`` made."""
-    try:
-        kind = obj["kind"]
-        if kind == "cb" or kind == "dft":
-            return kind, _int(obj["index"], "factor index")
-        if kind == "dense":
-            return np.array([_pair_complex(p) for p in obj["entries"]], dtype=complex).tobytes()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedJsonError(f"bad factor object: {exc}") from exc
-    raise MalformedJsonError(f"unknown factor kind {kind!r}")
-
-
 def _table_from_obj(objs, dims) -> LocalFactors:
     """The table of a file's ``states`` list.
 
     Each state's ``factors`` must be a list with one factor object per
-    party.  A factor seen for the first time at a party is built (once per
-    file for all parties), checked against that party's dimension
+    party.  A factor object is interned under a key read from it inline: a
+    ("cb" | "dft", index) pair, the index a JSON integer (so ``true`` or
+    ``1.0``, which hash like ``1``, never find the factor a ``1`` made), or
+    a dense factor's entry bytes.  Every factor object of a state is read
+    before its length is compared with the parties'.  A key seen for the
+    first time at a party is then built into a factor (once per file for all
+    parties), checked against that party's dimension
     (``states.check_factor``) and given the next id there.
     """
+    n = len(dims)
     made = {}
     seen = [{} for _ in dims]
     distinct = [[] for _ in dims]
-    rows = []
+    ids = []
+    new = []  # (position in ids, party, key) of this state's unseen keys
     for state in objs:
         try:
             factor_objs = state["factors"]
@@ -206,25 +197,42 @@ def _table_from_obj(objs, dims) -> LocalFactors:
             raise MalformedJsonError(
                 f"a state's factors must be a list, got {type(factor_objs).__name__}"
             )
-        keys = [_factor_key(f) for f in factor_objs]
-        if len(keys) != len(dims):
-            raise DimensionMismatchError(f"{len(keys)} factors for {len(dims)} parties")
-        row = []
-        for key, key_ids, kept, d in zip(keys, seen, distinct, dims):
-            k = key_ids.get(key)
-            if k is None:
-                factor = made.get(key)
-                if factor is None:
-                    factor = made[key] = (
-                        Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
-                        else _SYMBOLIC[key[0]](key[1])
-                    )
-                check_factor(factor, d)
-                k = key_ids[key] = len(kept)
-                kept.append(factor)
-            row.append(k)
-        rows.append(row)
-    return LocalFactors(dims, distinct, np.array(rows, dtype=np.intp).reshape(len(rows), len(dims)))
+        try:
+            for p, obj in enumerate(factor_objs):
+                kind = obj["kind"]
+                if kind == "cb" or kind == "dft":
+                    index = obj["index"]
+                    if type(index) is not int:
+                        raise MalformedJsonError(
+                            f"factor index must be a JSON integer, got {index!r}"
+                        )
+                    key = kind, index
+                elif kind == "dense":
+                    key = np.array([_pair_complex(z) for z in obj["entries"]],
+                                   dtype=complex).tobytes()
+                else:
+                    raise MalformedJsonError(f"unknown factor kind {kind!r}")
+                if p < n:
+                    k = seen[p].get(key)
+                    if k is None:
+                        new.append((len(ids), p, key))
+                    ids.append(k)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedJsonError(f"bad factor object: {exc}") from exc
+        if len(factor_objs) != n:
+            raise DimensionMismatchError(f"{len(factor_objs)} factors for {n} parties")
+        for at, p, key in new:
+            factor = made.get(key)
+            if factor is None:
+                factor = made[key] = (
+                    Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
+                    else _SYMBOLIC[key[0]](key[1])
+                )
+            check_factor(factor, dims[p])
+            ids[at] = seen[p][key] = len(distinct[p])
+            distinct[p].append(factor)
+        new.clear()
+    return LocalFactors(dims, distinct, np.array(ids, dtype=np.intp).reshape(len(objs), n))
 
 
 def _table_to_obj(table: LocalFactors) -> list:
@@ -242,7 +250,8 @@ def _table_to_obj(table: LocalFactors) -> list:
                 obj = shared[key] = factor_to_obj(f)
             objs.append(obj)
         columns.append([objs[k] for k in col])
-    return [{"factors": list(row)} for row in zip(*columns)]
+    rows = zip(*columns) if columns else [()] * len(table)
+    return [{"factors": list(row)} for row in rows]
 
 
 def state_to_obj(state: ProductState) -> dict:
@@ -312,6 +321,39 @@ def upb_to_obj(upb: Upb) -> dict:
         "states": _table_to_obj(upb.table),
         "stopper_index": upb.stopper_index,
     }
+
+
+def _set_text(table: LocalFactors, tail: dict) -> str:
+    """The text of ``{"dims": ..., "states": [...], **tail}`` for a basis or
+    UPB file, byte for byte ``dumps`` of ``basis_to_obj``/``upb_to_obj``,
+    written from the table: each party's distinct factors are encoded once,
+    at the depth where factor objects sit, and each member's text is one
+    join of its factors' texts inside a fixed frame."""
+    # indent depths: the file 0, "states" 1, a member 2, its "factors" 3,
+    # a factor object 4
+    texts = [[_encode(factor_to_obj(f), 4, set()) for f in kept] for kept in table.factors]
+    columns = [[t[k] for k in col] for t, col in zip(texts, table.ids.T.tolist())]
+    if columns:
+        frame = _container_text(['"factors": ' + _container_text(["\0"], 3)], 2, "{}")
+        head, _, end = frame.partition("\0")
+        sep = ",\n" + "  " * 4
+        members = [head + sep.join(row) + end for row in zip(*columns)]
+    else:
+        members = [_container_text(['"factors": []'], 2, "{}")] * len(table)
+    items = ['"dims": ' + _encode(list(table.dims), 1, set()),
+             '"states": ' + _container_text(members, 1)]
+    items += [_key_text(k) + ": " + _encode(v, 1, set()) for k, v in tail.items()]
+    return _container_text(items, 0, "{}") + "\n"
+
+
+def basis_text(basis: ProductBasis, circuit: Circuit | None = None) -> str:
+    """The basis file's text: ``dumps(basis_to_obj(basis, circuit))``."""
+    return _set_text(basis.table, {} if circuit is None else {"circuit": circuit_to_obj(circuit)})
+
+
+def upb_text(upb: Upb) -> str:
+    """The UPB file's text: ``dumps(upb_to_obj(upb))``."""
+    return _set_text(upb.table, {"stopper_index": upb.stopper_index})
 
 
 def upb_from_obj(obj) -> Upb:

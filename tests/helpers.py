@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nlwe.circuit import Circuit, ControlDftGate
 from nlwe.linalg import span_dimension
-from nlwe.states import CB, DFT, Dense, ProductState, factor_dense
+from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
 
 
 def ket(index, d):
@@ -246,14 +246,44 @@ def factor_sets(draw):
     return states, dims
 
 
+def _dense_factors(draw, d):
+    """A unit vector of dimension d (entries of either sign, -0.0 among
+    them), a bit-identical copy of it, and a copy one ulp away in one
+    entry."""
+    parts = st.lists(st.floats(-1, 1), min_size=d, max_size=d)
+    v = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    v[0] += 2.0  # keeps the norm at least 1
+    v /= np.linalg.norm(v)
+    near = v.copy()
+    near[0] = complex(np.nextafter(v[0].real, 2.0), v[0].imag)
+    return [Dense(v), Dense(v.copy()), Dense(near)]
+
+
 @st.composite
-def control_dft_circuits(draw):
-    """2-4 control-DFT gates on 2-3 parties of dimension 2-3, each with a
-    random target and a random subset of the other parties as controls;
-    the gate set may or may not be exclusive."""
-    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+def product_tables(draw):
+    """``LocalFactors`` tables of 1-40 members on 1-4 parties of dimension
+    2-5, each member's factors drawn from a per-party pool of computational,
+    dual and dense kets, the dense ones including bit-identical and nearly
+    identical pairs.  Members need not be orthogonal."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    pools = []
+    for d in dims:
+        pool = [CB(i) for i in range(d)] + [DFT(i) for i in range(d)]
+        for _ in range(draw(st.integers(0, 2))):
+            pool += _dense_factors(draw, d)
+        pools.append(pool)
+    row = st.tuples(*[st.sampled_from(pool) for pool in pools])
+    rows = draw(st.lists(row, min_size=1, max_size=40))
+    return LocalFactors.from_states([ProductState(r, dims) for r in rows], dims)
+
+
+@st.composite
+def circuits_on(draw, dims, min_gates=0, max_gates=3):
+    """Control-DFT gates on ``dims``, each with a random target and a
+    random subset of the other parties as controls; the gate set may or
+    may not be exclusive."""
     gates = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(min_gates, max_gates))):
         target = draw(st.integers(0, len(dims) - 1))
         controls = {
             p: draw(st.integers(0, d - 1))
@@ -264,11 +294,18 @@ def control_dft_circuits(draw):
     return Circuit(dims, gates)
 
 
+@st.composite
+def control_dft_circuits(draw):
+    """2-4 control-DFT gates on 2-3 parties of dimension 2-3."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    return draw(circuits_on(dims, 2, 4))
+
+
 class Float17Encoder(json.JSONEncoder):
     """The standard library's pure-Python encoder with floats formatted to
-    17 significant digits: the reference that ``serialize.dumps`` must
-    match byte for byte (it was the program's encoder before ``dumps``
-    cached the text of shared objects)."""
+    17 significant digits: the reference that ``serialize.dumps``,
+    ``basis_text`` and ``upb_text`` must match byte for byte (it was the
+    program's encoder before ``dumps``)."""
 
     def iterencode(self, o, _one_shot=False):
         markers = {} if self.check_circular else None

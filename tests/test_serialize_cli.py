@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from nlwe import serialize
 from nlwe.circuit import Circuit, ControlDftGate, generate_basis
 from nlwe.cli import main
 from nlwe.ensembles import preset_circuit, shift_circuit, shift_ensemble
-from nlwe.states import CB, Dense, ProductBasis, ProductState
+from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState, factor_key
 from nlwe.upb import extract_upb
 
-from helpers import reference_dumps
+from helpers import circuits_on, product_tables, reference_dumps
 
 
 class TestSerialization:
@@ -149,8 +150,66 @@ class TestEncoder:
         assert len({id(f) for f in factors}) == len(set(factors)) == 4
 
 
-# sha256 of the files written by the encoder that ``dumps`` replaced
-# (``helpers.reference_dumps``); the test also re-encodes each object with it
+def _keys(table):
+    return [[factor_key(f) for f in kept] for kept in table.factors]
+
+
+def _as_read_back(table):
+    """The table a file of ``table`` loads as.  A -0.0 entry is written as
+    ``-0`` (17 significant digits), which JSON reads as the integer 0, so
+    dense factors that differ only in the sign of a zero become one."""
+    def unsigned(f):
+        return Dense(f.entries + 0.0) if isinstance(f, Dense) else f
+
+    states = [ProductState(tuple(map(unsigned, s.factors)), s.dims) for s in table.states()]
+    return LocalFactors.from_states(states, table.dims)
+
+
+class TestSetWriter:
+    """``basis_text`` and ``upb_text`` write from the id table the text that
+    ``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj``, and the loader
+    reads it back into the same table."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_tables(), st.data())
+    def test_matches_the_reference_and_round_trips(self, table, data):
+        circuit = data.draw(st.none() | circuits_on(table.dims))
+        basis = ProductBasis(table)
+        text = serialize.basis_text(basis, circuit)
+        assert text == reference_dumps(serialize.basis_to_obj(basis, circuit))
+        expected = _as_read_back(table)
+        loaded, loaded_circuit = serialize.basis_from_obj(serialize.loads(text))
+        assert np.array_equal(loaded.table.ids, expected.ids)
+        assert _keys(loaded.table) == _keys(expected)
+        if circuit is None:
+            assert loaded_circuit is None
+        else:
+            assert loaded_circuit.gates == circuit.gates
+
+        # a UPB's file fields, without the Upb construction checks, which
+        # random members do not pass
+        stopper = data.draw(st.integers(0, len(table) - 1))
+        upb = SimpleNamespace(dims=table.dims, table=table, stopper_index=stopper)
+        text = serialize.upb_text(upb)
+        assert text == reference_dumps(serialize.upb_to_obj(upb))
+        obj = serialize.loads(text)
+        assert obj["stopper_index"] == stopper
+        loaded, _ = serialize.basis_from_obj(obj)
+        assert np.array_equal(loaded.table.ids, expected.ids)
+        assert _keys(loaded.table) == _keys(expected)
+
+    @pytest.mark.parametrize("dims, m", [((), 1), ((2, 3), 0)])
+    def test_no_parties_or_no_members(self, dims, m):
+        basis = ProductBasis(LocalFactors(dims, [[] for _ in dims],
+                                          np.zeros((m, len(dims)), dtype=np.intp)))
+        text = serialize.basis_text(basis)
+        assert text == reference_dumps(serialize.basis_to_obj(basis))
+        assert serialize.basis_from_obj(serialize.loads(text))[0].table.ids.shape == (m, len(dims))
+
+
+# sha256 of the files written by the reference encoder
+# (``helpers.reference_dumps``), which ``basis_text`` and ``upb_text``
+# match; the file tests also re-encode each object with it
 GENERATE_SHA256 = {
     "oneway": "c0bd9db76389213242fbe7071896ea4afa89361391826d1a637d35364fa71776",
     "shift": "1ab71acb41d2e756e3948b5b4b8753e3ac5fc44d9775ec8350b9d77ea544abd8",
@@ -202,6 +261,16 @@ class TestPinnedOutput:
         text = path.read_text()
         assert _sha256(text) == UPB_SHA256[preset]
         assert reference_dumps(serialize.upb_to_obj(extract_upb(preset_circuit(preset)))) == text
+
+    @pytest.mark.parametrize("preset", sorted(GENERATE_SHA256))
+    def test_generate_to_stdout(self, preset, capsys):
+        assert main(["generate", "--preset", preset]) == 0
+        assert _sha256(capsys.readouterr().out) == GENERATE_SHA256[preset]
+
+    @pytest.mark.parametrize("preset", sorted(UPB_SHA256))
+    def test_upb_to_stdout(self, preset, capsys):
+        assert main(["upb", "--preset", preset]) == 0
+        assert _sha256(capsys.readouterr().out) == UPB_SHA256[preset]
 
     @pytest.mark.parametrize("preset", sorted(VERIFY_SHA256))
     def test_verify_report(self, preset, tmp_path, capsys):
@@ -633,6 +702,15 @@ class TestIntegerFields:
         with pytest.raises(MalformedJsonError):
             serialize.density_from_obj(obj)
 
+    @pytest.mark.parametrize("entry", [["0.25", 0.0], [0.25, False], [True, 0.0], [None, 0.0]])
+    def test_non_number_density_entry(self, entry):
+        from nlwe.errors import MalformedJsonError
+
+        obj = serialize.density_to_obj(np.eye(4) / 4, (2, 2))
+        obj["entries"][0] = entry
+        with pytest.raises(MalformedJsonError):
+            serialize.density_from_obj(obj)
+
     def test_embedded_circuit_on_other_dims_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "basis.json"
         main(["generate", "--preset", "shift", "--out", str(path)])
@@ -706,6 +784,19 @@ LOADER_CASES = {
     "dense-entry-not-a-pair": (_dense_first_factor((1.0, 0.0, 0.0), (0.0, 0.0)),
                                MALFORMED, MALFORMED),
     "dense-entries-missing": (_set_first_factor({"kind": "dense"}), MALFORMED, MALFORMED),
+    "dense-entry-string": (_dense_first_factor(("1", "0"), ("0", "0")), MALFORMED, MALFORMED),
+    "dense-entry-bool": (_dense_first_factor((True, 0), (0, False)), MALFORMED, MALFORMED),
+    # all of a row's factor objects are read before its length is compared
+    # and before any of its factors is checked against its party
+    "long-row-unknown-kind": (
+        lambda obj: _first_state(obj).__setitem__(
+            "factors", [{"kind": "ghz", "index": 0}] + _first_state(obj)["factors"]),
+        MALFORMED, MALFORMED),
+    "index-too-large-then-unknown-kind": (
+        lambda obj: _first_state(obj).__setitem__(
+            "factors", [{"kind": "cb", "index": 2}, {"kind": "cb", "index": 0},
+                        {"kind": "ghz", "index": 0}]),
+        MALFORMED, MALFORMED),
     "duplicated-state": (lambda obj: obj["states"].__setitem__(1, obj["states"][0]),
                          None, CONTRACT),
 }
