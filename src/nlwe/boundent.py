@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_eigenvalues,
     kron_all,
     orthogonal_complement_basis,
-    orthonormalize,
     partial_transpose,
     require_dense_budget,
 )
@@ -175,7 +174,8 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
     the complement of R_F.  The completion is the members regrouped as
     (f_s, r_i), in member order, then for each c the kets |c> (x) w with w
     spanning the complement of the |c> rests and R_F, then for each k the
-    kets F|k> (x) u with u spanning R_F minus the F|k> rests.  The result
+    kets F|k> (x) u with u spanning the complement of the F|k> rests and
+    R_F's own complement, i.e. R_F minus the F|k> rests.  The result
     is certified by its size D and its Gram deviation; a dense factor on s
     is a contract violation.
     """
@@ -210,17 +210,13 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
         rests.setdefault(ket, []).append(r)
         out.append(ProductState((ket, Dense(r)), cut_dims))
 
-    dual_span = orthonormalize(
-        [r for ket, rs in rests.items() if isinstance(ket, DFT) for r in rs], tol
-    )
-    for c in range(d):
-        own = rests.get(CB(c), [])
-        for w in orthogonal_complement_basis(own + dual_span, cut_dims[1], tol):
-            out.append(ProductState((CB(c), Dense(w)), cut_dims))
-    for k in range(d):
-        own = rests.get(DFT(k), [])
-        for u in orthonormalize(own + dual_span, tol)[len(own):]:
-            out.append(ProductState((DFT(k), Dense(u)), cut_dims))
+    dual_rests = [r for ket, rs in rests.items() if isinstance(ket, DFT) for r in rs]
+    dual_perp = orthogonal_complement_basis(dual_rests, cut_dims[1], tol)
+    added = [(CB(c), dual_rests) for c in range(d)] + [(DFT(k), dual_perp) for k in range(d)]
+    for ket, against in added:
+        own = rests.get(ket, [])
+        for w in orthogonal_complement_basis(own + against, cut_dims[1], tol):
+            out.append(ProductState((ket, Dense(w)), cut_dims))
 
     if len(out) != total:
         raise ContractViolationError(

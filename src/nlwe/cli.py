@@ -171,7 +171,7 @@ def _lemma_single(path: str) -> int:
     obj = serialize.load_file(path)
     try:
         matrix = np.array(
-            [[complex(p[0], p[1]) for p in row] for row in obj["matrix"]]
+            [[serialize._pair_complex(p) for p in row] for row in obj["matrix"]]
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedJsonError(f"bad operator file: {exc}") from exc

@@ -4,12 +4,15 @@ Rank/orthogonality decisions default to 1e-9 and may be overridden either
 per call or globally through the NLWE_TOLERANCE environment variable.
 Eigenvalue sign decisions use the tighter 1e-10 default.
 
-A tolerance must be finite and lie in (0, 1/sqrt(2)).  Below 1/sqrt(2) no
-unit vector can be both within tolerance of another unit vector's span
-(residual <= tol) and orthogonal to it within tolerance (overlap <= tol),
-since residual^2 + overlap^2 = 1.  That rules out only this pairwise
-contradiction; the extendibility search further requires tol < 1/sqrt(d)
-on its largest local dimension d (see ``upb.extendibility_search``).
+The span tolerance bounds a singular value of unit-normalised vectors
+(see ``linalg``).  It must be finite and lie in (0, 1/sqrt(2)): below
+1/sqrt(2) no unit vector can be both within tolerance of another unit
+vector's span (residual <= tol) and orthogonal to it within tolerance
+(overlap <= tol), since residual^2 + overlap^2 = 1.  For a pair's smaller
+singular value, sqrt(1 - overlap), the same holds only below
+(sqrt(5) - 1)/2.  The extendibility search further requires
+tol < 1/sqrt(d) on its largest local dimension d (see
+``upb.extendibility_search``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import tolerance
-from .errors import DimensionMismatchError
+from .errors import ContractViolationError, DimensionMismatchError
 from .linalg import dft_matrix, require_dense_budget
 
 
@@ -37,7 +37,7 @@ def preserves_orthogonality(k: np.ndarray, basis, tol=None) -> bool:
         return True
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            if abs(np.vdot(images[i], images[j])) / scale**2 > tol:
+            if not abs(np.vdot(images[i], images[j])) / scale**2 <= tol:
                 return False
     return True
 
@@ -54,11 +54,14 @@ def lemma_check(k: np.ndarray, tol=None) -> LemmaCheck:
     ``constraints_hold`` requires preservation on the computational basis
     and on the dual basis (the DFT columns).  ``isotropy_residual`` is the
     max entry of K†K - c*1 with c = trace(K†K)/d; the lemma predicts that
-    the constraints force this residual down to numerical noise.
+    the constraints force this residual down to numerical noise.  A NaN or
+    infinite entry is a contract violation.
     """
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionMismatchError("branch operator must be a square matrix")
+    if not np.all(np.isfinite(k)):
+        raise ContractViolationError("branch operator has a non-finite entry")
     d = k.shape[0]
     cb = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
     db = [dft_matrix(d)[:, i] for i in range(d)]

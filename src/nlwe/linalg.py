@@ -12,6 +12,9 @@ LAPACK through ``np.linalg.eigvalsh``.  ``jacobi_eigh`` is a pure-Python
 cyclic-Jacobi solver kept as the independent reference the tests compare
 against; no library code calls it.
 
+Every rank, span and orthogonal complement is a view of one SVD of the
+unit-normalised inputs (``_svd``).
+
 The arrays on whole spaces first pass their largest shape to
 ``require_dense_budget``: the complement mixture and the completed basis of
 ``boundent``, and the dense references that the tests compare the factored
@@ -217,55 +220,35 @@ def partial_transpose(rho: np.ndarray, dims, subset) -> np.ndarray:
     return t.transpose(axes).reshape(total, total)
 
 
-def _project_out(v: np.ndarray, basis) -> np.ndarray:
-    # two passes of classical Gram-Schmidt for numerical safety
-    for _ in range(2):
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-    return v
+def _svd(vectors, tol: float, dim: int | None = None) -> tuple[int, np.ndarray]:
+    """SVD of the nonzero inputs, each scaled to unit norm, stacked as rows.
+    Returns (rank, vh): the rank counts the singular values above ``tol``,
+    ``vh[:rank]`` spans the inputs and ``vh[rank:]`` their orthogonal
+    complement in C^dim.  An added input lowers no singular value (Cauchy
+    interlacing), so the rank is monotone in the inputs."""
+    rows = [np.asarray(v, dtype=complex) for v in vectors]
+    rows = [v / nrm for v in rows if (nrm := np.linalg.norm(v)) != 0.0]
+    if not rows:
+        return 0, np.eye(dim or 0, dtype=complex)
+    _, s, vh = np.linalg.svd(np.reshape(rows, (len(rows), dim or -1)))
+    return int(np.count_nonzero(s > tol)), vh
 
 
 def orthonormalize(vectors, tol: float | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of span(vectors), built in input order.
-
-    Inputs are normalized first, so the result is invariant under nonzero
-    rescaling of any input.  Exact zero vectors contribute nothing.
-    """
-    tol = tolerance(tol)
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
-        v = _project_out(v / nrm, basis)
-        resid = np.linalg.norm(v)
-        if resid > tol:
-            basis.append(v / resid)
-    return basis
+    """Orthonormal basis of span(vectors); exact zero vectors contribute
+    nothing, and rescaling an input changes nothing."""
+    rank, vh = _svd(vectors, tolerance(tol))
+    return list(vh[:rank])
 
 
 def span_dimension(vectors, tol: float | None = None) -> int:
-    """Dimension of the span, rejecting Gram-Schmidt residuals below tol."""
-    return len(orthonormalize(vectors, tol))
+    """Dimension of the span: singular values above tol of the unit inputs."""
+    return _svd(vectors, tolerance(tol))[0]
 
 
 def orthogonal_complement_basis(vectors, ambient_dim: int, tol: float | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the orthogonal complement of span(vectors).
-
-    The complement is generated deterministically by sweeping the
-    computational basis of the ambient space in index order, so repeated
-    calls on the same input produce identical output.
-    """
-    tol = tolerance(tol)
-    seed = orthonormalize(vectors, tol)
-    comp: list[np.ndarray] = []
-    for i in range(int(ambient_dim)):
-        v = np.zeros(int(ambient_dim), dtype=complex)
-        v[i] = 1.0
-        v = _project_out(v, seed)
-        v = _project_out(v, comp)
-        resid = np.linalg.norm(v)
-        if resid > tol:
-            comp.append(v / resid)
-    return comp
+    """Orthonormal basis of the orthogonal complement of span(vectors) in
+    C^ambient_dim; each vector overlaps every unit-normalised input by at
+    most tol, and the same input gives the same output."""
+    rank, vh = _svd(vectors, tolerance(tol), int(ambient_dim))
+    return list(vh[rank:])

@@ -2,8 +2,8 @@
 
 Complex values are always two-element [re, im] arrays of JSON numbers;
 floats are emitted with 17 significant digits so re-serialization is
-byte-identical and round-trips exactly, except the sign of a zero: -0.0
-is written as ``-0``, which reads back as 0.  Party indices are 0-based in
+byte-identical and round-trips exactly; -0.0 is written as ``-0.0``, as
+``-0`` would read back as the integer 0 and lose the sign.  Party indices are 0-based in
 files.  Integer fields (dims, indices, targets, control values, rows and
 cols) must be JSON integers and control keys decimal strings; anything
 else is malformed, not truncated.
@@ -47,7 +47,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _scalar_text(value, _inf=float("inf")) -> str:
     """JSON text of a str, None, bool, int or float (subclasses included);
-    a float has 17 significant digits, and NaN or an infinity raises."""
+    a float has 17 significant digits (-0.0 is ``-0.0``, which keeps its
+    sign when read back), and NaN or an infinity raises."""
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -61,7 +62,8 @@ def _scalar_text(value, _inf=float("inf")) -> str:
     if isinstance(value, float):
         if value != value or value == _inf or value == -_inf:
             raise ValueError("non-finite float is not serializable")
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        return "-0.0" if text == "-0" else text
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

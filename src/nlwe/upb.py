@@ -11,19 +11,19 @@ as soon as one party's assigned factors span its whole local space.
 The search runs on the set's ``states.LocalFactors`` table (the same
 symbolic ket, or dense factors with bit-identical entries, share one id
 at a party), so a party's assigned factors are an integer mask over a
-handful of ids.  The span rank of each
-(party, mask) pair is computed once per search, by ``linalg.span_dimension``
-on the masked factors in id order, and looked up at every later node.
+handful of ids.  The span rank of each (party, mask) pair is computed once
+per search, by ``linalg.span_dimension`` (singular values above tol of the
+masked factors), and looked up at every later node.
 
-Whether the remaining members can be placed depends only on the search
-state (next member, per-party masks), so the search also remembers the
-states from which every completion failed and skips a subtree that arrives
-at one.  That set is held to ``linalg.DENSE_BYTES_BUDGET``; when it is full
-the search records no more states and stays exact, only slower.  While
-the set has room, the work is bounded by the members times the reachable
-mask combinations, not by n^m.  The first successful assignment is the lexicographically least;
-its orthogonal product witness is checked against every member before it
-is reported.
+That rank never falls when factors are added, so whether the remaining
+members can be placed depends only on the masks, not on the next member
+(see ``_search``).  The search remembers the mask tuples from which every
+completion failed and skips a subtree that arrives at one, within
+``linalg.DENSE_BYTES_BUDGET``; with the set full it records no more and
+stays exact, only slower.  While the set has room, the work is bounded
+by the members times the reachable mask tuples, not by n^m.  The first
+successful assignment is the lexicographically least; its orthogonal
+product witness is checked against every member before it is reported.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ class ExtendibilityResult:
 
     ``assignments_covered`` counts the complete member->party assignments
     the search reached or ruled out (pruned at a full-rank party or skipped
-    at a state known to fail); on an unextendible set it equals
+    at party masks known to fail); on an unextendible set it equals
     ``assignment_bound``, n^m.  ``nodes_visited`` counts the (member, party)
-    placements tried, so it falls when failed states are skipped while the
+    placements tried, so it falls when failed masks are skipped while the
     verdict, the covered count and the witness stay those of the plain
     search.
     """
@@ -171,13 +171,12 @@ class ExtendibilityResult:
 
 
 def _state_bytes(factors: LocalFactors) -> int:
-    """Bytes one recorded failed state can hold: its (n + 1)-tuple, an int
-    object per entry as wide as the widest party mask or member index, and
-    four set slots (a set is at most 60 % full and grows by up to four
-    times)."""
-    bits = max([len(kept) for kept in factors.factors] + [len(factors).bit_length()])
+    """Bytes one recorded failed state can hold: its n-tuple of party masks,
+    an int object per entry as wide as the widest mask, and four set slots
+    (a set is at most 60 % full and grows by up to four times)."""
+    bits = max((len(kept) for kept in factors.factors), default=0)
     n = len(factors.dims)
-    return sys.getsizeof((0,) * (n + 1)) + (n + 1) * sys.getsizeof((1 << bits) - 1) + 64
+    return sys.getsizeof((0,) * n) + n * sys.getsizeof((1 << bits) - 1) + 64
 
 
 def _search(factors: LocalFactors, dims, tol):
@@ -193,10 +192,22 @@ def _search(factors: LocalFactors, dims, tol):
     ruled out, so an unextendible input always covers the full n^m bound;
     nodes counts the (member, party) placements tried.
 
-    Whether the members from i on can be placed depends only on the state
-    (i, masks).  Once every party has been tried for member i, the state is
-    recorded as failed; a later placement that arrives at a recorded state
-    covers its n^(m - i) completions and is undone at once.  Only subtrees
+    Whether the members from i on can be placed depends only on the party
+    masks, not on i.  The code relies on one condition: a rank never falls
+    when factors are added to a mask, which holds because ``span_dimension``
+    counts singular values above tol, and adding a vector lowers none of
+    them (Cauchy interlacing).  Say the state (i, masks) fails, i.e. no
+    placement of members i..m-1 succeeds from it, and the search arrives at
+    (i', masks).  If i' > i, each of members i..i'-1 sits in a party whose
+    mask already holds its factor, so those placements lead from (i, masks)
+    to (i', masks) without changing a mask, and a success from (i', masks)
+    would be one from (i, masks).  If i' < i, a success from (i', masks)
+    ends with masks M that contain masks; placing members i..m-1 as it
+    does reaches only masks inside M, whose ranks are at most those of M
+    and so below d_j, which again is a success from (i, masks).  So once
+    every party has been tried for member i, ``tuple(masks)`` is recorded
+    as failed, and a later placement that arrives at recorded masks covers
+    its n^(m - i - 1) completions and is undone at once.  Only subtrees
     already known to fail are skipped, so the visiting order, the witness
     (the lexicographically least assignment) and the covered count are
     those of the plain search.  The failed states are held to
@@ -213,7 +224,7 @@ def _search(factors: LocalFactors, dims, tol):
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
     saved = []  # the mask each placement replaced, restored on backtrack
-    failed = set()  # (i, *masks) states from which no completion succeeds
+    failed = set()  # mask tuples from which no completion succeeds
     room = linalg.DENSE_BYTES_BUDGET // _state_bytes(factors)
     covered = 0
     nodes = 0
@@ -227,7 +238,7 @@ def _search(factors: LocalFactors, dims, tol):
             if not assignment:
                 return None, covered, nodes
             if len(failed) < room:
-                failed.add((i, *masks))
+                failed.add(tuple(masks))
             j = assignment.pop()
             masks[j] = saved.pop()
             j += 1
@@ -246,8 +257,8 @@ def _search(factors: LocalFactors, dims, tol):
             continue
         saved.append(masks[j])
         masks[j] = grown
-        if (i + 1, *masks) in failed:
-            # member i + 1 arrives at a state already known to fail
+        if tuple(masks) in failed:
+            # member i + 1 arrives at masks already known to fail
             covered += n ** (m - i - 1)
             masks[j] = saved.pop()
             j += 1
@@ -299,10 +310,9 @@ def extendibility_search(members, dims, tol=None) -> ExtendibilityResult:
     tol = tolerance(tol)
     d_max = max(dims, default=1)
     if not tol < 1 / math.sqrt(d_max):
-        # the witness's complement sweep keeps computational basis vectors
-        # whose residual exceeds tol; while the complement is incomplete the
-        # squared residuals sum to at least 1, so one is >= 1/sqrt(d), but
-        # none need be larger
+        # the witness is checked by its overlaps against tol; from
+        # 1/sqrt(d) on that check means nothing, as the uniform superposition
+        # overlaps each vector of a whole orthonormal basis by only 1/sqrt(d)
         raise PreconditionError(
             f"tolerance {tol:g} must be below 1/sqrt({d_max}) on a "
             f"{d_max}-dimensional party"

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nlwe.circuit import Circuit, ControlDftGate
+from nlwe.config import tolerance
 from nlwe.linalg import span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
 
@@ -68,6 +69,62 @@ def brute_force_extendible(states, dims, tol=1e-9):
     return hits, first
 
 
+def _project_out(v: np.ndarray, basis) -> np.ndarray:
+    # two passes of classical Gram-Schmidt for numerical safety
+    for _ in range(2):
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+    return v
+
+
+def gs_orthonormalize(vectors, tol: float | None = None) -> list[np.ndarray]:
+    """Reference rank primitive: the Gram-Schmidt routines the library used
+    before its SVD, kept unchanged.  Orthonormal basis of span(vectors),
+    built in input order.
+
+    Inputs are normalized first, so the result is invariant under nonzero
+    rescaling of any input.  Exact zero vectors contribute nothing.
+    """
+    tol = tolerance(tol)
+    basis: list[np.ndarray] = []
+    for v in vectors:
+        v = np.asarray(v, dtype=complex)
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            continue
+        v = _project_out(v / nrm, basis)
+        resid = np.linalg.norm(v)
+        if resid > tol:
+            basis.append(v / resid)
+    return basis
+
+
+def gs_span_dimension(vectors, tol: float | None = None) -> int:
+    """Dimension of the span, rejecting Gram-Schmidt residuals below tol."""
+    return len(gs_orthonormalize(vectors, tol))
+
+
+def gs_complement_basis(vectors, ambient_dim: int, tol: float | None = None) -> list[np.ndarray]:
+    """Orthonormal basis of the orthogonal complement of span(vectors).
+
+    The complement is generated deterministically by sweeping the
+    computational basis of the ambient space in index order, so repeated
+    calls on the same input produce identical output.
+    """
+    tol = tolerance(tol)
+    seed = gs_orthonormalize(vectors, tol)
+    comp: list[np.ndarray] = []
+    for i in range(int(ambient_dim)):
+        v = np.zeros(int(ambient_dim), dtype=complex)
+        v[i] = 1.0
+        v = _project_out(v, seed)
+        v = _project_out(v, comp)
+        resid = np.linalg.norm(v)
+        if resid > tol:
+            comp.append(v / resid)
+    return comp
+
+
 def residual_search(states, dims, tol=1e-9):
     """Reference decider: depth-first search over member->party assignments
     with a running Gram-Schmidt basis per party, the way the library decided
@@ -84,12 +141,6 @@ def residual_search(states, dims, tol=1e-9):
     covered = 0
     nodes = 0
 
-    def residual(v, basis):
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        return v
-
     def dfs(i):
         nonlocal covered, nodes
         if i == m:
@@ -97,7 +148,7 @@ def residual_search(states, dims, tol=1e-9):
             return tuple(assignment)
         for j in range(n):
             nodes += 1
-            v = residual(local[i][j], ortho[j])
+            v = _project_out(local[i][j], ortho[j])
             nrm = float(np.linalg.norm(v))
             grows = nrm > tol
             if grows and len(ortho[j]) + 1 == dims[j]:
@@ -303,7 +354,8 @@ def control_dft_circuits(draw):
 
 class Float17Encoder(json.JSONEncoder):
     """The standard library's pure-Python encoder with floats formatted to
-    17 significant digits: the reference that ``serialize.dumps``,
+    17 significant digits, and -0.0 as ``-0.0`` so that JSON reads back a
+    float with its sign: the reference that ``serialize.dumps``,
     ``basis_text`` and ``upb_text`` must match byte for byte (it was the
     program's encoder before ``dumps``)."""
 
@@ -317,7 +369,8 @@ class Float17Encoder(json.JSONEncoder):
         def floatstr(x, _inf=float("inf")):
             if x != x or x == _inf or x == -_inf:
                 raise ValueError("non-finite float is not serializable")
-            return format(x, ".17g")
+            text = format(x, ".17g")
+            return "-0.0" if text == "-0" else text
 
         iterencode = json.encoder._make_iterencode(
             markers,

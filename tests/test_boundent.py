@@ -280,10 +280,16 @@ class TestSeparabilityCompletion:
                 separability_completion(u, 0)
 
     def test_gram_certificate_catches_a_wrong_complement(self, monkeypatch):
-        # the right number of states, but every complement vector repeated
+        # the right number of states, but every added complement vector
+        # repeated; the first call builds the complement of the dual-ket
+        # members' rests, which the later ones are taken against, and is
+        # left alone so that the count stays right
+        calls = []
+
         def repeated_first(vectors, ambient_dim, tol=None):
             comp = orthogonal_complement_basis(vectors, ambient_dim, tol)
-            return comp[:1] * len(comp)
+            calls.append(len(comp))
+            return comp if len(calls) == 1 else comp[:1] * len(comp)
 
         monkeypatch.setattr("nlwe.boundent.orthogonal_complement_basis", repeated_first)
         with pytest.raises(ContractViolationError, match="not orthonormal"):

@@ -16,12 +16,22 @@ from nlwe.linalg import (
     hermitian_eigenvalues,
     jacobi_eigh,
     orthogonal_complement_basis,
+    orthonormalize,
     partial_transpose,
     span_dimension,
     tensor,
 )
 
-from helpers import NON_FINITE_CASES, dft_col, ket, kron_chain, non_finite_matrix, random_hermitian
+from helpers import (
+    NON_FINITE_CASES,
+    dft_col,
+    gs_complement_basis,
+    gs_span_dimension,
+    ket,
+    kron_chain,
+    non_finite_matrix,
+    random_hermitian,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -305,3 +315,89 @@ class TestSpanAndComplement:
             for v in vecs:
                 assert abs(np.vdot(v / np.linalg.norm(v), w)) <= 1e-10
         assert np.max(np.abs(gram(comp) - np.eye(len(comp)))) < 1e-12
+
+
+def _random_vectors(rng, k, d):
+    return [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(k)]
+
+
+@st.composite
+def near_subspace_sets(draw):
+    """0-8 vectors of dimension 1-6: exact zero vectors, and unit vectors
+    within 1e-13 of one random r-dimensional subspace, rescaled at random.
+    Their unit-normalised stack has singular values of order 1e-13 beyond
+    the subspace's dimension, and random Gaussian ones within it, so with
+    overwhelming probability none lies near the default tol 1e-9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(0, d))
+    basis = np.linalg.qr(np.array(_random_vectors(rng, d, d)))[0][:, :r]
+    vectors = []
+    for _ in range(draw(st.integers(0, 8))):
+        if r == 0 or draw(st.integers(0, 5)) == 0:
+            vectors.append(np.zeros(d, dtype=complex))
+            continue
+        v = basis @ (rng.standard_normal(r) + 1j * rng.standard_normal(r))
+        v = v / np.linalg.norm(v) + 1e-13 * _random_vectors(rng, 1, d)[0] / np.sqrt(2 * d)
+        vectors.append(10.0 ** rng.uniform(-3, 3) * v)
+    return vectors, d
+
+
+@st.composite
+def factor_pools(draw):
+    """A pool of local factors of dimension 2-5 in id order: the
+    computational and dual bases and up to four random vectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 5))
+    pool = [ket(k, d) for k in range(d)] + [dft_col(k, d) for k in range(d)]
+    return pool + _random_vectors(rng, draw(st.integers(0, 4)), d)
+
+
+class TestRankPrimitive:
+    """``span_dimension``, ``orthonormalize`` and
+    ``orthogonal_complement_basis`` are views of one SVD of the
+    unit-normalised inputs; the Gram-Schmidt routines they replaced are the
+    reference in ``helpers``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_subspace_sets())
+    def test_agrees_with_gram_schmidt_away_from_tol(self, case):
+        vectors, d = case
+        rank = span_dimension(vectors)
+        assert rank == gs_span_dimension(vectors)
+        assert len(orthonormalize(vectors)) == rank
+        comp = orthogonal_complement_basis(vectors, d)
+        assert len(comp) == len(gs_complement_basis(vectors, d)) == d - rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 8),
+           st.floats(1e-9, 0.7))
+    def test_complement_is_orthogonal_to_every_input_within_tol(self, seed, d, k, tol):
+        vectors = _random_vectors(np.random.default_rng(seed), k, d)
+        comp = orthogonal_complement_basis(vectors, d, tol)
+        assert len(comp) == d - span_dimension(vectors, tol)
+        if comp:
+            assert np.max(np.abs(gram(comp) - np.eye(len(comp)))) <= 1e-12
+        for w in comp:
+            for v in vectors:
+                assert abs(np.vdot(v / np.linalg.norm(v), w)) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_pools(), st.data(), st.floats(1e-9, 0.7))
+    def test_rank_is_monotone(self, pool, data, tol):
+        ids = range(len(pool))
+        superset = data.draw(st.sets(st.sampled_from(ids)))
+        subset = data.draw(st.sets(st.sampled_from(sorted(superset)))) if superset else set()
+        assert span_dimension([pool[i] for i in sorted(subset)], tol) <= span_dimension(
+            [pool[i] for i in sorted(superset)], tol
+        )
+
+    def test_rank_is_monotone_where_gram_schmidt_is_not(self):
+        # unit vectors at 0, 20 and 40 degrees in the plane, tol 0.5: the
+        # Gram-Schmidt residual of 40 against 0 is sin 40 > 0.5, but against
+        # the span of 20 and 0 it is below 0.5; the smaller singular value
+        # of {0, 40} is sqrt(1 - cos 40) < 0.5
+        at = {deg: np.array([np.cos(np.radians(deg)), np.sin(np.radians(deg))]) for deg in (0, 20, 40)}
+        subset, superset = [at[0], at[40]], [at[20], at[0], at[40]]
+        assert gs_span_dimension(subset, 0.5) == 2 > gs_span_dimension(superset, 0.5) == 1
+        assert span_dimension(subset, 0.5) == span_dimension(superset, 0.5) == 1

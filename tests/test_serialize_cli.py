@@ -154,17 +154,6 @@ def _keys(table):
     return [[factor_key(f) for f in kept] for kept in table.factors]
 
 
-def _as_read_back(table):
-    """The table a file of ``table`` loads as.  A -0.0 entry is written as
-    ``-0`` (17 significant digits), which JSON reads as the integer 0, so
-    dense factors that differ only in the sign of a zero become one."""
-    def unsigned(f):
-        return Dense(f.entries + 0.0) if isinstance(f, Dense) else f
-
-    states = [ProductState(tuple(map(unsigned, s.factors)), s.dims) for s in table.states()]
-    return LocalFactors.from_states(states, table.dims)
-
-
 class TestSetWriter:
     """``basis_text`` and ``upb_text`` write from the id table the text that
     ``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj``, and the loader
@@ -177,10 +166,9 @@ class TestSetWriter:
         basis = ProductBasis(table)
         text = serialize.basis_text(basis, circuit)
         assert text == reference_dumps(serialize.basis_to_obj(basis, circuit))
-        expected = _as_read_back(table)
         loaded, loaded_circuit = serialize.basis_from_obj(serialize.loads(text))
-        assert np.array_equal(loaded.table.ids, expected.ids)
-        assert _keys(loaded.table) == _keys(expected)
+        assert np.array_equal(loaded.table.ids, table.ids)
+        assert _keys(loaded.table) == _keys(table)
         if circuit is None:
             assert loaded_circuit is None
         else:
@@ -195,8 +183,24 @@ class TestSetWriter:
         obj = serialize.loads(text)
         assert obj["stopper_index"] == stopper
         loaded, _ = serialize.basis_from_obj(obj)
-        assert np.array_equal(loaded.table.ids, expected.ids)
-        assert _keys(loaded.table) == _keys(expected)
+        assert np.array_equal(loaded.table.ids, table.ids)
+        assert _keys(loaded.table) == _keys(table)
+
+    def test_signed_zero_keeps_its_own_id(self):
+        # two dense factors that differ only in the sign of a zero are two
+        # factors in the table and stay two through a file
+        plus = Dense(np.array([1.0, 0.0j]))
+        minus = Dense(np.array([1.0, complex(0.0, -0.0)]))
+        states = [ProductState((f, CB(k)), (2, 2)) for f in (plus, minus) for k in (0, 1)]
+        table = LocalFactors.from_states(states, (2, 2))
+        assert len(table.factors[0]) == 2
+        upb = SimpleNamespace(dims=table.dims, table=table, stopper_index=0)
+        text = serialize.upb_text(upb)
+        assert "-0.0" in text
+        assert text == reference_dumps(serialize.upb_to_obj(upb))
+        loaded, _ = serialize.basis_from_obj(serialize.loads(text))
+        assert np.array_equal(loaded.table.ids, table.ids)
+        assert _keys(loaded.table) == _keys(table)
 
     @pytest.mark.parametrize("dims, m", [((), 1), ((2, 3), 0)])
     def test_no_parties_or_no_members(self, dims, m):
@@ -498,6 +502,28 @@ class TestCliFlows:
         )
         assert main(["lemma", "--kraus", str(path)]) == 0
         assert "lemma-implication" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "entry, code",
+        [
+            ("[NaN, 0.0]", "contract-violation"),
+            ("[Infinity, 0.0]", "contract-violation"),
+            ("[true, 0]", "malformed-json"),
+            ("[1, 0, 5]", "malformed-json"),
+            ('["1", 0]', "malformed-json"),
+        ],
+    )
+    def test_lemma_kraus_file_bad_entry(self, tmp_path, capsys, entry, code):
+        # the identity with its last entry replaced: a non-finite operator
+        # breaks its contract, an entry that is not two JSON numbers is
+        # malformed; neither may reach a verdict
+        path = tmp_path / "k.json"
+        path.write_text('{"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], %s]]}' % entry)
+        assert main(["lemma", "--kraus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:{code}:")
+        assert captured.err.count("\n") == 1
 
     def test_bestate_refuses_extendible_set(self, tmp_path, capsys):
         path = tmp_path / "upb.json"

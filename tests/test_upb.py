@@ -46,15 +46,21 @@ def product_set(left, right):
     return [ProductState(s.factors + t.factors, da + db) for s in a for t in b], da + db
 
 
-def shift_times_qutrit_basis():
+def shift_times_cb(d):
+    """SHIFT (x) {|0>, ..., |d-1>}, members SHIFT-major."""
     u = shift_upb()
-    qutrit = [ProductState((CB(k),), (3,)) for k in range(3)]
-    return product_set((u.states, u.dims), (qutrit, (3,)))
+    basis = [ProductState((CB(k),), (d,)) for k in range(d)]
+    return product_set((u.states, u.dims), (basis, (d,)))
 
 
 def shift_times_shift():
     u = shift_upb()
     return product_set((u.states, u.dims), (u.states, u.dims))
+
+
+def shift_cubed():
+    u = shift_upb()
+    return product_set(shift_times_shift(), (u.states, u.dims))
 
 
 def reference_counts(states, dims):
@@ -232,11 +238,11 @@ class TestUnextendibility:
     def test_shift_times_qutrit_basis_counts(self):
         # SHIFT (x) {|0>,|1>,|2>}, members x-major: unextendible; the
         # reference walks a tree of 20 040 nodes, the search skips the
-        # subtrees it has seen fail and walks 1 992
-        states, dims = shift_times_qutrit_basis()
+        # subtrees whose party masks it has seen fail and walks 828
+        states, dims = shift_times_cb(3)
         res = extendibility_search(states, dims)
         assert not res.extendible
-        assert res.nodes_visited == 1_992
+        assert res.nodes_visited == 828
         assert res.assignments_covered == res.assignment_bound == 4**12
         assert reference_counts(states, dims) == (None, 4**12, 20_040)
 
@@ -245,7 +251,7 @@ class TestUnextendibility:
         states, dims = shift_times_shift()
         res = extendibility_search(states, dims)
         assert not res.extendible
-        assert res.nodes_visited == 60_660
+        assert res.nodes_visited == 11_148
         assert res.assignments_covered == res.assignment_bound == 6**16
 
     @pytest.mark.parametrize("drop", range(16))
@@ -256,6 +262,28 @@ class TestUnextendibility:
         assert res.extendible
         assert res.assignments_covered < res.assignment_bound
         w = res.witness_state.dense()
+        assert abs(np.vdot(w, w) - 1) <= 1e-9
+        for s in rest:
+            assert abs(np.vdot(s.dense(), w)) <= 1e-9
+
+    def test_shift_cubed_unextendible(self):
+        # 64 members on nine qubits: skipping every arrival at party masks
+        # that failed for any member, the search walks 1 173 456 nodes
+        states, dims = shift_cubed()
+        res = extendibility_search(states, dims)
+        assert not res.extendible
+        assert res.nodes_visited == 1_173_456
+        assert res.assignments_covered == res.assignment_bound == 9**64
+
+    @pytest.mark.parametrize("drop", [0, 32, 63])
+    def test_shift_cubed_leave_one_out_extendible(self, drop):
+        states, dims = shift_cubed()
+        rest = states[:drop] + states[drop + 1:]
+        res = extendibility_search(rest, dims)
+        assert res.extendible
+        assert res.assignments_covered < res.assignment_bound
+        w = res.witness_state.dense()
+        assert w.shape == (512,)
         assert abs(np.vdot(w, w) - 1) <= 1e-9
         for s in rest:
             assert abs(np.vdot(s.dense(), w)) <= 1e-9
@@ -356,10 +384,11 @@ class TestFailureSet:
             tracemalloc.stop()
 
     def test_set_memory_stays_within_the_budget(self, monkeypatch):
-        # on SHIFT (x) {|0>,|1>,|2>} the full set takes about 50 KiB and the
-        # rest of the search (rank memo, stacks) about 4 KiB, so the peak
-        # above a run with no set is the set's own size
-        states, dims = shift_times_qutrit_basis()
+        # on SHIFT (x) {|0>,...,|3>} the full set takes about 38 KiB and the
+        # rest of the search (rank memo, stacks) about 6 KiB, so the peak
+        # above a run with no set is the set's own size; the plain search
+        # walks the reference's 226 096 nodes
+        states, dims = shift_times_cb(4)
         table = LocalFactors.from_states(states, dims)
         extendibility_search(table, dims)  # first use of the table and numpy paths
         full, full_peak = self.traced_peak(table, dims)
@@ -369,9 +398,9 @@ class TestFailureSet:
         monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", budget)
         capped, peak = self.traced_peak(table, dims)
         assert peak - floor <= budget < full_peak - floor
-        assert full.nodes_visited < capped.nodes_visited < plain.nodes_visited == 20_040
+        assert full.nodes_visited < capped.nodes_visited < plain.nodes_visited == 226_096
         for res in (plain, capped):
-            assert res.assignments_covered == full.assignments_covered == 4**12
+            assert res.assignments_covered == full.assignments_covered == 4**16
 
 
 class TestWitnessCheck:
