@@ -14,10 +14,8 @@ from .boundent import (
 from .circuit import (
     Circuit,
     ControlDftGate,
-    apply_dense,
     apply_symbolic,
     check_commutation,
-    circuit_unitary,
     gate_unitary,
     generate_basis,
     validate_exclusivity,

@@ -11,6 +11,10 @@ to a full orthogonal product basis, certifying zero entanglement there
 (2003)).  The completion follows one rule for every member whose factor on
 the singled party is a computational or dual-basis ket (see
 ``_completion``) and is certified only by its size and its Gram deviation.
+Its Gram matrix is formed from arrays (``_cut_gram``): the singled party's
+local overlap table times the Gram matrix of the D rest vectors, entry by
+entry; ``ProductState`` objects are built only for the states that
+``separability_completion`` returns.
 
 Each matrix is diagonalised once: ``DensityMatrix`` keeps the spectrum of
 rho that its positivity gate computed, ``state_rank`` reads it, and
@@ -33,7 +37,7 @@ from .linalg import (
     require_dense_budget,
 )
 from .report import VerificationReport, cut_label, party_label
-from .states import CB, DFT, Dense, ProductBasis, ProductState, factor_dense
+from .states import CB, DFT, Dense, LocalFactors, ProductState
 from .upb import Upb, extendibility_search
 
 RANK_EIGENVALUE_THRESHOLD = 1e-8
@@ -90,7 +94,7 @@ def be_state(upb: Upb, tol=None) -> DensityMatrix:
     """
     total = upb.total_dimension()
     require_dense_budget(total, total, "the complement mixture")
-    res = extendibility_search(upb.table, upb.dims, tol=tol)
+    res = extendibility_search(upb, upb.dims, tol=tol)
     if res.extendible:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"
@@ -135,20 +139,16 @@ def ppt_report(rho: DensityMatrix) -> VerificationReport:
     """
     n = len(rho.dims)
     report = VerificationReport()
-    min_eigs = {}
     for subset in bipartitions(n):
         pt = partial_transpose(rho.matrix, rho.dims, subset)
         evals = hermitian_eigenvalues(pt)
         low = float(evals[0])
-        label = cut_label(subset, n)
-        min_eigs[label] = low
         report.add(
-            f"ppt[{label}]",
+            f"ppt[{cut_label(subset, n)}]",
             low >= -EIGENVALUE_SIGN_TOL,
             residual=low,
             detail="min eigenvalue of the partial transpose",
         )
-    report.extras["min_eigenvalues"] = min_eigs
     return report
 
 
@@ -160,11 +160,14 @@ def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[Prod
     singled party first and the remaining parties in ascending order; the
     first m states are the input members regrouped across that cut.
     """
-    return _completion(upb, singled_party, tol)[0]
+    kets, rests, _ = _completion(upb, singled_party, tol)
+    cut_dims = (upb.dims[0], rests.shape[1])
+    return [ProductState((ket, Dense(r)), cut_dims) for ket, r in zip(kets, rests)]
 
 
-def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], float]:
-    """``separability_completion`` and the completed basis's Gram deviation.
+def _completion(upb: Upb, singled_party: int, tol) -> tuple[list, np.ndarray, float]:
+    """``separability_completion`` as the singled-party kets and the D x d^d
+    stack of rest vectors, and the completed basis's Gram deviation.
 
     Every member must carry a computational ket |c> or a dual-basis ket
     F|k> on the singled party s; r_i is member i's rest vector (its other
@@ -176,8 +179,9 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
     spanning the complement of the |c> rests and R_F, then for each k the
     kets F|k> (x) u with u spanning the complement of the F|k> rests and
     R_F's own complement, i.e. R_F minus the F|k> rests.  The result
-    is certified by its size D and its Gram deviation; a dense factor on s
-    is a contract violation.
+    is certified by its size D and the largest entry of |G - I|, G its
+    Gram matrix (``_cut_gram``); a dense factor on s is a contract
+    violation.
     """
     dims = upb.dims
     n = len(dims)
@@ -187,47 +191,64 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list[ProductState], 
             f"completion needs n = d+1 equal dimensions, got dims {dims}"
         )
     total = d ** (d + 1)
-    # the largest array formed: the overlap table of the rest party's
-    # distinct factors (at most D of them) in the Gram check
-    require_dense_budget(total, total, "the rest party's local overlap table")
+    # the largest array formed: the Gram matrix of the certificate
+    require_dense_budget(total, total, "the completed basis's Gram matrix")
     s = int(singled_party)
     if not 0 <= s < n:
         raise ContractViolationError(f"singled party {s} outside 0..{n - 1}")
     tol = tolerance(tol)
     rest = [p for p in range(n) if p != s]
-    cut_dims = (d, d**d)
 
-    out: list[ProductState] = []
-    rests: dict[CB | DFT, list[np.ndarray]] = {}
-    for i, state in enumerate(upb.states):
-        ket = state.factors[s]
+    kets = []
+    rests = []
+    by_ket: dict[CB | DFT, list[np.ndarray]] = {}
+    for i, row in enumerate(upb.ids.tolist()):
+        ket = upb.factors[s][row[s]]
         if not isinstance(ket, (CB, DFT)):
             raise ContractViolationError(
                 f"member {i} has a dense factor on party {party_label(s)}; "
                 "the completion needs a computational or dual-basis ket there"
             )
-        r = kron_all(factor_dense(state.factors[p], d) for p in rest)
-        rests.setdefault(ket, []).append(r)
-        out.append(ProductState((ket, Dense(r)), cut_dims))
+        r = kron_all(upb.vectors[p][row[p]] for p in rest)
+        by_ket.setdefault(ket, []).append(r)
+        kets.append(ket)
+        rests.append(r)
 
-    dual_rests = [r for ket, rs in rests.items() if isinstance(ket, DFT) for r in rs]
-    dual_perp = orthogonal_complement_basis(dual_rests, cut_dims[1], tol)
+    dual_rests = [r for ket, rs in by_ket.items() if isinstance(ket, DFT) for r in rs]
+    dual_perp = orthogonal_complement_basis(dual_rests, d**d, tol)
     added = [(CB(c), dual_rests) for c in range(d)] + [(DFT(k), dual_perp) for k in range(d)]
     for ket, against in added:
-        own = rests.get(ket, [])
-        for w in orthogonal_complement_basis(own + against, cut_dims[1], tol):
-            out.append(ProductState((ket, Dense(w)), cut_dims))
+        for w in orthogonal_complement_basis(by_ket.get(ket, []) + against, d**d, tol):
+            kets.append(ket)
+            rests.append(w)
 
-    if len(out) != total:
+    if len(kets) != total:
         raise ContractViolationError(
-            f"completion produced {len(out)} states, expected {total}"
+            f"completion produced {len(kets)} states, expected {total}"
         )
-    deviation = ProductBasis.from_states(out, cut_dims).gram_deviation()
+    rests = np.array(rests)
+    g = _cut_gram(d, kets, rests)
+    g[np.diag_indices(total)] -= 1.0
+    deviation = float(np.max(np.abs(g)))
     if not deviation <= COMPLETION_GRAM_TOL:
         raise ContractViolationError(
             f"completed basis is not orthonormal (Gram deviation {deviation:.3e})"
         )
-    return out, deviation
+    return kets, rests, deviation
+
+
+def _cut_gram(d: int, kets, rests: np.ndarray) -> np.ndarray:
+    """Gram matrix of the states kets[i] (x) rests[i], party of dimension d
+    first: G = O[a][:, a] * (R* R^T) entry by entry, with O the local
+    overlap table of the distinct kets (``LocalFactors.overlaps``, an exact
+    0 between distinct kets of one basis), a each state's index into it and
+    R the stack of rest vectors."""
+    index = {ket: k for k, ket in enumerate(dict.fromkeys(kets))}
+    a = np.array([index[ket] for ket in kets], dtype=np.intp)
+    singled = LocalFactors((d,), [list(index)], a[:, None])
+    g = rests.conj() @ rests.T
+    g *= singled.overlaps[0][np.ix_(a, a)]
+    return g
 
 
 def separability_report(upb: Upb, tol=None) -> VerificationReport:
@@ -237,20 +258,17 @@ def separability_report(upb: Upb, tol=None) -> VerificationReport:
     from the first completion."""
     n = len(upb.dims)
     report = VerificationReport()
-    completions = {}
     for s in range(n):
         label = cut_label({s}, n)
         try:
-            states, deviation = _completion(upb, s, tol)
+            kets, _, deviation = _completion(upb, s, tol)
         except ContractViolationError as exc:
             report.add(f"completion[{label}]", False, detail=str(exc))
             continue
-        completions[party_label(s)] = states
         report.add(
             f"completion[{label}]",
             True,
             residual=deviation,
-            detail=f"{len(states)} cut-product states, Gram deviation",
+            detail=f"{len(kets)} cut-product states, Gram deviation",
         )
-    report.extras["completions"] = completions
     return report

@@ -146,16 +146,6 @@ def gate_unitary(gate: ControlDftGate, dims) -> np.ndarray:
     return act + np.eye(total, dtype=complex) - proj
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Product of the gate unitaries in listed order (last gate acts first)."""
-    total = circuit.total_dimension()
-    require_dense_budget(total, total, "the circuit unitary")
-    u = np.eye(total, dtype=complex)
-    for gate in circuit.gates:
-        u = u @ gate_unitary(gate, circuit.dims)
-    return u
-
-
 def _generator_factors(gate: ControlDftGate, dims) -> list[np.ndarray]:
     """The local factors g_p of G = U - I = (x)_p g_p for one gate's unitary
     U: the projector |c><c| on each control, F - I on the target and the
@@ -231,9 +221,10 @@ def _check_input(circuit: Circuit, cb_input) -> tuple:
     return cb_input
 
 
-def images(circuit: Circuit, inputs: np.ndarray) -> LocalFactors:
+def images(circuit: Circuit, inputs: np.ndarray) -> tuple[list, np.ndarray]:
     """The images of computational inputs (one per row of ``inputs``) as
-    one table.
+    the ``factors`` and ``ids`` of one ``LocalFactors`` set on the
+    circuit's dims, for the caller to make the set it needs.
 
     A gate fires on the rows where every control party holds its required
     value, one boolean mask per gate.  On a row where a gate fires, the
@@ -265,7 +256,7 @@ def images(circuit: Circuit, inputs: np.ndarray) -> LocalFactors:
         id_of[distinct] = np.arange(len(distinct))
         ids[:, p] = id_of[codes[:, p]]
         factors.append([CB(c) if c < d else DFT(c - d) for c in distinct])
-    return LocalFactors(dims, factors, ids)
+    return factors, ids
 
 
 def apply_symbolic(circuit: Circuit, cb_input) -> ProductState:
@@ -279,17 +270,7 @@ def apply_symbolic(circuit: Circuit, cb_input) -> ProductState:
     cb_input = _check_input(circuit, cb_input)
     if not is_exclusive(circuit):
         raise ContractViolationError("apply_symbolic requires an exclusive circuit")
-    return images(circuit, np.array([cb_input])).states()[0]
-
-
-def apply_dense(circuit: Circuit, cb_input) -> np.ndarray:
-    """Dense cross-validation path: the full circuit unitary applied to the
-    computational input vector.  Exclusivity is not required here."""
-    cb_input = _check_input(circuit, cb_input)
-    flat = 0
-    for x, d in zip(cb_input, circuit.dims):
-        flat = flat * d + x
-    return circuit_unitary(circuit)[:, flat].copy()
+    return LocalFactors(circuit.dims, *images(circuit, np.array([cb_input]))).states[0]
 
 
 def generate_basis(circuit: Circuit) -> ProductBasis:
@@ -309,4 +290,4 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
             f"a basis of {total} states exceeds the limit of {MAX_BASIS_STATES}"
         )
     inputs = np.indices(circuit.dims).reshape(circuit.n_parties, total).T
-    return ProductBasis(images(circuit, inputs))
+    return ProductBasis(circuit.dims, *images(circuit, inputs))

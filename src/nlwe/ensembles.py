@@ -99,12 +99,12 @@ def local_factor_census(basis: ProductBasis, party: int) -> dict[str, int]:
 
     For a basis generated by a canonical circuit the census never exceeds
     2*d descriptors: the d computational and d dual-basis kets.  The
-    members of each distinct factor are counted from the basis's table;
+    members of each distinct factor are counted from the basis's ids;
     dense factors that differ only past the descriptor's rounding are
     counted together.
     """
-    kept = basis.table.factors[party]
-    counts = np.bincount(basis.table.ids[:, party], minlength=len(kept))
+    kept = basis.factors[party]
+    counts = np.bincount(basis.ids[:, party], minlength=len(kept))
     census = {}
     for factor, count in zip(kept, counts.tolist()):
         key = factor_descriptor(factor)

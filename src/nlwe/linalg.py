@@ -16,10 +16,10 @@ Every rank, span and orthogonal complement is a view of one SVD of the
 unit-normalised inputs (``_svd``).
 
 The arrays on whole spaces first pass their largest shape to
-``require_dense_budget``: the complement mixture and the completed basis of
-``boundent``, and the dense references that the tests compare the factored
-``verify`` checks against (a basis's Gram matrix, gate and circuit
-unitaries).
+``require_dense_budget``: the complement mixture and the completed basis's
+Gram matrix in ``boundent``, and the dense references that the tests
+compare the factored ``verify`` checks against (a basis's Gram matrix and
+the gate unitaries).
 """
 
 from __future__ import annotations

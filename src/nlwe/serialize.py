@@ -8,17 +8,18 @@ files.  Integer fields (dims, indices, targets, control values, rows and
 cols) must be JSON integers and control keys decimal strings; anything
 else is malformed, not truncated.
 
-A basis or UPB file lists every member's factors, but a set is held as one
-``states.LocalFactors`` table with a few distinct factors per party (at
-most 2d for a control-DFT basis), so the per-factor work is done once per
-distinct factor.  ``basis_text`` and ``upb_text`` write a file from the
-table: each distinct factor's text is encoded once per party and each
-member's text is one join of those texts, byte for byte the text that
-``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj`` (which share one
-factor object per distinct factor).  One loader (``_table_from_obj``)
-fills the table for both file kinds in one pass: it checks each factor
-object's shape, kind and integer index where it reads it, and each
-distinct factor's range, dimension, finiteness and norm once.
+A basis or UPB file lists every member's factors, but a set is one
+``states.LocalFactors`` table (a ``ProductBasis`` or ``Upb``) with a few
+distinct factors per party (at most 2d for a control-DFT basis), so the
+per-factor work is done once per distinct factor.  ``basis_text`` and
+``upb_text`` write a file from the table: each distinct factor's text is
+encoded once per party and each member's text is one join of those
+texts, byte for byte the text that ``dumps`` gives for ``basis_to_obj``
+and ``upb_to_obj`` (which share one factor object per distinct factor).
+One loader (``_table_from_obj``) reads the factors and ids for both file
+kinds in one pass: it checks each factor object's shape, kind and integer
+index where it reads it, and each distinct factor's range, dimension,
+finiteness and norm once.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ def factor_to_obj(factor) -> dict:
 _SYMBOLIC = {"cb": CB, "dft": DFT}
 
 
-def _table_from_obj(objs, dims) -> LocalFactors:
-    """The table of a file's ``states`` list.
+def _table_from_obj(objs, dims) -> tuple[list, np.ndarray]:
+    """The ``factors`` and ``ids`` of the set in a file's ``states`` list,
+    for the caller to make a ``ProductBasis`` or ``Upb`` on ``dims``.
 
     Each state's ``factors`` must be a list with one factor object per
     party.  A factor object is interned under a key read from it inline: a
@@ -234,7 +236,7 @@ def _table_from_obj(objs, dims) -> LocalFactors:
             ids[at] = seen[p][key] = len(distinct[p])
             distinct[p].append(factor)
         new.clear()
-    return LocalFactors(dims, distinct, np.array(ids, dtype=np.intp).reshape(len(objs), n))
+    return distinct, np.array(ids, dtype=np.intp).reshape(len(objs), n)
 
 
 def _table_to_obj(table: LocalFactors) -> list:
@@ -252,7 +254,7 @@ def _table_to_obj(table: LocalFactors) -> list:
                 obj = shared[key] = factor_to_obj(f)
             objs.append(obj)
         columns.append([objs[k] for k in col])
-    rows = zip(*columns) if columns else [()] * len(table)
+    rows = zip(*columns) if columns else [()] * len(table.ids)
     return [{"factors": list(row)} for row in rows]
 
 
@@ -261,7 +263,8 @@ def state_to_obj(state: ProductState) -> dict:
 
 
 def state_from_obj(obj, dims) -> ProductState:
-    return _table_from_obj([obj], tuple(dims)).states()[0]
+    dims = tuple(dims)
+    return LocalFactors(dims, *_table_from_obj([obj], dims)).states[0]
 
 
 def circuit_to_obj(circuit: Circuit) -> dict:
@@ -294,7 +297,7 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
     states (see ``_table_to_obj``), so it must not be mutated."""
     obj = {
         "dims": list(basis.dims),
-        "states": _table_to_obj(basis.table),
+        "states": _table_to_obj(basis),
     }
     if circuit is not None:
         obj["circuit"] = circuit_to_obj(circuit)
@@ -304,7 +307,7 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
 def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
     try:
         dims = _dims(obj)
-        table = _table_from_obj(obj["states"], dims)
+        factors, ids = _table_from_obj(obj["states"], dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad basis object: {exc}") from exc
     circuit = circuit_from_obj(obj["circuit"]) if "circuit" in obj else None
@@ -312,7 +315,7 @@ def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
         raise DimensionMismatchError(
             f"embedded circuit dims {circuit.dims} differ from the basis dims {dims}"
         )
-    return ProductBasis(table), circuit
+    return ProductBasis(dims, factors, ids), circuit
 
 
 def upb_to_obj(upb: Upb) -> dict:
@@ -320,7 +323,7 @@ def upb_to_obj(upb: Upb) -> dict:
     objects and must not be mutated."""
     return {
         "dims": list(upb.dims),
-        "states": _table_to_obj(upb.table),
+        "states": _table_to_obj(upb),
         "stopper_index": upb.stopper_index,
     }
 
@@ -341,7 +344,7 @@ def _set_text(table: LocalFactors, tail: dict) -> str:
         sep = ",\n" + "  " * 4
         members = [head + sep.join(row) + end for row in zip(*columns)]
     else:
-        members = [_container_text(['"factors": []'], 2, "{}")] * len(table)
+        members = [_container_text(['"factors": []'], 2, "{}")] * len(table.ids)
     items = ['"dims": ' + _encode(list(table.dims), 1, set()),
              '"states": ' + _container_text(members, 1)]
     items += [_key_text(k) + ": " + _encode(v, 1, set()) for k, v in tail.items()]
@@ -350,22 +353,22 @@ def _set_text(table: LocalFactors, tail: dict) -> str:
 
 def basis_text(basis: ProductBasis, circuit: Circuit | None = None) -> str:
     """The basis file's text: ``dumps(basis_to_obj(basis, circuit))``."""
-    return _set_text(basis.table, {} if circuit is None else {"circuit": circuit_to_obj(circuit)})
+    return _set_text(basis, {} if circuit is None else {"circuit": circuit_to_obj(circuit)})
 
 
 def upb_text(upb: Upb) -> str:
     """The UPB file's text: ``dumps(upb_to_obj(upb))``."""
-    return _set_text(upb.table, {"stopper_index": upb.stopper_index})
+    return _set_text(upb, {"stopper_index": upb.stopper_index})
 
 
 def upb_from_obj(obj) -> Upb:
     try:
         dims = _dims(obj)
-        table = _table_from_obj(obj["states"], dims)
+        factors, ids = _table_from_obj(obj["states"], dims)
         stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad UPB object: {exc}") from exc
-    return Upb(table, stopper)
+    return Upb(dims, factors, ids, stopper)
 
 
 def density_to_obj(matrix: np.ndarray, dims) -> dict:

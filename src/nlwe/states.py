@@ -9,13 +9,14 @@ A product set is one ``LocalFactors`` table: per party, the distinct local
 factors in first-seen order, and an m x n integer array ``ids`` whose row i
 names member i's factor at each party.  A control-DFT basis has at most 2d
 distinct kets per party however many members it has, so circuits, files
-and checks all work on the table.  A ``ProductSet`` (``ProductBasis``,
-``upb.Upb``) holds one table; its ``states`` tuple of ``ProductState``
-objects is a view built on first use, for callers that walk members.
-Norms, the Gram matrix and the census come from the table's distinct
-factors, with no vector or matrix of the full dimension D = prod(d_j).  A
-product overlap is the product of the local overlaps, and it vanishes
-exactly when one local overlap does (Bennett et al., PRL 82, 5385 (1999)).
+and checks all work on the table.  ``ProductBasis`` and ``upb.Upb``
+subclass it, so every set is read directly; its ``states`` tuple of
+``ProductState`` objects is a view built on first use, for callers that
+walk members.  Norms, the Gram matrix and the census come from the
+table's distinct factors, with no vector or matrix of the full dimension
+D = prod(d_j).  A product overlap is the product of the local overlaps,
+and it vanishes exactly when one local overlap does (Bennett et al., PRL
+82, 5385 (1999)).
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ class ProductState:
         return tuple((type(f).__name__, f.index) for f in self.factors)
 
 
+@dataclass(frozen=True, eq=False)
 class LocalFactors:
     """A product set of m members on n parties, as interned local factors.
 
@@ -166,20 +168,22 @@ class LocalFactors:
     are one factor) and ``ids[i, p]`` is the index there of member i's
     factor.  The factors are taken as checked (``check_factor``): the
     builders (``from_states``, ``circuit.images`` and the file loader)
-    check each distinct factor once, or make only valid ones.  ``vectors[p]`` stacks the
-    distinct factors' renderings in id order and ``overlaps[p][a, b]`` is
-    <f_a|f_b>, written as an exact 0 when f_a and f_b are distinct kets of
-    one basis (computational or DFT); both are built on first use.
+    check each distinct factor once, or make only valid ones, and pass
+    ``dims`` as a tuple of ints.  ``states`` is the members as
+    ``ProductState`` objects, ``vectors[p]`` stacks the distinct factors'
+    renderings in id order and ``overlaps[p][a, b]`` is <f_a|f_b>, written
+    as an exact 0 when f_a and f_b are distinct kets of one basis
+    (computational or DFT); all three are built on first use.
     """
 
-    def __init__(self, dims, factors, ids):
-        self.dims = tuple(int(d) for d in dims)
-        self.factors = [list(kept) for kept in factors]
-        self.ids = ids
+    dims: tuple
+    factors: list
+    ids: np.ndarray
 
     @classmethod
-    def from_states(cls, states, dims) -> LocalFactors:
-        """The table of ``ProductState`` members in listed order."""
+    def from_states(cls, states, dims, **fields):
+        """The set of ``ProductState`` members in listed order; ``fields``
+        are a subclass's other fields."""
         dims = tuple(int(d) for d in dims)
         seen = [{} for _ in dims]
         distinct = [[] for _ in dims]
@@ -194,13 +198,14 @@ class LocalFactors:
                     kept.append(f)
                 row.append(k)
             rows.append(row)
-        return cls(dims, distinct, np.array(rows, dtype=np.intp).reshape(len(rows), len(dims)))
+        ids = np.array(rows, dtype=np.intp).reshape(len(rows), len(dims))
+        return cls(dims, distinct, ids, **fields)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
+    @cached_property
     def states(self) -> tuple:
-        """The members as ``ProductState`` objects, sharing the factors."""
         return tuple(
             ProductState(tuple(kept[k] for kept, k in zip(self.factors, row)), self.dims)
             for row in self.ids.tolist()
@@ -301,35 +306,7 @@ def _overlap_table(factors, vectors: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class ProductSet:
-    """Ordered set of product states on shared dims, held as one
-    ``LocalFactors`` table; ``states`` is a view built on first use."""
-
-    table: LocalFactors
-
-    @classmethod
-    def from_states(cls, states, dims, **fields):
-        """The set of ``ProductState`` members in listed order; ``fields``
-        are a subclass's other fields."""
-        states = tuple(states)
-        product_set = cls(LocalFactors.from_states(states, dims), **fields)
-        product_set.__dict__["states"] = states
-        return product_set
-
-    @property
-    def dims(self) -> tuple:
-        return self.table.dims
-
-    @cached_property
-    def states(self) -> tuple:
-        return self.table.states()
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
-class ProductBasis(ProductSet):
+class ProductBasis(LocalFactors):
     """A product set checked as a basis: its norms and Gram matrix."""
 
     def gram(self) -> np.ndarray:
@@ -343,9 +320,9 @@ class ProductBasis(ProductSet):
         """Largest entry of |G - I|, G the states' Gram matrix, computed from
         the local overlap tables (``LocalFactors.gram_extremes``) with no
         m x m or m x D array."""
-        return max(self.table.gram_extremes())
+        return max(self.gram_extremes())
 
     def norm_deviation(self) -> float:
         """Largest |<psi|psi>^(1/2) - 1| over the states, from the norms of
         their distinct local factors."""
-        return float(np.max(np.abs(self.table.norms() - 1.0), initial=0.0))
+        return float(np.max(np.abs(self.norms() - 1.0), initial=0.0))

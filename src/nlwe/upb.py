@@ -8,9 +8,9 @@ kill any new orthogonal product state.  The search enumerates assignments
 depth-first (members in listed order, parties ascending) and prunes a branch
 as soon as one party's assigned factors span its whole local space.
 
-The search runs on the set's ``states.LocalFactors`` table (the same
-symbolic ket, or dense factors with bit-identical entries, share one id
-at a party), so a party's assigned factors are an integer mask over a
+The search runs on the set itself, a ``states.LocalFactors`` table (the
+same symbolic ket, or dense factors with bit-identical entries, share one
+id at a party), so a party's assigned factors are an integer mask over a
 handful of ids.  The span rank of each (party, mask) pair is computed once
 per search, by ``linalg.span_dimension`` (singular values above tol of the
 masked factors), and looked up at every later node.
@@ -41,7 +41,7 @@ from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport
-from .states import DFT, Dense, LocalFactors, ProductSet, ProductState
+from .states import DFT, Dense, LocalFactors, ProductState
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -52,11 +52,11 @@ def minimal_size(dims) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class Upb(ProductSet):
+class Upb(LocalFactors):
     """Stopper-completed orthogonal product set meeting the minimal UPB size.
 
-    Construction enforces mutual orthogonality (checked from the table's
-    local overlaps), the size bound sum(d_j - 1) + 1 <= m < D, and a valid
+    Construction enforces mutual orthogonality (checked from the local
+    overlaps), the size bound sum(d_j - 1) + 1 <= m < D, and a valid
     stopper position.  Whether the set is actually unextendible is a
     property to verify with ``is_unextendible``, not an invariant of the
     container.
@@ -78,7 +78,7 @@ class Upb(ProductSet):
             raise ContractViolationError(
                 f"a UPB must be incomplete: {m} states in dimension {total}"
             )
-        off = self.table.gram_extremes()[1]
+        off = self.gram_extremes()[1]
         if not off <= UPB_ORTHOGONALITY_TOL:
             raise ContractViolationError(
                 f"states are not mutually orthogonal (max overlap {off:.3e})"
@@ -144,7 +144,7 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
                 cb_input[p] = v
             cb_input[t] = k
             inputs.append(cb_input)
-    members = list(images(circuit, np.array(inputs)).states())
+    members = list(LocalFactors(dims, *images(circuit, np.array(inputs))).states)
     members.append(ProductState(tuple(DFT(excluded[p]) for p in range(n)), dims))
     return Upb.from_states(members, dims, stopper_index=len(members) - 1)
 
@@ -297,8 +297,8 @@ def _witness_state(members: LocalFactors, dims, witness, tol) -> ProductState:
 def extendibility_search(members, dims, tol=None) -> ExtendibilityResult:
     """Decide whether a set of orthogonal product states is extendible.
 
-    ``members`` is the set's ``LocalFactors`` table, or its ``ProductState``
-    members in order, which are interned first.
+    ``members`` is a ``LocalFactors`` set (a ``Upb`` among them), or its
+    ``ProductState`` members in order, which are interned first.
 
     When extendible, the result carries the lexicographically least
     successful assignment and an orthogonal product witness built from the
@@ -337,12 +337,12 @@ def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
 
     The report passes iff no member->party assignment leaves every party's
     assigned span below its local dimension.  When a witness assignment
-    exists it is attached, together with an orthogonal product state, under
-    ``extras``.
+    exists it is attached, together with an orthogonal product state, in
+    the ``ExtendibilityResult`` under ``extras["result"]``.
     """
     if len(upb) >= upb.total_dimension():
         raise PreconditionError("set already spans the full space; nothing to extend")
-    res = extendibility_search(upb.table, upb.dims, tol=tol)
+    res = extendibility_search(upb, upb.dims, tol=tol)
     report = VerificationReport()
     if res.extendible:
         detail = (
@@ -361,7 +361,4 @@ def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
         detail=detail,
     )
     report.extras["result"] = res
-    if res.witness_state is not None:
-        report.extras["witness_state"] = res.witness_state
-        report.extras["witness_assignment"] = res.witness_assignment
     return report

@@ -6,7 +6,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from nlwe.circuit import Circuit, ControlDftGate
+from nlwe.circuit import Circuit, ControlDftGate, gate_unitary
 from nlwe.config import tolerance
 from nlwe.linalg import span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
@@ -30,6 +30,22 @@ def kron_chain(*vecs):
     for v in vecs[1:]:
         out = np.kron(out, v)
     return out
+
+
+def circuit_unitary(circuit):
+    """Dense reference: the product of the gate unitaries in listed order
+    (the last gate acts first)."""
+    u = np.eye(circuit.total_dimension(), dtype=complex)
+    for gate in circuit.gates:
+        u = u @ gate_unitary(gate, circuit.dims)
+    return u
+
+
+def apply_dense(circuit, cb_input):
+    """Dense reference: the circuit unitary applied to the computational
+    input vector.  Exclusivity is not required here."""
+    flat = np.ravel_multi_index(tuple(cb_input), circuit.dims)
+    return circuit_unitary(circuit)[:, flat].copy()
 
 
 def local_factors(states, dims):

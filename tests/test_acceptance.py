@@ -21,14 +21,7 @@ from nlwe.boundent import (
     separability_completion,
     state_rank,
 )
-from nlwe.circuit import (
-    Circuit,
-    apply_dense,
-    check_commutation,
-    circuit_unitary,
-    generate_basis,
-    validate_exclusivity,
-)
+from nlwe.circuit import Circuit, check_commutation, generate_basis, validate_exclusivity
 from nlwe.cli import main
 from nlwe.ensembles import (
     canonical_circuit,
@@ -49,7 +42,7 @@ from nlwe.serialize import basis_from_obj, loads
 from nlwe.states import CB, DFT
 from nlwe.upb import extendibility_search, extract_upb, is_unextendible, minimal_size
 
-from helpers import ket, kron_chain
+from helpers import apply_dense, circuit_unitary, ket, kron_chain
 
 SHIFT_KEYS = {
     (("CB", 0), ("CB", 0), ("CB", 0)),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlwe import boundent
 from nlwe.boundent import (
     DensityMatrix,
     be_state,
@@ -261,7 +262,7 @@ class TestSeparabilityCompletion:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_completion_budget_by_shape(self, d, monkeypatch):
-        # n = d+1: the rest party's overlap table is up to D x D with
+        # n = d+1: the completed basis's Gram matrix is D x D with
         # D = d^(d+1), 16 MiB at d = 4 and 3.6 GiB at d = 5.  The budget is
         # checked before the first rest vector is built; stop there.
         class Reached(Exception):
@@ -276,8 +277,31 @@ class TestSeparabilityCompletion:
             with pytest.raises(Reached):
                 separability_completion(u, 0)
         else:
-            with pytest.raises(TooLargeError, match="the rest party's local overlap table"):
+            with pytest.raises(TooLargeError, match="the completed basis's Gram matrix"):
                 separability_completion(u, 0)
+
+    @pytest.mark.parametrize("preset, cuts", [
+        ("shift", range(3)), ("canonical:n=4,d=3", range(4)), ("canonical:n=5,d=4", [2]),
+    ])
+    def test_certificate_gram_matches_the_dense_gram(self, preset, cuts, monkeypatch):
+        # the Gram matrix the certificate is taken from, entry by entry
+        # against the Gram matrix of the returned states rendered densely
+        seen = []
+        cut_gram = boundent._cut_gram
+
+        def kept(d, kets, rests):
+            g = cut_gram(d, kets, rests)
+            seen.append(g.copy())
+            return g
+
+        monkeypatch.setattr(boundent, "_cut_gram", kept)
+        u = extract_upb(preset_circuit(preset))
+        for s in cuts:
+            states = separability_completion(u, s)
+            dense = gram([st.dense() for st in states])
+            assert seen[-1].shape == dense.shape
+            assert np.max(np.abs(seen[-1] - dense)) <= 1e-15
+        assert len(seen) == len(cuts)
 
     def test_gram_certificate_catches_a_wrong_complement(self, monkeypatch):
         # the right number of states, but every added complement vector

@@ -4,10 +4,8 @@ import pytest
 from nlwe.circuit import (
     Circuit,
     ControlDftGate,
-    apply_dense,
     apply_symbolic,
     check_commutation,
-    circuit_unitary,
     gate_unitary,
     generate_basis,
     validate_exclusivity,
@@ -16,7 +14,7 @@ from nlwe.ensembles import four_qutrit_circuit, shift_circuit
 from nlwe.errors import ContractViolationError
 from nlwe.states import CB, DFT
 
-from helpers import dft_col, ket, kron_chain
+from helpers import apply_dense, circuit_unitary, dft_col, ket, kron_chain
 
 SQ2 = 1 / np.sqrt(2)
 

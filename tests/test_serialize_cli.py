@@ -163,12 +163,12 @@ class TestSetWriter:
     @given(product_tables(), st.data())
     def test_matches_the_reference_and_round_trips(self, table, data):
         circuit = data.draw(st.none() | circuits_on(table.dims))
-        basis = ProductBasis(table)
+        basis = ProductBasis(table.dims, table.factors, table.ids)
         text = serialize.basis_text(basis, circuit)
         assert text == reference_dumps(serialize.basis_to_obj(basis, circuit))
         loaded, loaded_circuit = serialize.basis_from_obj(serialize.loads(text))
-        assert np.array_equal(loaded.table.ids, table.ids)
-        assert _keys(loaded.table) == _keys(table)
+        assert np.array_equal(loaded.ids, table.ids)
+        assert _keys(loaded) == _keys(table)
         if circuit is None:
             assert loaded_circuit is None
         else:
@@ -177,14 +177,15 @@ class TestSetWriter:
         # a UPB's file fields, without the Upb construction checks, which
         # random members do not pass
         stopper = data.draw(st.integers(0, len(table) - 1))
-        upb = SimpleNamespace(dims=table.dims, table=table, stopper_index=stopper)
+        upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
+                              stopper_index=stopper)
         text = serialize.upb_text(upb)
         assert text == reference_dumps(serialize.upb_to_obj(upb))
         obj = serialize.loads(text)
         assert obj["stopper_index"] == stopper
         loaded, _ = serialize.basis_from_obj(obj)
-        assert np.array_equal(loaded.table.ids, table.ids)
-        assert _keys(loaded.table) == _keys(table)
+        assert np.array_equal(loaded.ids, table.ids)
+        assert _keys(loaded) == _keys(table)
 
     def test_signed_zero_keeps_its_own_id(self):
         # two dense factors that differ only in the sign of a zero are two
@@ -194,21 +195,21 @@ class TestSetWriter:
         states = [ProductState((f, CB(k)), (2, 2)) for f in (plus, minus) for k in (0, 1)]
         table = LocalFactors.from_states(states, (2, 2))
         assert len(table.factors[0]) == 2
-        upb = SimpleNamespace(dims=table.dims, table=table, stopper_index=0)
+        upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
+                              stopper_index=0)
         text = serialize.upb_text(upb)
         assert "-0.0" in text
         assert text == reference_dumps(serialize.upb_to_obj(upb))
         loaded, _ = serialize.basis_from_obj(serialize.loads(text))
-        assert np.array_equal(loaded.table.ids, table.ids)
-        assert _keys(loaded.table) == _keys(table)
+        assert np.array_equal(loaded.ids, table.ids)
+        assert _keys(loaded) == _keys(table)
 
     @pytest.mark.parametrize("dims, m", [((), 1), ((2, 3), 0)])
     def test_no_parties_or_no_members(self, dims, m):
-        basis = ProductBasis(LocalFactors(dims, [[] for _ in dims],
-                                          np.zeros((m, len(dims)), dtype=np.intp)))
+        basis = ProductBasis(dims, [[] for _ in dims], np.zeros((m, len(dims)), dtype=np.intp))
         text = serialize.basis_text(basis)
         assert text == reference_dumps(serialize.basis_to_obj(basis))
-        assert serialize.basis_from_obj(serialize.loads(text))[0].table.ids.shape == (m, len(dims))
+        assert serialize.basis_from_obj(serialize.loads(text))[0].ids.shape == (m, len(dims))
 
 
 # sha256 of the files written by the reference encoder

@@ -1,8 +1,9 @@
 """Product sets as one ``LocalFactors`` table.
 
-A table interned from ``ProductState`` members and one filled by the file
-loader must describe the same set; ``generate_basis``, ``apply_symbolic``
-and a plain per-input firing rule must give the same images.
+A set interned from ``ProductState`` members (``from_states``) and one made
+by the file loader or by ``generate_basis`` must be the same set, of the
+same class; ``generate_basis``, ``apply_symbolic`` and a plain per-input
+firing rule must give the same images.
 """
 
 import itertools
@@ -10,14 +11,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwe import serialize
 from nlwe.circuit import apply_symbolic, generate_basis, is_exclusive
-from nlwe.ensembles import local_factor_census, preset_circuit
+from nlwe.ensembles import local_factor_census, preset_circuit, shift_circuit
 from nlwe.errors import ContractViolationError
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_descriptor
+from nlwe.upb import Upb, extract_upb
 
 from helpers import control_dft_circuits
 
@@ -51,14 +53,32 @@ def mixed_sets(draw):
     return states, dims
 
 
-def loaded_basis(states, dims):
-    """The basis read back from a file object written member by member,
-    with one factor object per occurrence."""
+def file_obj(states, dims, **fields):
+    """A basis or UPB file object written member by member, with one
+    factor object per occurrence, as read back from its text."""
     obj = {"dims": list(dims), "states": [
         {"factors": [serialize.factor_to_obj(f) for f in s.factors]} for s in states
-    ]}
-    basis, _ = serialize.basis_from_obj(serialize.loads(serialize.dumps(obj)))
-    return basis
+    ], **fields}
+    return serialize.loads(serialize.dumps(obj))
+
+
+def loaded_basis(states, dims):
+    return serialize.basis_from_obj(file_obj(states, dims))[0]
+
+
+def assert_same_set(a, b):
+    """``a`` and ``b`` are one set: the same class, dims, factors, ids and
+    members."""
+    assert type(a) is type(b)
+    assert a.dims == b.dims
+    assert np.array_equal(a.ids, b.ids)
+    assert a.factors == b.factors
+    assert a.states == b.states
+
+
+# the stopper-completed extractions, whose members pass the Upb gates
+EXTRACTIONS = [extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0}),
+               extract_upb(preset_circuit("canonical:n=4,d=3"))]
 
 
 def reference_census(states, party):
@@ -68,13 +88,29 @@ def reference_census(states, party):
 class TestLoaderAgreesWithStates:
     @settings(max_examples=150, deadline=None)
     @given(mixed_sets())
+    @example(case=(EXTRACTIONS[0].states, EXTRACTIONS[0].dims))
+    @example(case=(EXTRACTIONS[1].states, EXTRACTIONS[1].dims))
     def test_tables_agree(self, case):
         states, dims = case
         built = ProductBasis.from_states(states, dims)
         loaded = loaded_basis(states, dims)
-        assert np.array_equal(loaded.table.ids, built.table.ids)
-        assert loaded.table.factors == built.table.factors
-        assert loaded.states == built.states == tuple(states)
+        assert_same_set(loaded, built)
+        assert built.states == tuple(states)
+        interned = LocalFactors.from_states(states, dims)
+        assert type(interned) is LocalFactors
+        assert np.array_equal(interned.ids, built.ids)
+        assert interned.factors == built.factors
+        assert interned.states == built.states
+        # a UPB, where the members pass its gates with the last as stopper
+        try:
+            upb = Upb.from_states(states, dims, stopper_index=len(states) - 1)
+        except ContractViolationError:
+            pass
+        else:
+            loaded_upb = serialize.upb_from_obj(
+                file_obj(states, dims, stopper_index=len(states) - 1))
+            assert_same_set(loaded_upb, upb)
+            assert loaded_upb.stopper_index == upb.stopper_index
         assert loaded.gram_deviation() == built.gram_deviation()
         assert loaded.norm_deviation() == built.norm_deviation()
         for p in range(len(dims)):
@@ -86,7 +122,7 @@ class TestLoaderAgreesWithStates:
         states = [ProductState((Dense(v * phase), CB(k)), (2, 2))
                   for phase, k in ((1.0, 0), (np.exp(1e-11j), 1))]
         basis = loaded_basis(states, (2, 2))
-        assert len(basis.table.factors[0]) == 2
+        assert len(basis.factors[0]) == 2
         assert list(local_factor_census(basis, 0).values()) == [2]
 
     def test_entry_rounding_to_minus_zero_shares_the_descriptor(self):
@@ -124,9 +160,7 @@ class TestOneFiringRule:
             expected = fired_factors(circuit, cb_input)
             assert state.factors == expected
             assert apply_symbolic(circuit, cb_input) == state
-        interned = LocalFactors.from_states(basis.states, circuit.dims)
-        assert np.array_equal(interned.ids, basis.table.ids)
-        assert interned.factors == basis.table.factors
+        assert_same_set(ProductBasis.from_states(basis.states, circuit.dims), basis)
 
     @settings(max_examples=150, deadline=None)
     @given(control_dft_circuits())

@@ -1,6 +1,9 @@
 """The benchmark's tracer wraps library functions by name; every name it
 lists must still resolve on the imported ``nlwe``, or the traced benchmark
-run fails at install time."""
+run fails at install time.  A traced ``Class.method`` is wrapped only where
+its class defines it (``vars(owner)``), so it must be defined in that
+class's own body: a method that merely resolves through inheritance would
+be left unwrapped, and its layer would silently read 0."""
 
 import importlib
 import importlib.util
@@ -24,3 +27,10 @@ def test_traced_name_resolves(module, path):
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("module,path", [(m, p) for m, p in traced_names() if "." in p])
+def test_traced_method_is_defined_in_its_class(module, path):
+    class_name, attr = path.split(".")
+    owner = getattr(importlib.import_module(module), class_name)
+    assert attr in vars(owner), f"{path} is inherited, not defined in {class_name}"
