@@ -23,6 +23,7 @@ rho that its positivity gate computed, ``state_rank`` reads it, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if mat.shape != (total, total):
             raise ContractViolationError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
@@ -83,7 +84,7 @@ class DensityMatrix:
             )
 
     def total_dimension(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def be_state(upb: Upb, tol=None) -> DensityMatrix:
@@ -94,7 +95,7 @@ def be_state(upb: Upb, tol=None) -> DensityMatrix:
     """
     total = upb.total_dimension()
     require_dense_budget(total, total, "the complement mixture")
-    res = extendibility_search(upb, upb.dims, tol=tol)
+    res = extendibility_search(upb, tol=tol)
     if res.extendible:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"

@@ -10,6 +10,7 @@ map computational product states to product states.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ class Circuit:
         return len(self.dims)
 
     def total_dimension(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def _conflicting_party(g1: ControlDftGate, g2: ControlDftGate) -> int | None:
@@ -123,7 +124,7 @@ def gate_unitary(gate: ControlDftGate, dims) -> np.ndarray:
     """Full-space unitary of one gate: DFT on the target inside the control
     subspace, identity outside."""
     dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     require_dense_budget(total, total, "the gate unitary")
     controls = gate.control_map
     proj_factors = []
@@ -187,7 +188,7 @@ def check_commutation(circuit: Circuit, tol: float = COMMUTATION_TOL) -> Verific
         gi, gj = circuit.gates[i], circuit.gates[j]
         # the parties where a control projector meets the other's F - I
         clash = ({gj.target} & gi.control_map.keys()) | ({gi.target} & gj.control_map.keys())
-        block = int(np.prod([circuit.dims[p] for p in clash]))
+        block = math.prod(circuit.dims[p] for p in clash)
         require_dense_budget(block, block, "the commutator block")
         shared = 1.0
         gh, hg = [], []

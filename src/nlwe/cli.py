@@ -84,6 +84,8 @@ def cmd_verify(args) -> int:
     basis, circuit = serialize.basis_from_obj(serialize.load_file(args.infile))
     if args.checks:
         names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
+        if not names:
+            raise PreconditionError(f"--checks {args.checks!r} names no check")
         for name in names:
             if name not in VERIFY_CHECKS:
                 raise PreconditionError(

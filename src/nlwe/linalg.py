@@ -24,6 +24,8 @@ the gate unitaries).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import tolerance
@@ -203,7 +205,7 @@ def partial_transpose(rho: np.ndarray, dims, subset) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if rho.shape != (total, total):
         raise DimensionMismatchError(
             f"matrix shape {rho.shape} does not match dims {dims} (D={total})"

@@ -31,9 +31,6 @@ class Check:
 @dataclass
 class VerificationReport:
     checks: list[Check] = field(default_factory=list)
-    # Structured results (witness states, counts, ...) for programmatic use;
-    # not part of the serialized report schema.
-    extras: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -44,7 +41,6 @@ class VerificationReport:
 
     def merge(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
-        self.extras.update(other.extras)
 
     def to_obj(self) -> dict:
         return {

@@ -36,7 +36,6 @@ from .states import (
     Dense,
     LocalFactors,
     ProductBasis,
-    ProductState,
     check_factor,
     factor_key,
 )
@@ -256,15 +255,6 @@ def _table_to_obj(table: LocalFactors) -> list:
         columns.append([objs[k] for k in col])
     rows = zip(*columns) if columns else [()] * len(table.ids)
     return [{"factors": list(row)} for row in rows]
-
-
-def state_to_obj(state: ProductState) -> dict:
-    return _table_to_obj(LocalFactors.from_states([state], state.dims))[0]
-
-
-def state_from_obj(obj, dims) -> ProductState:
-    dims = tuple(dims)
-    return LocalFactors(dims, *_table_from_obj([obj], dims)).states[0]
 
 
 def circuit_to_obj(circuit: Circuit) -> dict:

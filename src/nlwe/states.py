@@ -21,6 +21,7 @@ and it vanishes exactly when one local overlap does (Bennett et al., PRL
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -313,7 +314,7 @@ class ProductBasis(LocalFactors):
         """Dense Gram matrix of the rendered states: the reference that
         ``gram_deviation`` is tested against."""
         m = len(self)
-        require_dense_budget(m, max(m, int(np.prod(self.dims))), "the Gram matrix")
+        require_dense_budget(m, max(m, math.prod(self.dims)), "the Gram matrix")
         return gram([s.dense() for s in self.states])
 
     def gram_deviation(self) -> float:

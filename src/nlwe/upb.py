@@ -13,7 +13,7 @@ same symbolic ket, or dense factors with bit-identical entries, share one
 id at a party), so a party's assigned factors are an integer mask over a
 handful of ids.  The span rank of each (party, mask) pair is computed once
 per search, by ``linalg.span_dimension`` (singular values above tol of the
-masked factors), and looked up at every later node.
+masked factors in id order), and looked up at every later node.
 
 That rank never falls when factors are added, so whether the remaining
 members can be placed depends only on the masks, not on the next member
@@ -22,8 +22,9 @@ completion failed and skips a subtree that arrives at one, within
 ``linalg.DENSE_BYTES_BUDGET``; with the set full it records no more and
 stays exact, only slower.  While the set has room, the work is bounded
 by the members times the reachable mask tuples, not by n^m.  The first
-successful assignment is the lexicographically least; its orthogonal
-product witness is checked against every member before it is reported.
+successful assignment is the lexicographically least.  Its product
+witness is each party's complement of the masked rows that the search
+ranked, checked against every member before it is reported.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class Upb(LocalFactors):
     def __post_init__(self):
         dims = self.dims
         m = len(self)
-        total = int(np.prod(dims))
+        total = self.total_dimension()
         if not 0 <= self.stopper_index < m:
             raise ContractViolationError(f"stopper index {self.stopper_index} out of range")
         if m < minimal_size(dims):
@@ -85,7 +86,7 @@ class Upb(LocalFactors):
             )
 
     def total_dimension(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def _require_canonical(circuit: Circuit) -> None:
@@ -107,7 +108,9 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
     dual-basis ket DFT(k) with k different from the excluded index of the
     target party (the controls sit at their canonical values), then append
     the stopper state made of the excluded dual-basis ket on every party.
-    The default excluded index is d_j - 1 on each party.
+    The default excluded index is d_j - 1 on each party.  The set is the
+    table of the inputs' images (``circuit.images``) plus the stopper row,
+    which takes the excluded ket's id at each party, or the next id.
 
     The result always meets the minimal UPB size bound and is mutually
     orthogonal.  It is genuinely unextendible when every party is a qubit;
@@ -120,33 +123,35 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
     _require_canonical(circuit)
     dims = circuit.dims
     n = len(dims)
-    excluded = {p: dims[p] - 1 for p in range(n)}
-    if excluded_dft_index:
-        for p, k in dict(excluded_dft_index).items():
-            p = int(p)
-            k = int(k)
-            if not 0 <= p < n:
-                raise ContractViolationError(f"excluded index names unknown party {p}")
-            if not 0 <= k < dims[p]:
-                raise ContractViolationError(
-                    f"excluded index {k} out of range for party dimension {dims[p]}"
-                )
-            excluded[p] = k
+    excluded = [d - 1 for d in dims]
+    for p, k in dict(excluded_dft_index or {}).items():
+        p = int(p)
+        k = int(k)
+        if not 0 <= p < n:
+            raise ContractViolationError(f"excluded index names unknown party {p}")
+        if not 0 <= k < dims[p]:
+            raise ContractViolationError(
+                f"excluded index {k} out of range for party dimension {dims[p]}"
+            )
+        excluded[p] = k
     inputs = []
     for gate in circuit.gates:
         t = gate.target
-        controls = gate.control_map
+        cb_input = [0] * n
+        for p, v in gate.controls:
+            cb_input[p] = v
         for k in range(dims[t]):
-            if k == excluded[t]:
-                continue
-            cb_input = [0] * n
-            for p, v in controls.items():
-                cb_input[p] = v
-            cb_input[t] = k
-            inputs.append(cb_input)
-    members = list(LocalFactors(dims, *images(circuit, np.array(inputs))).states)
-    members.append(ProductState(tuple(DFT(excluded[p]) for p in range(n)), dims))
-    return Upb.from_states(members, dims, stopper_index=len(members) - 1)
+            if k != excluded[t]:
+                cb_input[t] = k
+                inputs.append(list(cb_input))
+    factors, ids = images(circuit, np.array(inputs))
+    stopper = []
+    for kept, k in zip(factors, excluded):
+        if DFT(k) not in kept:
+            kept.append(DFT(k))
+        stopper.append(kept.index(DFT(k)))
+    ids = np.vstack([ids, stopper])
+    return Upb(dims, factors, ids, stopper_index=len(ids) - 1)
 
 
 @dataclass
@@ -179,7 +184,7 @@ def _state_bytes(factors: LocalFactors) -> int:
     return sys.getsizeof((0,) * n) + n * sys.getsizeof((1 << bits) - 1) + 64
 
 
-def _search(factors: LocalFactors, dims, tol):
+def _search(factors: LocalFactors, tol):
     """Depth-first search over member->party assignments.
 
     ``factors`` holds the members' interned local factors.  Each party
@@ -217,6 +222,7 @@ def _search(factors: LocalFactors, dims, tol):
     The search runs on an explicit stack, so its depth (one level per
     member) is not bounded by the interpreter's recursion limit.
     """
+    dims = factors.dims
     ids = factors.ids.tolist()
     m = len(ids)
     n = len(dims)
@@ -267,46 +273,50 @@ def _search(factors: LocalFactors, dims, tol):
         j = 0
 
 
-def _witness_state(members: LocalFactors, dims, witness, tol) -> ProductState:
-    """Orthogonal product witness for a successful assignment, checked on
-    its own: its overlap with every member, the product of the local
-    overlaps, must be at most ``tol``."""
-    local = [
-        [members.vectors[j][k] for j, k in enumerate(row)] for row in members.ids.tolist()
-    ]
+def _witness_state(members: LocalFactors, witness, tol) -> ProductState:
+    """Orthogonal product witness for a successful assignment: at party j,
+    the first vector of the complement of the distinct factors that the
+    assignment gives party j, in id order, i.e. of the rows whose rank the
+    search found below d_j.  It is checked on its own: each member's
+    overlap with it, the product of the local overlaps at the member's
+    ids, must be at most ``tol``."""
+    ids = members.ids
+    parties = np.array(witness, dtype=np.intp)
     factors = []
-    for j, d in enumerate(dims):
-        assigned = [row[j] for row, p in zip(local, witness) if p == j]
-        comp = orthogonal_complement_basis(assigned, d, tol)
+    overlaps = np.ones(len(members))
+    for j, (d, vectors) in enumerate(zip(members.dims, members.vectors)):
+        assigned = sorted(set(ids[parties == j, j].tolist()))
+        comp = orthogonal_complement_basis(vectors[assigned], d, tol)
         if not comp:
             raise ContractViolationError(
                 f"witness assignment {witness} leaves party {j} no orthogonal "
                 f"direction at tolerance {tol:g}"
             )
         factors.append(comp[0])
-    for i, row in enumerate(local):
-        overlap = float(np.prod([abs(np.vdot(w, v)) for w, v in zip(factors, row)]))
+        overlaps *= np.abs(vectors.conj() @ comp[0])[ids[:, j]]
+    for i, overlap in enumerate(overlaps.tolist()):
         if not overlap <= tol:
             raise ContractViolationError(
                 f"witness for assignment {witness} overlaps member {i} "
                 f"by {overlap:.3e}, above tolerance {tol:g}"
             )
-    return ProductState(tuple(Dense(f) for f in factors), dims)
+    return ProductState(tuple(Dense(f) for f in factors), members.dims)
 
 
-def extendibility_search(members, dims, tol=None) -> ExtendibilityResult:
+def extendibility_search(members: LocalFactors, tol=None) -> ExtendibilityResult:
     """Decide whether a set of orthogonal product states is extendible.
 
-    ``members`` is a ``LocalFactors`` set (a ``Upb`` among them), or its
-    ``ProductState`` members in order, which are interned first.
+    ``members`` is a ``LocalFactors`` set (a ``Upb`` among them); the
+    search and the witness read its dims, ids and distinct factors.
 
     When extendible, the result carries the lexicographically least
     successful assignment and an orthogonal product witness built from the
-    per-party complements of the assigned factors; the witness is checked
-    against every member before it is returned.  The tolerance must be below
-    1/sqrt(d) for the largest local dimension d, else ``PreconditionError``.
+    per-party complements of the assigned distinct factors; the witness is
+    checked against every member before it is returned.  The tolerance must
+    be below 1/sqrt(d) for the largest local dimension d, else
+    ``PreconditionError``.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = members.dims
     tol = tolerance(tol)
     d_max = max(dims, default=1)
     if not tol < 1 / math.sqrt(d_max):
@@ -317,9 +327,7 @@ def extendibility_search(members, dims, tol=None) -> ExtendibilityResult:
             f"tolerance {tol:g} must be below 1/sqrt({d_max}) on a "
             f"{d_max}-dimensional party"
         )
-    if not isinstance(members, LocalFactors):
-        members = LocalFactors.from_states(members, dims)
-    witness, covered, nodes = _search(members, dims, tol)
+    witness, covered, nodes = _search(members, tol)
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
@@ -328,7 +336,7 @@ def extendibility_search(members, dims, tol=None) -> ExtendibilityResult:
         witness_assignment=witness,
     )
     if witness is not None:
-        result.witness_state = _witness_state(members, dims, witness, tol)
+        result.witness_state = _witness_state(members, witness, tol)
     return result
 
 
@@ -337,12 +345,10 @@ def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
 
     The report passes iff no member->party assignment leaves every party's
     assigned span below its local dimension.  When a witness assignment
-    exists it is attached, together with an orthogonal product state, in
-    the ``ExtendibilityResult`` under ``extras["result"]``.
+    exists, the detail names it; ``extendibility_search`` returns it with
+    an orthogonal product state.
     """
-    if len(upb) >= upb.total_dimension():
-        raise PreconditionError("set already spans the full space; nothing to extend")
-    res = extendibility_search(upb, upb.dims, tol=tol)
+    res = extendibility_search(upb, tol=tol)
     report = VerificationReport()
     if res.extendible:
         detail = (
@@ -360,5 +366,4 @@ def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
         residual=float(res.assignments_covered),
         detail=detail,
     )
-    report.extras["result"] = res
     return report

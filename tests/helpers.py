@@ -184,7 +184,7 @@ def residual_search(states, dims, tol=1e-9):
     return dfs(0), covered, nodes
 
 
-def member_search(factors, dims, tol=1e-9):
+def member_search(factors, tol=1e-9):
     """Reference decider: the library's member->party search as it was
     before it remembered failed states, on the same ``LocalFactors`` table.
 
@@ -194,6 +194,7 @@ def member_search(factors, dims, tol=1e-9):
     node count is that of ``residual_search``.  Returns (witness assignment
     or None, assignments covered, nodes visited).
     """
+    dims = factors.dims
     ids = factors.ids.tolist()
     m = len(ids)
     n = len(dims)

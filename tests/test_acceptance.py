@@ -39,7 +39,7 @@ from nlwe.lemma import (
 )
 from nlwe.linalg import gram
 from nlwe.serialize import basis_from_obj, loads
-from nlwe.states import CB, DFT
+from nlwe.states import CB, DFT, LocalFactors
 from nlwe.upb import extendibility_search, extract_upb, is_unextendible, minimal_size
 
 from helpers import apply_dense, circuit_unitary, ket, kron_chain
@@ -183,7 +183,7 @@ def test_criterion_6_unextendibility():
     parts = []
     shift_upb = extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
     report = is_unextendible(shift_upb)
-    res = report.extras["result"]
+    res = extendibility_search(shift_upb)
     parts.append(("shift unextendible", report.passed, report.checks[0].detail))
     parts.append(
         ("shift search within 81 assignments", res.assignments_covered <= 81,
@@ -191,7 +191,7 @@ def test_criterion_6_unextendibility():
     )
     for drop in range(4):
         rest = [s for i, s in enumerate(shift_upb.states) if i != drop]
-        sub = extendibility_search(rest, shift_upb.dims)
+        sub = extendibility_search(LocalFactors.from_states(rest, shift_upb.dims))
         witness_ok = False
         if sub.extendible and sub.witness_state is not None:
             w = sub.witness_state.dense()
@@ -206,7 +206,7 @@ def test_criterion_6_unextendibility():
     start = time.perf_counter()
     qutrit_report = is_unextendible(qutrit_upb)
     elapsed = time.perf_counter() - start
-    qutrit_res = qutrit_report.extras["result"]
+    qutrit_res = extendibility_search(qutrit_upb)
     parts.append(
         ("four-qutrit search within 4^9 assignments in < 60 s",
          qutrit_res.assignments_covered <= 4**9 and elapsed < 60.0,

@@ -31,10 +31,9 @@ class TestSerialization:
 
     def test_dense_factor_round_trip_exact(self):
         v = np.array([1 / np.sqrt(3), 1j / np.sqrt(3), -1 / np.sqrt(3)])
-        state = ProductState((Dense(v), CB(1)), (3, 2))
-        obj = serialize.state_to_obj(state)
-        back = serialize.state_from_obj(obj, (3, 2))
-        assert np.array_equal(back.factors[0].entries, v)
+        basis = ProductBasis.from_states([ProductState((Dense(v), CB(1)), (3, 2))], (3, 2))
+        back, _ = serialize.basis_from_obj(serialize.loads(serialize.basis_text(basis)))
+        assert np.array_equal(back.factors[0][0].entries, v)
 
     def test_seventeen_digit_floats(self):
         text = serialize.dumps({"x": 1 / np.sqrt(2)})
@@ -441,6 +440,24 @@ class TestCliFlows:
         assert main(["upb", "check", "--in", str(path)]) == 1
         assert capsys.readouterr().out.startswith("extendible, ")
 
+    def test_upb_check_ranks_each_distinct_factor_once(self, tmp_path, capsys):
+        # f2 repeats at party 0: span_dimension([f1, f2]) is 1 but
+        # span_dimension([f1, f2, f2]) is 2, so a witness built from the
+        # members' vectors, repeats included, finds no direction there
+        eps = 1.3e-9
+        f1 = {"kind": "dense", "entries": [[1.0, 0.0], [0.0, 0.0]]}
+        f2 = {"kind": "dense", "entries": [[np.cos(eps), 0.0], [np.sin(eps), 0.0]]}
+        members = [[f1, {"kind": "cb", "index": 0}], [f2, {"kind": "cb", "index": 1}],
+                   [f2, {"kind": "cb", "index": 2}],
+                   [{"kind": "cb", "index": 1}, {"kind": "cb", "index": 0}]]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps({"dims": [2, 3], "stopper_index": 3,
+                                    "states": [{"factors": row} for row in members]}))
+        assert main(["upb", "check", "--in", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("extendible, ")
+        assert "witness assignment (0, 0, 0, 1)" in out
+
     def test_verify_runs_every_check_on_the_big_basis(self, big_basis, tmp_path):
         # D = 15625: every check works on local factors, no D-sized array
         report = tmp_path / "report.json"
@@ -465,6 +482,19 @@ class TestCliFlows:
         err = capsys.readouterr().err
         assert err.startswith("error:too-large:")
         assert err.count("\n") == 1
+
+    def test_total_dimension_beyond_int64(self, tmp_path, capsys):
+        # 19^20 does not fit in an int64: generate refuses the basis, and
+        # the 361-member extraction is still incomplete
+        assert main(["generate", "--preset", "canonical:n=20,d=19"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:too-large:")
+        assert err.count("\n") == 1
+        path = tmp_path / "upb.json"
+        assert main(["upb", "--preset", "canonical:n=20,d=19", "--out", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        assert len(obj["states"]) == 361
+        assert obj["stopper_index"] == 360
 
     def test_upb_rejects_non_canonical_preset(self, capsys):
         assert main(["upb", "--preset", "fig4"]) == 2
@@ -551,6 +581,16 @@ class TestCliFlows:
         main(["generate", "--preset", "oneway", "--out", str(path)])
         assert main(["verify", "--in", str(path), "--checks", "bogus"]) == 2
         assert "error:precondition-failed:" in capsys.readouterr().err
+
+    def test_verify_empty_check_list(self, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        main(["generate", "--preset", "oneway", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--checks", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:precondition-failed:")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_preset_error_line(self, capsys):
         assert main(["generate", "--preset", "bogus"]) == 2

@@ -176,3 +176,29 @@ class TestOneFiringRule:
         assert [s.factors for s in basis.states] == [fired_factors(circuit, x) for x in inputs]
         for x in inputs:
             assert apply_symbolic(circuit, x).factors == fired_factors(circuit, x)
+
+
+# the presets that the benchmark's upb-decide workload extracts from
+EXTRACT_PRESETS = ["shift", "canonical:n=4,d=3", "canonical:n=4,d=3,4,3,3",
+                   "canonical:n=5,d=4", "canonical:n=6,d=5"]
+
+
+def assert_interned(upb):
+    """An extraction is the set that ``Upb.from_states`` makes of its
+    members, with the same stopper."""
+    interned = Upb.from_states(upb.states, upb.dims, stopper_index=upb.stopper_index)
+    assert_same_set(upb, interned)
+    assert upb.stopper_index == interned.stopper_index == len(upb) - 1
+
+
+class TestExtractionTable:
+    @pytest.mark.parametrize("preset", EXTRACT_PRESETS)
+    @pytest.mark.parametrize("k", [None, 0])
+    def test_extraction_presets(self, preset, k):
+        circuit = preset_circuit(preset)
+        excluded = None if k is None else {p: k for p in range(len(circuit.dims))}
+        assert_interned(extract_upb(circuit, excluded))
+
+    @pytest.mark.parametrize("choice", list(itertools.product(range(3), repeat=4)))
+    def test_every_excluded_choice_on_four_qutrits(self, choice):
+        assert_interned(extract_upb(preset_circuit("canonical:n=4,d=3"), dict(enumerate(choice))))

@@ -14,7 +14,7 @@ from nlwe.ensembles import (
 )
 from nlwe import linalg
 from nlwe.errors import ContractViolationError, PreconditionError
-from nlwe.linalg import dft_matrix, gram
+from nlwe.linalg import dft_matrix, gram, span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState
 from nlwe.upb import (
     Upb,
@@ -41,31 +41,39 @@ def shift_upb():
 
 
 def product_set(left, right):
-    """Members s (x) t, s-major, of two product sets given as (states, dims)."""
-    (a, da), (b, db) = left, right
-    return [ProductState(s.factors + t.factors, da + db) for s in a for t in b], da + db
+    """The set of members s (x) t, s-major, of two product sets."""
+    dims = left.dims + right.dims
+    return LocalFactors.from_states(
+        [ProductState(s.factors + t.factors, dims) for s in left.states for t in right.states],
+        dims,
+    )
+
+
+def without(table, drop):
+    """The set with member ``drop`` left out."""
+    return LocalFactors.from_states(table.states[:drop] + table.states[drop + 1:], table.dims)
 
 
 def shift_times_cb(d):
     """SHIFT (x) {|0>, ..., |d-1>}, members SHIFT-major."""
-    u = shift_upb()
-    basis = [ProductState((CB(k),), (d,)) for k in range(d)]
-    return product_set((u.states, u.dims), (basis, (d,)))
+    basis = LocalFactors.from_states([ProductState((CB(k),), (d,)) for k in range(d)], (d,))
+    return product_set(shift_upb(), basis)
 
 
 def shift_times_shift():
-    u = shift_upb()
-    return product_set((u.states, u.dims), (u.states, u.dims))
+    return product_set(shift_upb(), shift_upb())
 
 
 def shift_cubed():
-    u = shift_upb()
-    return product_set(shift_times_shift(), (u.states, u.dims))
+    return product_set(shift_times_shift(), shift_upb())
 
 
-def reference_counts(states, dims):
-    """(witness, covered, nodes) of the reference member search."""
-    return member_search(LocalFactors.from_states(states, dims), dims)
+def assert_witness(res, table):
+    """The witness is a unit product state orthogonal to every member."""
+    w = res.witness_state.dense()
+    assert abs(np.vdot(w, w) - 1) <= 1e-9
+    for s in table.states:
+        assert abs(np.vdot(s.dense(), w)) <= 1e-9
 
 
 class TestMinimalSize:
@@ -174,7 +182,7 @@ class TestUnextendibility:
     def test_shift_upb_unextendible(self):
         report = is_unextendible(shift_upb())
         assert report.passed
-        res = report.extras["result"]
+        res = extendibility_search(shift_upb())
         assert res.assignments_covered == 81
         assert res.assignment_bound == 81
         assert "pre-pruning bound" in report.checks[0].detail
@@ -191,102 +199,102 @@ class TestUnextendibility:
 
     def test_stopper_removed_is_extendible(self):
         u = shift_upb()
-        res = extendibility_search(u.states[:3], u.dims)
+        rest = LocalFactors.from_states(u.states[:3], u.dims)
+        res = extendibility_search(rest)
         assert res.extendible
-        w = res.witness_state.dense()
-        for s in u.states[:3]:
-            assert abs(np.vdot(s.dense(), w)) <= 1e-9
+        assert_witness(res, rest)
         # the removed stopper itself qualifies as an orthogonal product state
         stopper = u.states[3].dense()
         for s in u.states[:3]:
             assert abs(np.vdot(s.dense(), stopper)) <= 1e-12
 
+    def test_first_rows_of_the_extraction_table(self):
+        # the first three rows of the extraction's own table, whose factor
+        # lists still hold the stopper's DFT(0): the search reads the set's
+        # three qubit parties and ignores the unused id
+        u = shift_upb()
+        rows = LocalFactors(u.dims, u.factors, u.ids[:3])
+        res = extendibility_search(rows)
+        assert res.extendible
+        assert res.assignment_bound == 3**3
+        assert_witness(res, rows)
+        interned = extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+        assert res.witness_assignment == interned.witness_assignment
+
     def test_every_leave_one_out_subset_extendible(self):
         u = shift_upb()
         for drop in range(4):
-            rest = [s for i, s in enumerate(u.states) if i != drop]
-            res = extendibility_search(rest, u.dims)
+            rest = without(u, drop)
+            res = extendibility_search(rest)
             assert res.extendible
-            hits, _ = brute_force_extendible(rest, u.dims)
+            hits, _ = brute_force_extendible(rest.states, u.dims)
             assert hits > 0
-            w = res.witness_state.dense()
-            for s in rest:
-                assert abs(np.vdot(s.dense(), w)) <= 1e-9
+            assert_witness(res, rest)
 
     def test_member_order_invariance(self):
         u = shift_upb()
         for perm in ((3, 2, 1, 0), (1, 3, 0, 2)):
-            reordered = [u.states[i] for i in perm]
-            assert not extendibility_search(reordered, u.dims).extendible
+            reordered = LocalFactors.from_states([u.states[i] for i in perm], u.dims)
+            assert not extendibility_search(reordered).extendible
 
     def test_party_relabel_invariance(self):
         u = shift_upb()
         perm = (2, 0, 1)
-        relabeled = [
-            ProductState(tuple(s.factors[p] for p in perm), tuple(u.dims[p] for p in perm))
-            for s in u.states
-        ]
-        assert not extendibility_search(relabeled, tuple(u.dims[p] for p in perm)).extendible
+        dims = tuple(u.dims[p] for p in perm)
+        relabeled = LocalFactors.from_states(
+            [ProductState(tuple(s.factors[p] for p in perm), dims) for s in u.states], dims
+        )
+        assert not extendibility_search(relabeled).extendible
 
     def test_shift_search_counts(self):
         # no subtree of SHIFT's search is met twice: both searches walk 48 nodes
         u = shift_upb()
-        res = extendibility_search(u.states, u.dims)
+        res = extendibility_search(u)
         assert (res.nodes_visited, res.assignments_covered) == (48, 81)
-        assert reference_counts(u.states, u.dims) == (None, 81, 48)
+        assert member_search(u) == (None, 81, 48)
 
     def test_shift_times_qutrit_basis_counts(self):
         # SHIFT (x) {|0>,|1>,|2>}, members x-major: unextendible; the
         # reference walks a tree of 20 040 nodes, the search skips the
         # subtrees whose party masks it has seen fail and walks 828
-        states, dims = shift_times_cb(3)
-        res = extendibility_search(states, dims)
+        table = shift_times_cb(3)
+        res = extendibility_search(table)
         assert not res.extendible
         assert res.nodes_visited == 828
         assert res.assignments_covered == res.assignment_bound == 4**12
-        assert reference_counts(states, dims) == (None, 4**12, 20_040)
+        assert member_search(table) == (None, 4**12, 20_040)
 
     def test_shift_times_shift_unextendible(self):
         # 16 members on six qubits: the reference walks 2 596 074 nodes
-        states, dims = shift_times_shift()
-        res = extendibility_search(states, dims)
+        res = extendibility_search(shift_times_shift())
         assert not res.extendible
         assert res.nodes_visited == 11_148
         assert res.assignments_covered == res.assignment_bound == 6**16
 
     @pytest.mark.parametrize("drop", range(16))
     def test_shift_times_shift_leave_one_out_extendible(self, drop):
-        states, dims = shift_times_shift()
-        rest = states[:drop] + states[drop + 1:]
-        res = extendibility_search(rest, dims)
+        rest = without(shift_times_shift(), drop)
+        res = extendibility_search(rest)
         assert res.extendible
         assert res.assignments_covered < res.assignment_bound
-        w = res.witness_state.dense()
-        assert abs(np.vdot(w, w) - 1) <= 1e-9
-        for s in rest:
-            assert abs(np.vdot(s.dense(), w)) <= 1e-9
+        assert_witness(res, rest)
 
     def test_shift_cubed_unextendible(self):
         # 64 members on nine qubits: skipping every arrival at party masks
         # that failed for any member, the search walks 1 173 456 nodes
-        states, dims = shift_cubed()
-        res = extendibility_search(states, dims)
+        res = extendibility_search(shift_cubed())
         assert not res.extendible
         assert res.nodes_visited == 1_173_456
         assert res.assignments_covered == res.assignment_bound == 9**64
 
     @pytest.mark.parametrize("drop", [0, 32, 63])
     def test_shift_cubed_leave_one_out_extendible(self, drop):
-        states, dims = shift_cubed()
-        rest = states[:drop] + states[drop + 1:]
-        res = extendibility_search(rest, dims)
+        rest = without(shift_cubed(), drop)
+        res = extendibility_search(rest)
         assert res.extendible
         assert res.assignments_covered < res.assignment_bound
-        w = res.witness_state.dense()
-        assert w.shape == (512,)
-        assert abs(np.vdot(w, w) - 1) <= 1e-9
-        for s in rest:
-            assert abs(np.vdot(s.dense(), w)) <= 1e-9
+        assert res.witness_state.dense().shape == (512,)
+        assert_witness(res, rest)
 
     def test_minimization_oracle_shift_bounded_away_from_zero(self):
         u = shift_upb()
@@ -301,12 +309,10 @@ class TestQutritExtractionIsExtendible:
 
     def test_search_reports_extendible_with_witness(self):
         u = extract_upb(four_qutrit_circuit())
-        res = extendibility_search(u.states, u.dims)
+        res = extendibility_search(u)
         assert res.extendible
         assert res.witness_assignment == (0, 0, 0, 0, 1, 1, 2, 2, 2)
-        w = res.witness_state.dense()
-        for s in u.states:
-            assert abs(np.vdot(s.dense(), w)) <= 1e-9
+        assert_witness(res, u)
 
     def test_analytic_witness(self):
         u = extract_upb(four_qutrit_circuit())
@@ -325,9 +331,9 @@ class TestQutritExtractionIsExtendible:
 
     def test_extendible_for_every_excluded_choice_with_qutrits(self):
         u = extract_upb(canonical_3x3 := preset_circuit("canonical:n=3,d=3"))
-        assert extendibility_search(u.states, u.dims).extendible
+        assert extendibility_search(u).extendible
         u2 = extract_upb(canonical_3x3, {0: 0, 1: 1, 2: 2})
-        assert extendibility_search(u2.states, u2.dims).extendible
+        assert extendibility_search(u2).extendible
 
 
 class TestSearchProperties:
@@ -335,19 +341,18 @@ class TestSearchProperties:
     @given(factor_sets())
     def test_agrees_with_brute_force_and_residual_search(self, case):
         states, dims = case
-        res = extendibility_search(states, dims)
+        table = LocalFactors.from_states(states, dims)
+        res = extendibility_search(table)
         hits, first = brute_force_extendible(states, dims)
         assert res.extendible == (hits > 0)
         assert res.witness_assignment == first
-        witness, covered, nodes = reference_counts(states, dims)
+        witness, covered, nodes = member_search(table)
         assert residual_search(states, dims) == (witness, covered, nodes)
         assert res.witness_assignment == witness
         assert res.assignments_covered == covered
         assert res.nodes_visited <= nodes
         if res.extendible:
-            w = res.witness_state.dense()
-            for s in states:
-                assert abs(np.vdot(s.dense(), w)) <= 1e-9
+            assert_witness(res, table)
 
 
 class TestFailureSet:
@@ -360,11 +365,11 @@ class TestFailureSet:
         states, dims = case
         table = LocalFactors.from_states(states, dims)
         table.vectors  # built under the real budget, before it is starved
-        unbounded = extendibility_search(table, dims)
+        unbounded = extendibility_search(table)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "DENSE_BYTES_BUDGET", room * _state_bytes(table))
-            starved = extendibility_search(table, dims)
-        witness, covered, nodes = member_search(table, dims)
+            starved = extendibility_search(table)
+        witness, covered, nodes = member_search(table)
         hits, first = brute_force_extendible(states, dims)
         for res in (starved, unbounded):
             assert res.extendible == (hits > 0)
@@ -375,10 +380,10 @@ class TestFailureSet:
             assert starved.nodes_visited == nodes
 
     @staticmethod
-    def traced_peak(table, dims):
+    def traced_peak(table):
         tracemalloc.start()
         try:
-            res = extendibility_search(table, dims)
+            res = extendibility_search(table)
             return res, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,15 +393,14 @@ class TestFailureSet:
         # rest of the search (rank memo, stacks) about 6 KiB, so the peak
         # above a run with no set is the set's own size; the plain search
         # walks the reference's 226 096 nodes
-        states, dims = shift_times_cb(4)
-        table = LocalFactors.from_states(states, dims)
-        extendibility_search(table, dims)  # first use of the table and numpy paths
-        full, full_peak = self.traced_peak(table, dims)
+        table = shift_times_cb(4)
+        extendibility_search(table)  # first use of the table and numpy paths
+        full, full_peak = self.traced_peak(table)
         budget = 2**14
         monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", 0)
-        plain, floor = self.traced_peak(table, dims)
+        plain, floor = self.traced_peak(table)
         monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", budget)
-        capped, peak = self.traced_peak(table, dims)
+        capped, peak = self.traced_peak(table)
         assert peak - floor <= budget < full_peak - floor
         assert full.nodes_visited < capped.nodes_visited < plain.nodes_visited == 226_096
         for res in (plain, capped):
@@ -408,19 +412,20 @@ class TestWitnessCheck:
         # a search that thinks every party has room reaches the all-party-0
         # assignment, whose four factors span party 0 completely
         monkeypatch.setattr("nlwe.upb.span_dimension", lambda vecs, tol: min(len(vecs), 1))
-        u = shift_upb()
         with pytest.raises(ContractViolationError, match="no orthogonal direction"):
-            extendibility_search(u.states, u.dims)
+            extendibility_search(shift_upb())
 
     def test_tolerance_must_stay_below_the_sweep_residual(self):
         # party 0's two factors span the plane orthogonal to (1,1,1)/sqrt(3),
         # so every computational basis vector leaves residual 1/sqrt(3) there
         a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
         b = Dense(np.array([1.0, 1.0, -2.0]) / np.sqrt(6))
-        states = [ProductState((a, CB(0)), (3, 2)), ProductState((b, CB(1)), (3, 2))]
+        table = LocalFactors.from_states(
+            [ProductState((a, CB(0)), (3, 2)), ProductState((b, CB(1)), (3, 2))], (3, 2)
+        )
         with pytest.raises(PreconditionError, match=r"1/sqrt\(3\)"):
-            extendibility_search(states, (3, 2), tol=0.6)
-        res = extendibility_search(states, (3, 2), tol=0.5)
+            extendibility_search(table, tol=0.6)
+        res = extendibility_search(table, tol=0.5)
         assert res.witness_assignment == (0, 0)
         w = res.witness_state.dense().reshape(3, 2)
         np.testing.assert_allclose(np.abs(w[:, 0]), np.full(3, 1 / np.sqrt(3)), atol=1e-12)
@@ -432,4 +437,22 @@ class TestWitnessCheck:
         )
         u = shift_upb()
         with pytest.raises(ContractViolationError, match="overlaps member"):
-            extendibility_search(u.states[:3], u.dims)
+            extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+
+    def test_witness_ranks_the_distinct_factors_the_search_ranked(self):
+        # f2 sits in two members that the witness assignment gives party 0;
+        # ranked once, {f1, f2} leaves a direction there, ranked with the
+        # repeat it does not
+        eps = 1.3e-9
+        f1 = np.array([1.0, 0.0])
+        f2 = np.array([np.cos(eps), np.sin(eps)])
+        assert span_dimension([f1, f2]) == 1
+        assert span_dimension([f1, f2, f2]) == 2
+        u = Upb.from_states(
+            [ProductState(f, (2, 3)) for f in [(Dense(f1), CB(0)), (Dense(f2), CB(1)),
+                                               (Dense(f2), CB(2)), (CB(1), CB(0))]],
+            (2, 3), stopper_index=3,
+        )
+        res = extendibility_search(u)
+        assert res.witness_assignment == (0, 0, 0, 1)
+        assert_witness(res, u)
