@@ -14,7 +14,6 @@ from .boundent import (
 from .circuit import (
     Circuit,
     ControlDftGate,
-    apply_symbolic,
     check_commutation,
     gate_unitary,
     generate_basis,
@@ -26,10 +25,8 @@ from .ensembles import (
     extended_circuit_fig4,
     four_qutrit_circuit,
     local_factor_census,
-    oneway_set,
     preset_circuit,
     shift_circuit,
-    shift_ensemble,
 )
 from .errors import NlweError
 from .lemma import (
@@ -46,7 +43,6 @@ from .linalg import (
     orthogonal_complement_basis,
     partial_transpose,
     span_dimension,
-    tensor,
 )
 from .report import Check, VerificationReport
 from .states import CB, DFT, Dense, ProductBasis, ProductState

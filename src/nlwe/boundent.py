@@ -87,7 +87,7 @@ class DensityMatrix:
         return math.prod(self.dims)
 
 
-def be_state(upb: Upb, tol=None) -> DensityMatrix:
+def be_state(upb: Upb) -> DensityMatrix:
     """Uniform mixture on the complement of a UPB.
 
     The input must actually be unextendible, otherwise the entanglement
@@ -95,7 +95,7 @@ def be_state(upb: Upb, tol=None) -> DensityMatrix:
     """
     total = upb.total_dimension()
     require_dense_budget(total, total, "the complement mixture")
-    res = extendibility_search(upb, tol=tol)
+    res = extendibility_search(upb)
     if res.extendible:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"
@@ -153,7 +153,7 @@ def ppt_report(rho: DensityMatrix) -> VerificationReport:
     return report
 
 
-def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[ProductState]:
+def separability_completion(upb: Upb, singled_party: int) -> list[ProductState]:
     """Complete the UPB to a full orthogonal product basis across one cut.
 
     Requires the saturated shape: n = d+1 parties, all of dimension d.  The
@@ -161,12 +161,12 @@ def separability_completion(upb: Upb, singled_party: int, tol=None) -> list[Prod
     singled party first and the remaining parties in ascending order; the
     first m states are the input members regrouped across that cut.
     """
-    kets, rests, _ = _completion(upb, singled_party, tol)
+    kets, rests, _ = _completion(upb, singled_party)
     cut_dims = (upb.dims[0], rests.shape[1])
     return [ProductState((ket, Dense(r)), cut_dims) for ket, r in zip(kets, rests)]
 
 
-def _completion(upb: Upb, singled_party: int, tol) -> tuple[list, np.ndarray, float]:
+def _completion(upb: Upb, singled_party: int) -> tuple[list, np.ndarray, float]:
     """``separability_completion`` as the singled-party kets and the D x d^d
     stack of rest vectors, and the completed basis's Gram deviation.
 
@@ -197,7 +197,7 @@ def _completion(upb: Upb, singled_party: int, tol) -> tuple[list, np.ndarray, fl
     s = int(singled_party)
     if not 0 <= s < n:
         raise ContractViolationError(f"singled party {s} outside 0..{n - 1}")
-    tol = tolerance(tol)
+    tol = tolerance()
     rest = [p for p in range(n) if p != s]
 
     kets = []
@@ -252,7 +252,7 @@ def _cut_gram(d: int, kets, rests: np.ndarray) -> np.ndarray:
     return g
 
 
-def separability_report(upb: Upb, tol=None) -> VerificationReport:
+def separability_report(upb: Upb) -> VerificationReport:
     """Run the completion for every singled party; passes iff all succeed.
 
     An input outside the saturated shape raises ``UnsupportedShapeError``
@@ -262,7 +262,7 @@ def separability_report(upb: Upb, tol=None) -> VerificationReport:
     for s in range(n):
         label = cut_label({s}, n)
         try:
-            kets, _, deviation = _completion(upb, s, tol)
+            kets, _, deviation = _completion(upb, s)
         except ContractViolationError as exc:
             report.add(f"completion[{label}]", False, detail=str(exc))
             continue

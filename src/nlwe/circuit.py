@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractViolationError, DimensionMismatchError, TooLargeError
 from .linalg import dft_matrix, kron_all, require_dense_budget
 from .report import VerificationReport, party_label
-from .states import CB, DFT, LocalFactors, ProductBasis, ProductState
+from .states import CB, DFT, ProductBasis
 
 COMMUTATION_TOL = 1e-12
 # The largest basis generate_basis enumerates: canonical (6,5) has 15 625
@@ -68,10 +68,6 @@ class Circuit:
                         f"(d={self.dims[p]})"
                     )
 
-    @property
-    def n_parties(self) -> int:
-        return len(self.dims)
-
     def total_dimension(self) -> int:
         return math.prod(self.dims)
 
@@ -111,13 +107,6 @@ def validate_exclusivity(circuit: Circuit) -> VerificationReport:
                 ),
             )
     return report
-
-
-def is_exclusive(circuit: Circuit) -> bool:
-    return all(
-        _conflicting_party(g1, g2) is not None
-        for g1, g2 in itertools.combinations(circuit.gates, 2)
-    )
 
 
 def gate_unitary(gate: ControlDftGate, dims) -> np.ndarray:
@@ -166,8 +155,9 @@ def _generator_factors(gate: ControlDftGate, dims) -> list[np.ndarray]:
     return factors
 
 
-def check_commutation(circuit: Circuit, tol: float = COMMUTATION_TOL) -> VerificationReport:
-    """Report the max-entry commutator residual for every gate pair.
+def check_commutation(circuit: Circuit) -> VerificationReport:
+    """Report the max-entry commutator residual for every gate pair; a
+    pair passes at a residual of at most ``COMMUTATION_TOL``.
 
     The residual is computed from d x d local blocks, with no D x D array.
     With U_g = I + G, G = (x)_p g_p (see ``_generator_factors``), the
@@ -203,23 +193,11 @@ def check_commutation(circuit: Circuit, tol: float = COMMUTATION_TOL) -> Verific
             residual = shared * float(np.max(np.abs(kron_all(gh) - kron_all(hg))))
         report.add(
             f"commute[{i},{j}]",
-            residual <= tol,
+            residual <= COMMUTATION_TOL,
             residual=residual,
             detail=f"max entry of U{i}U{j} - U{j}U{i}",
         )
     return report
-
-
-def _check_input(circuit: Circuit, cb_input) -> tuple:
-    cb_input = tuple(int(x) for x in cb_input)
-    if len(cb_input) != circuit.n_parties:
-        raise DimensionMismatchError(
-            f"input has {len(cb_input)} entries for {circuit.n_parties} parties"
-        )
-    for x, d in zip(cb_input, circuit.dims):
-        if not 0 <= x < d:
-            raise ContractViolationError(f"CB index {x} out of range for dimension {d}")
-    return cb_input
 
 
 def images(circuit: Circuit, inputs: np.ndarray) -> tuple[list, np.ndarray]:
@@ -260,20 +238,6 @@ def images(circuit: Circuit, inputs: np.ndarray) -> tuple[list, np.ndarray]:
     return factors, ids
 
 
-def apply_symbolic(circuit: Circuit, cb_input) -> ProductState:
-    """Image of a computational product input under an exclusive circuit.
-
-    At most one gate's controls can match (guaranteed by exclusivity).  If a
-    gate fires, its target factor becomes the DFT image of the input index
-    there; all other factors stay computational.  The image is the one row
-    of ``images``, the rule ``generate_basis`` applies to every input.
-    """
-    cb_input = _check_input(circuit, cb_input)
-    if not is_exclusive(circuit):
-        raise ContractViolationError("apply_symbolic requires an exclusive circuit")
-    return LocalFactors(circuit.dims, *images(circuit, np.array([cb_input]))).states[0]
-
-
 def generate_basis(circuit: Circuit) -> ProductBasis:
     """Apply the circuit to every computational input in lexicographic order.
 
@@ -290,5 +254,5 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
         raise TooLargeError(
             f"a basis of {total} states exceeds the limit of {MAX_BASIS_STATES}"
         )
-    inputs = np.indices(circuit.dims).reshape(circuit.n_parties, total).T
+    inputs = np.indices(circuit.dims).reshape(len(circuit.dims), total).T
     return ProductBasis(circuit.dims, *images(circuit, inputs))

@@ -21,9 +21,9 @@ from .boundent import (
     separability_report,
     state_rank,
 )
-from .circuit import check_commutation, validate_exclusivity
+from .circuit import check_commutation, generate_basis, validate_exclusivity
 from .config import tolerance
-from .ensembles import generate_basis, local_factor_census, preset_circuit
+from .ensembles import local_factor_census, preset_circuit
 from .errors import MalformedJsonError, NlweError, PreconditionError
 from .lemma import (
     lemma_check,
@@ -64,8 +64,10 @@ def _parse_excluded(spec: str | None, n_parties: int):
         for token in spec.split(","):
             if "=" not in token:
                 raise ValueError(f"entry {token!r} has no '='")
-            p, v = token.split("=", 1)
-            mapping[int(p)] = int(v)
+            p, v = (int(x) for x in token.split("=", 1))
+            if p in mapping:
+                raise ValueError(f"party {p} named twice")
+            mapping[p] = v
     except ValueError as exc:
         raise PreconditionError(
             f"bad --excluded-index {spec!r}; use all=<k> or <party>=<k>,... ({exc})"
@@ -199,8 +201,8 @@ def cmd_lemma(args) -> int:
     d = args.dim
     if d is None:
         raise PreconditionError("lemma needs --dim (or --kraus file.json)")
-    if d < 1 or args.samples < 0:
-        raise PreconditionError("lemma needs --dim >= 1 and --samples >= 0")
+    if d < 1 or args.samples < 0 or args.seed < 0:
+        raise PreconditionError("lemma needs --dim >= 1, --samples >= 0 and --seed >= 0")
     weyl = weyl_operators(d)  # first, so an oversized --dim is refused before sampling
     rng = np.random.default_rng(args.seed)
     report = VerificationReport()

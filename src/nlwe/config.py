@@ -1,8 +1,10 @@
 """Numerical tolerances shared across modules.
 
-Rank/orthogonality decisions default to 1e-9 and may be overridden either
-per call or globally through the NLWE_TOLERANCE environment variable.
-Eigenvalue sign decisions use the tighter 1e-10 default.
+Rank/orthogonality decisions default to 1e-9 and may be overridden
+through the NLWE_TOLERANCE environment variable, which every decision
+reads (``tolerance()``); only the ``linalg`` rank primitives also take an
+explicit threshold.  Eigenvalue sign decisions use the tighter 1e-10
+default.
 
 The span tolerance bounds a singular value of unit-normalised vectors
 (see ``linalg``).  It must be finite and lie in (0, 1/sqrt(2)): below

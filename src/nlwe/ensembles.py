@@ -12,19 +12,10 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit, ControlDftGate, generate_basis
+from .circuit import Circuit, ControlDftGate
 from .errors import ConstructionError, UnknownPresetError
 from .report import party_label
 from .states import ProductBasis, factor_descriptor
-
-
-def oneway_set() -> ProductBasis:
-    """Two-qubit basis that is one-way locally indistinguishable.
-
-    Single gate: Hadamard on party B when party A holds |1>.
-    """
-    circuit = Circuit((2, 2), [ControlDftGate({0: 1}, target=1)])
-    return generate_basis(circuit)
 
 
 def canonical_circuit(n: int, dims) -> Circuit:
@@ -56,11 +47,6 @@ def canonical_circuit(n: int, dims) -> Circuit:
 def shift_circuit() -> Circuit:
     """Three-qubit canonical circuit (generates the SHIFT ensemble)."""
     return canonical_circuit(3, (2, 2, 2))
-
-
-def shift_ensemble() -> ProductBasis:
-    """The 8 orthogonal three-qubit product states of the SHIFT ensemble."""
-    return generate_basis(shift_circuit())
 
 
 def four_qutrit_circuit() -> Circuit:

@@ -17,16 +17,18 @@ from .config import tolerance
 from .errors import ContractViolationError, DimensionMismatchError
 from .linalg import dft_matrix, require_dense_budget
 
+SCALE_RANGE = (0.25, 4.0)
 
-def preserves_orthogonality(k: np.ndarray, basis, tol=None) -> bool:
+
+def preserves_orthogonality(k: np.ndarray, basis) -> bool:
     """True iff the images of an orthonormal basis stay pairwise orthogonal.
 
     Overlaps are evaluated on images rescaled by the largest image norm, so
     the answer is invariant under global rescaling of the operator; branches
     with (relatively) vanishing norm pass vacuously, and the zero operator is
-    a degenerate pass.
+    a degenerate pass.  Overlaps up to ``config.tolerance()`` count as 0.
     """
-    tol = tolerance(tol)
+    tol = tolerance()
     k = np.asarray(k, dtype=complex)
     vecs = [np.asarray(b, dtype=complex) for b in basis]
     if any(v.shape[0] != k.shape[1] for v in vecs):
@@ -48,7 +50,7 @@ class LemmaCheck:
     isotropy_residual: float
 
 
-def lemma_check(k: np.ndarray, tol=None) -> LemmaCheck:
+def lemma_check(k: np.ndarray) -> LemmaCheck:
     """Check both-basis orthogonality preservation and the isotropy residual.
 
     ``constraints_hold`` requires preservation on the computational basis
@@ -65,7 +67,7 @@ def lemma_check(k: np.ndarray, tol=None) -> LemmaCheck:
     d = k.shape[0]
     cb = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
     db = [dft_matrix(d)[:, i] for i in range(d)]
-    holds = preserves_orthogonality(k, cb, tol) and preserves_orthogonality(k, db, tol)
+    holds = preserves_orthogonality(k, cb) and preserves_orthogonality(k, db)
     ktk = k.conj().T @ k
     c = complex(np.trace(ktk)) / d
     residual = float(np.max(np.abs(ktk - c * np.eye(d))))
@@ -96,12 +98,11 @@ def random_gaussian_operator(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def random_scaled_unitary(
-    d: int, rng: np.random.Generator, scale_range: tuple[float, float] = (0.25, 4.0)
-) -> np.ndarray:
-    """Haar-ish random unitary times a random complex scalar."""
+def random_scaled_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary times a random complex scalar of magnitude
+    in ``SCALE_RANGE``."""
     q, r = np.linalg.qr(random_gaussian_operator(d, rng))
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    magnitude = rng.uniform(*scale_range)
+    magnitude = rng.uniform(*SCALE_RANGE)
     phase = np.exp(2j * np.pi * rng.uniform())
     return magnitude * phase * q

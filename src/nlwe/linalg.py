@@ -3,9 +3,9 @@
 Conventions
 -----------
 Vectors are 1-D complex ndarrays, matrices are 2-D (row-major).  Party 0
-occupies the most significant tensor slot, i.e. ``tensor(a, b)`` puts ``a``
-on the slower-varying index.  The DFT uses the +i sign convention, so for
-qubits it coincides with the Hadamard.
+occupies the most significant tensor slot, i.e. ``kron_all([a, b])`` puts
+``a`` on the slower-varying index.  The DFT uses the +i sign convention,
+so for qubits it coincides with the Hadamard.
 
 Every spectrum the library needs comes from ``hermitian_eigenvalues``, i.e.
 LAPACK through ``np.linalg.eigvalsh``.  ``jacobi_eigh`` is a pure-Python
@@ -68,17 +68,6 @@ def dft_matrix(d: int) -> np.ndarray:
         raise InvalidDimensionError(f"DFT dimension must be a positive integer, got {d}")
     idx = np.arange(d)
     return np.exp(2j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices, left factor slowest."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise DimensionMismatchError(
-            f"tensor expects two vectors or two matrices, got ndim {a.ndim} and {b.ndim}"
-        )
-    return np.kron(a, b)
 
 
 def kron_all(factors) -> np.ndarray:

@@ -147,18 +147,6 @@ class ProductState:
         """Full state vector, party 0 most significant."""
         return kron_all(factor_dense(f, d) for f, d in zip(self.factors, self.dims))
 
-    def dft_parties(self) -> tuple[int, ...]:
-        return tuple(p for p, f in enumerate(self.factors) if isinstance(f, DFT))
-
-    def is_symbolic(self) -> bool:
-        return all(isinstance(f, (CB, DFT)) for f in self.factors)
-
-    def symbolic_key(self):
-        """Order-insensitive comparison key; None if any factor is dense."""
-        if not self.is_symbolic():
-            return None
-        return tuple((type(f).__name__, f.index) for f in self.factors)
-
 
 @dataclass(frozen=True, eq=False)
 class LocalFactors:

@@ -110,7 +110,9 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
     the stopper state made of the excluded dual-basis ket on every party.
     The default excluded index is d_j - 1 on each party.  The set is the
     table of the inputs' images (``circuit.images``) plus the stopper row,
-    which takes the excluded ket's id at each party, or the next id.
+    which takes the excluded ket's id at each party, or the next id.  Each
+    party's table of distinct factors is held to the dense budget before
+    any input row is built.
 
     The result always meets the minimal UPB size bound and is mutually
     orthogonal.  It is genuinely unextendible when every party is a qubit;
@@ -134,6 +136,10 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
                 f"excluded index {k} out of range for party dimension {dims[p]}"
             )
         excluded[p] = k
+    for d in dims:
+        # every party carries all d dual-basis kets: d - 1 from the gate
+        # that targets it, plus the stopper's excluded one
+        linalg.require_dense_budget(d, d, "the local factor table")
     inputs = []
     for gate in circuit.gates:
         t = gate.target
@@ -303,7 +309,7 @@ def _witness_state(members: LocalFactors, witness, tol) -> ProductState:
     return ProductState(tuple(Dense(f) for f in factors), members.dims)
 
 
-def extendibility_search(members: LocalFactors, tol=None) -> ExtendibilityResult:
+def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
     """Decide whether a set of orthogonal product states is extendible.
 
     ``members`` is a ``LocalFactors`` set (a ``Upb`` among them); the
@@ -312,12 +318,12 @@ def extendibility_search(members: LocalFactors, tol=None) -> ExtendibilityResult
     When extendible, the result carries the lexicographically least
     successful assignment and an orthogonal product witness built from the
     per-party complements of the assigned distinct factors; the witness is
-    checked against every member before it is returned.  The tolerance must
-    be below 1/sqrt(d) for the largest local dimension d, else
-    ``PreconditionError``.
+    checked against every member before it is returned.  The tolerance
+    (``config.tolerance``) must be below 1/sqrt(d) for the largest local
+    dimension d, else ``PreconditionError``.
     """
     dims = members.dims
-    tol = tolerance(tol)
+    tol = tolerance()
     d_max = max(dims, default=1)
     if not tol < 1 / math.sqrt(d_max):
         # the witness is checked by its overlaps against tol; from
@@ -340,7 +346,7 @@ def extendibility_search(members: LocalFactors, tol=None) -> ExtendibilityResult
     return result
 
 
-def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
+def is_unextendible(upb: Upb) -> VerificationReport:
     """Exhaustively decide unextendibility of a UPB candidate.
 
     The report passes iff no member->party assignment leaves every party's
@@ -348,7 +354,7 @@ def is_unextendible(upb: Upb, tol=None) -> VerificationReport:
     exists, the detail names it; ``extendibility_search`` returns it with
     an orthogonal product state.
     """
-    res = extendibility_search(upb, tol=tol)
+    res = extendibility_search(upb)
     report = VerificationReport()
     if res.extendible:
         detail = (

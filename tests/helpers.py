@@ -6,7 +6,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from nlwe.circuit import Circuit, ControlDftGate, gate_unitary
+from nlwe.circuit import Circuit, ControlDftGate, gate_unitary, generate_basis
 from nlwe.config import tolerance
 from nlwe.linalg import span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
@@ -46,6 +46,23 @@ def apply_dense(circuit, cb_input):
     input vector.  Exclusivity is not required here."""
     flat = np.ravel_multi_index(tuple(cb_input), circuit.dims)
     return circuit_unitary(circuit)[:, flat].copy()
+
+
+def basis_row(circuit, cb_input):
+    """The image of one computational input: its row of ``generate_basis``,
+    whose inputs run in lexicographic order."""
+    return generate_basis(circuit).states[np.ravel_multi_index(tuple(cb_input), circuit.dims)]
+
+
+def dft_parties(state):
+    """The parties at which a product state carries a dual-basis ket."""
+    return tuple(p for p, f in enumerate(state.factors) if isinstance(f, DFT))
+
+
+def symbolic_key(state):
+    """Hashable key of a product state with symbolic factors, one (kind,
+    index) pair per party, for comparing sets of states."""
+    return tuple((type(f).__name__, f.index) for f in state.factors)
 
 
 def local_factors(states, dims):

@@ -42,7 +42,7 @@ from nlwe.serialize import basis_from_obj, loads
 from nlwe.states import CB, DFT, LocalFactors
 from nlwe.upb import extendibility_search, extract_upb, is_unextendible, minimal_size
 
-from helpers import apply_dense, circuit_unitary, ket, kron_chain
+from helpers import apply_dense, circuit_unitary, ket, kron_chain, symbolic_key
 
 SHIFT_KEYS = {
     (("CB", 0), ("CB", 0), ("CB", 0)),
@@ -98,7 +98,7 @@ def test_criterion_1_shift_reproduction(tmp_path):
     start = time.perf_counter()
     basis, _ = _generate_via_cli(tmp_path, "shift")
     elapsed = time.perf_counter() - start
-    keys = {s.symbolic_key() for s in basis.states}
+    keys = {symbolic_key(s) for s in basis.states}
     _criterion(1, "shift preset reproduces the 8-state ensemble", [
         ("set equality", keys == SHIFT_KEYS, f"{len(keys)} distinct states"),
         ("state count", len(basis) == 8, str(len(basis))),
@@ -108,7 +108,7 @@ def test_criterion_1_shift_reproduction(tmp_path):
 
 def test_criterion_2_oneway_set(tmp_path):
     basis, _ = _generate_via_cli(tmp_path, "oneway")
-    keys = {s.symbolic_key() for s in basis.states}
+    keys = {symbolic_key(s) for s in basis.states}
     _criterion(2, "oneway preset reproduces the 4-state set", [
         ("set equality", keys == ONEWAY_KEYS, f"{len(keys)} distinct states"),
         ("state count", len(basis) == 4, str(len(basis))),
@@ -156,7 +156,7 @@ def test_criterion_4_exclusivity_and_commutation():
     for name, circuit in presets.items():
         excl = validate_exclusivity(circuit)
         parts.append((f"{name} exclusivity", excl.passed, f"{len(excl.checks)} pairs"))
-        comm = check_commutation(circuit, tol=1e-12)
+        comm = check_commutation(circuit)
         worst = max((c.residual for c in comm.checks), default=0.0)
         parts.append((f"{name} commutation <= 1e-12", comm.passed, f"{worst:.2e}"))
         reference = generate_basis(circuit).states

@@ -4,7 +4,6 @@ import pytest
 from nlwe.circuit import (
     Circuit,
     ControlDftGate,
-    apply_symbolic,
     check_commutation,
     gate_unitary,
     generate_basis,
@@ -14,7 +13,7 @@ from nlwe.ensembles import four_qutrit_circuit, shift_circuit
 from nlwe.errors import ContractViolationError
 from nlwe.states import CB, DFT
 
-from helpers import apply_dense, circuit_unitary, dft_col, ket, kron_chain
+from helpers import apply_dense, basis_row, circuit_unitary, dft_col, dft_parties, ket, kron_chain
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -116,18 +115,18 @@ class TestCommutation:
         assert abs(report.checks[0].residual - residual) < 1e-14
 
 
-class TestApplySymbolic:
+class TestImages:
     def test_shift_inputs(self):
         c = shift_circuit()
-        assert apply_symbolic(c, (0, 1, 0)).factors == (CB(0), CB(1), DFT(0))
-        assert apply_symbolic(c, (1, 1, 1)).factors == (CB(1), CB(1), CB(1))
-        assert apply_symbolic(c, (1, 0, 1)).factors == (DFT(1), CB(0), CB(1))
+        assert basis_row(c, (0, 1, 0)).factors == (CB(0), CB(1), DFT(0))
+        assert basis_row(c, (1, 1, 1)).factors == (CB(1), CB(1), CB(1))
+        assert basis_row(c, (1, 0, 1)).factors == (DFT(1), CB(0), CB(1))
 
     def test_non_exclusive_circuit_rejected(self):
         g = ControlDftGate({0: 0}, target=1)
         h = ControlDftGate({0: 0}, target=2)
         with pytest.raises(ContractViolationError):
-            apply_symbolic(Circuit((2, 2, 2), [g, h]), (0, 0, 0))
+            generate_basis(Circuit((2, 2, 2), [g, h]))
 
 
 class TestApplyDense:
@@ -169,7 +168,7 @@ class TestGenerateBasis:
     def test_at_most_one_dft_factor(self):
         for circuit in (shift_circuit(), four_qutrit_circuit()):
             for s in generate_basis(circuit).states:
-                assert len(s.dft_parties()) <= 1
+                assert len(dft_parties(s)) <= 1
 
     def test_gate_reordering_leaves_basis_unchanged(self):
         c = shift_circuit()

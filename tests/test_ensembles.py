@@ -6,13 +6,13 @@ from nlwe.ensembles import (
     extended_circuit_fig4,
     four_qutrit_circuit,
     local_factor_census,
-    oneway_set,
     preset_circuit,
     shift_circuit,
-    shift_ensemble,
 )
 from nlwe.errors import ConstructionError, UnknownPresetError
 from nlwe.states import CB, DFT
+
+from helpers import dft_parties, symbolic_key
 
 ONEWAY_EXPECTED = [
     (CB(0), CB(0)),
@@ -35,31 +35,31 @@ SHIFT_EXPECTED = [
 
 class TestOneway:
     def test_exact_states(self):
-        basis = oneway_set()
+        basis = generate_basis(preset_circuit("oneway"))
         assert [s.factors for s in basis.states] == ONEWAY_EXPECTED
 
     def test_third_state(self):
-        assert oneway_set().states[2].factors == (CB(1), DFT(0))
+        assert generate_basis(preset_circuit("oneway")).states[2].factors == (CB(1), DFT(0))
 
     def test_orthonormal(self):
-        assert oneway_set().gram_deviation() <= 1e-12
+        assert generate_basis(preset_circuit("oneway")).gram_deviation() <= 1e-12
 
 
 class TestShift:
     def test_reproduces_eight_states_in_order(self):
-        basis = shift_ensemble()
+        basis = generate_basis(shift_circuit())
         assert [s.factors for s in basis.states] == SHIFT_EXPECTED
 
     def test_contains_named_states(self):
-        keys = {s.symbolic_key() for s in shift_ensemble().states}
+        keys = {symbolic_key(s) for s in generate_basis(shift_circuit()).states}
         psi2 = (("DFT", 0), ("CB", 0), ("CB", 1))
         psi7 = (("CB", 1), ("DFT", 1), ("CB", 0))
         assert psi2 in keys and psi7 in keys
 
     def test_exactly_two_states_without_dual_factor(self):
-        plain = [s for s in shift_ensemble().states if not s.dft_parties()]
+        plain = [s for s in generate_basis(shift_circuit()).states if not dft_parties(s)]
         assert len(plain) == 2
-        assert {s.symbolic_key() for s in plain} == {
+        assert {symbolic_key(s) for s in plain} == {
             (("CB", 0), ("CB", 0), ("CB", 0)),
             (("CB", 1), ("CB", 1), ("CB", 1)),
         }
@@ -109,7 +109,7 @@ class TestFig4:
     def test_strictly_more_dual_factors_than_minimal(self):
         def dual_count(circuit):
             return sum(
-                1 for s in generate_basis(circuit).states if s.dft_parties()
+                1 for s in generate_basis(circuit).states if dft_parties(s)
             )
 
         assert dual_count(extended_circuit_fig4()) > dual_count(four_qutrit_circuit())
@@ -117,7 +117,7 @@ class TestFig4:
 
 class TestCensus:
     def test_shift_party_a(self):
-        census = local_factor_census(shift_ensemble(), 0)
+        census = local_factor_census(generate_basis(shift_circuit()), 0)
         assert census == {"CB0": 3, "CB1": 3, "DFT0": 1, "DFT1": 1}
 
     def test_gateless_circuit_sees_cb_only(self):
@@ -150,7 +150,7 @@ class TestPresetProperties:
         assert len(basis) == circuit.total_dimension()
         assert basis.gram_deviation() <= 1e-10
         assert validate_exclusivity(circuit).passed
-        report = check_commutation(circuit, tol=1e-12)
+        report = check_commutation(circuit)
         assert report.passed
 
     @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ class TestPresetProperties:
     @pytest.mark.parametrize("name", ["oneway", "shift", "fig4"])
     def test_at_most_one_dual_factor_per_state(self, name):
         for s in generate_basis(preset_circuit(name)).states:
-            assert len(s.dft_parties()) <= 1
+            assert len(dft_parties(s)) <= 1
 
     def test_single_dim_shorthand(self):
         c = preset_circuit("canonical:n=4,d=3")

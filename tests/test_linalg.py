@@ -15,11 +15,11 @@ from nlwe.linalg import (
     gram,
     hermitian_eigenvalues,
     jacobi_eigh,
+    kron_all,
     orthogonal_complement_basis,
     orthonormalize,
     partial_transpose,
     span_dimension,
-    tensor,
 )
 
 from helpers import (
@@ -66,22 +66,22 @@ class TestDftMatrix:
             dft_matrix(0)
 
 
-class TestTensor:
+class TestKronAll:
     def test_cb_bookkeeping(self):
-        out = tensor(ket(0, 2), ket(1, 2))
+        out = kron_all([ket(0, 2), ket(1, 2)])
         assert np.array_equal(out, np.array([0, 1, 0, 0], dtype=complex))
 
     def test_identity_case(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(kron_all([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_superposed_left_factor(self):
         plus = np.array([SQ2, SQ2])
-        out = tensor(plus, ket(0, 2))
+        out = kron_all([plus, ket(0, 2)])
         assert np.allclose(out, [SQ2, 0, SQ2, 0])
 
-    def test_kind_mismatch(self):
+    def test_empty_factor_list(self):
         with pytest.raises(DimensionMismatchError):
-            tensor(np.eye(2), ket(0, 2))
+            kron_all([])
 
 
 class TestGram:
@@ -108,9 +108,10 @@ class TestGram:
             gram([ket(0, 2), ket(0, 3)])
 
     def test_shift_ensemble_dense(self):
-        from nlwe.ensembles import shift_ensemble
+        from nlwe.circuit import generate_basis
+        from nlwe.ensembles import shift_circuit
 
-        vecs = [s.dense() for s in shift_ensemble().states]
+        vecs = [s.dense() for s in generate_basis(shift_circuit()).states]
         assert np.max(np.abs(gram(vecs) - np.eye(8))) <= 1e-12
 
 

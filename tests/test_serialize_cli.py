@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nlwe import serialize
 from nlwe.circuit import Circuit, ControlDftGate, generate_basis
 from nlwe.cli import main
-from nlwe.ensembles import preset_circuit, shift_circuit, shift_ensemble
+from nlwe.ensembles import preset_circuit, shift_circuit
 from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState, factor_key
 from nlwe.upb import extract_upb
 
@@ -22,7 +22,7 @@ from helpers import circuits_on, product_tables, reference_dumps
 class TestSerialization:
     def test_basis_round_trip(self):
         circuit = shift_circuit()
-        basis = shift_ensemble()
+        basis = generate_basis(circuit)
         text = serialize.dumps(serialize.basis_to_obj(basis, circuit))
         loaded, loaded_circuit = serialize.basis_from_obj(serialize.loads(text))
         assert loaded.states == basis.states
@@ -143,7 +143,7 @@ class TestEncoder:
         assert len({id(f) for f in factors}) == len({json.dumps(f) for f in factors}) <= 2 * 3
 
     def test_load_builds_each_symbolic_factor_once(self):
-        text = serialize.dumps(serialize.basis_to_obj(shift_ensemble()))
+        text = serialize.dumps(serialize.basis_to_obj(generate_basis(shift_circuit())))
         basis, _ = serialize.basis_from_obj(serialize.loads(text))
         factors = [f for s in basis.states for f in s.factors]
         assert len({id(f) for f in factors}) == len(set(factors)) == 4
@@ -571,10 +571,35 @@ class TestCliFlows:
         assert "error:precondition-failed:" in capsys.readouterr().err
         assert main(["upb", "--preset", "shift", "--excluded-index", "nonsense"]) == 2
         assert "error:precondition-failed:" in capsys.readouterr().err
+        # a party named twice: no silent last-value-wins
+        assert main(["upb", "--preset", "shift", "--excluded-index", "0=1,0=0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:precondition-failed:")
+        assert "party 0 named twice" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_lemma_rejects_bad_dimension(self, capsys):
         assert main(["lemma", "--dim", "-2"]) == 2
         assert "error:precondition-failed:" in capsys.readouterr().err
+
+    def test_lemma_rejects_negative_seed(self, capsys):
+        assert main(["lemma", "--dim", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:precondition-failed:")
+        assert captured.err.count("\n") == 1
+
+    def test_upb_beyond_the_dense_budget_is_refused_before_extraction(self, capsys, monkeypatch):
+        # a 10^7 x 10^7 local factor table: refused before any input row is built
+        def no_rows(*args):
+            raise AssertionError("input rows built before the budget check")
+
+        monkeypatch.setattr("nlwe.upb.images", no_rows)
+        assert main(["upb", "--preset", "canonical:n=3,d=10000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:too-large:")
+        assert err.count("\n") == 1
 
     def test_verify_unknown_check_name(self, tmp_path, capsys):
         path = tmp_path / "basis.json"

@@ -2,8 +2,8 @@
 
 A set interned from ``ProductState`` members (``from_states``) and one made
 by the file loader or by ``generate_basis`` must be the same set, of the
-same class; ``generate_basis``, ``apply_symbolic`` and a plain per-input
-firing rule must give the same images.
+same class; ``generate_basis`` and a plain per-input firing rule must give
+the same images.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwe import serialize
-from nlwe.circuit import apply_symbolic, generate_basis, is_exclusive
+from nlwe.circuit import generate_basis, validate_exclusivity
 from nlwe.ensembles import local_factor_census, preset_circuit, shift_circuit
 from nlwe.errors import ContractViolationError
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_descriptor
@@ -151,7 +151,7 @@ def fired_factors(circuit, cb_input):
 
 class TestOneFiringRule:
     @pytest.mark.parametrize("preset", PRESETS)
-    def test_generate_matches_apply_symbolic_on_every_input(self, preset):
+    def test_generate_matches_the_firing_rule_on_every_input(self, preset):
         circuit = preset_circuit(preset)
         basis = generate_basis(circuit)
         inputs = list(itertools.product(*(range(d) for d in circuit.dims)))
@@ -159,23 +159,18 @@ class TestOneFiringRule:
         for state, cb_input in zip(basis.states, inputs):
             expected = fired_factors(circuit, cb_input)
             assert state.factors == expected
-            assert apply_symbolic(circuit, cb_input) == state
         assert_same_set(ProductBasis.from_states(basis.states, circuit.dims), basis)
 
     @settings(max_examples=150, deadline=None)
     @given(control_dft_circuits())
     def test_random_circuits(self, circuit):
         inputs = list(itertools.product(*(range(d) for d in circuit.dims)))
-        if not is_exclusive(circuit):
+        if not validate_exclusivity(circuit).passed:
             with pytest.raises(ContractViolationError):
                 generate_basis(circuit)
-            with pytest.raises(ContractViolationError):
-                apply_symbolic(circuit, inputs[0])
             return
         basis = generate_basis(circuit)
         assert [s.factors for s in basis.states] == [fired_factors(circuit, x) for x in inputs]
-        for x in inputs:
-            assert apply_symbolic(circuit, x).factors == fired_factors(circuit, x)
 
 
 # the presets that the benchmark's upb-decide workload extracts from

@@ -13,6 +13,7 @@ from nlwe.ensembles import (
     shift_circuit,
 )
 from nlwe import linalg
+from nlwe.boundent import be_state, state_rank
 from nlwe.errors import ContractViolationError, PreconditionError
 from nlwe.linalg import dft_matrix, gram, span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState
@@ -27,12 +28,14 @@ from nlwe.upb import (
 
 from helpers import (
     brute_force_extendible,
+    dft_parties,
     factor_sets,
     ket,
     kron_chain,
     member_search,
     min_total_overlap,
     residual_search,
+    symbolic_key,
 )
 
 
@@ -88,7 +91,7 @@ class TestExtraction:
     def test_shift_set_matches_known_list(self):
         u = shift_upb()
         assert len(u) == 4
-        keys = {s.symbolic_key() for s in u.states}
+        keys = {symbolic_key(s) for s in u.states}
         assert keys == {
             (("CB", 0), ("CB", 1), ("DFT", 1)),
             (("DFT", 1), ("CB", 0), ("CB", 1)),
@@ -126,7 +129,7 @@ class TestExtraction:
         u = shift_upb()
         stopper = u.states[u.stopper_index]
         for s in u.states[:-1]:
-            target = s.dft_parties()[0]
+            target = dft_parties(s)[0]
             per_party = [
                 abs(
                     np.vdot(
@@ -407,6 +410,33 @@ class TestFailureSet:
             assert res.assignments_covered == full.assignments_covered == 4**16
 
 
+class TestOneToleranceSource:
+    """Every decision on a set reads its tolerance from ``NLWE_TOLERANCE``
+    (or the default); none takes one per call."""
+
+    @staticmethod
+    def qutrit_upb():
+        # SHIFT (x) {|0>, |1>, |2>}: unextendible, and each rank it decides
+        # keeps a singular value above 0.5 (|0> and |+> give 0.54)
+        table = shift_times_cb(3)
+        return Upb(table.dims, table.factors, table.ids, stopper_index=len(table) - 1)
+
+    @pytest.mark.parametrize("decide", [extendibility_search, is_unextendible, be_state])
+    def test_tolerance_from_the_environment(self, decide, monkeypatch):
+        upb = self.qutrit_upb()
+        monkeypatch.setenv("NLWE_TOLERANCE", "0.6")
+        with pytest.raises(PreconditionError, match=r"1/sqrt\(3\)"):
+            decide(upb)
+        monkeypatch.setenv("NLWE_TOLERANCE", "0.5")
+        verdict = decide(upb)
+        if decide is extendibility_search:
+            assert not verdict.extendible
+        elif decide is is_unextendible:
+            assert verdict.passed
+        else:
+            assert state_rank(verdict) == upb.total_dimension() - len(upb)
+
+
 class TestWitnessCheck:
     def test_empty_complement_is_contract_violation(self, monkeypatch):
         # a search that thinks every party has room reaches the all-party-0
@@ -415,7 +445,7 @@ class TestWitnessCheck:
         with pytest.raises(ContractViolationError, match="no orthogonal direction"):
             extendibility_search(shift_upb())
 
-    def test_tolerance_must_stay_below_the_sweep_residual(self):
+    def test_tolerance_must_stay_below_the_sweep_residual(self, monkeypatch):
         # party 0's two factors span the plane orthogonal to (1,1,1)/sqrt(3),
         # so every computational basis vector leaves residual 1/sqrt(3) there
         a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
@@ -423,9 +453,11 @@ class TestWitnessCheck:
         table = LocalFactors.from_states(
             [ProductState((a, CB(0)), (3, 2)), ProductState((b, CB(1)), (3, 2))], (3, 2)
         )
+        monkeypatch.setenv("NLWE_TOLERANCE", "0.6")
         with pytest.raises(PreconditionError, match=r"1/sqrt\(3\)"):
-            extendibility_search(table, tol=0.6)
-        res = extendibility_search(table, tol=0.5)
+            extendibility_search(table)
+        monkeypatch.setenv("NLWE_TOLERANCE", "0.5")
+        res = extendibility_search(table)
         assert res.witness_assignment == (0, 0)
         w = res.witness_state.dense().reshape(3, 2)
         np.testing.assert_allclose(np.abs(w[:, 0]), np.full(3, 1 / np.sqrt(3)), atol=1e-12)
