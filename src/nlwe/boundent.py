@@ -10,11 +10,12 @@ to a full orthogonal product basis, certifying zero entanglement there
 (Bennett et al., PRL 82, 5385 (1999); DiVincenzo et al., CMP 238, 379
 (2003)).  The completion follows one rule for every member whose factor on
 the singled party is a computational or dual-basis ket (see
-``_completion``) and is certified only by its size and its Gram deviation.
-Its Gram matrix is formed from arrays (``_cut_gram``): the singled party's
-local overlap table times the Gram matrix of the D rest vectors, entry by
-entry; ``ProductState`` objects are built only for the states that
-``separability_completion`` returns.
+``separability_completion``) and is certified only by its size and its
+Gram deviation.  Its Gram matrix is formed from arrays (``_cut_gram``): the
+singled party's local overlap table times the Gram matrix of the D rest
+vectors, entry by entry.  Members are rendered from the UPB's id table
+(``LocalFactors.dense``): whole for the mixture and the annihilation
+check, at the other parties for the completion's rest vectors.
 
 Each matrix is diagonalised once: ``DensityMatrix`` keeps the spectrum of
 rho that its positivity gate computed, ``state_rank`` reads it, and
@@ -32,13 +33,12 @@ from .config import EIGENVALUE_SIGN_TOL, tolerance
 from .errors import ContractViolationError, UnsupportedShapeError
 from .linalg import (
     hermitian_eigenvalues,
-    kron_all,
     orthogonal_complement_basis,
     partial_transpose,
     require_dense_budget,
 )
 from .report import VerificationReport, cut_label, party_label
-from .states import CB, DFT, Dense, LocalFactors, ProductState
+from .states import CB, DFT, LocalFactors
 from .upb import Upb, extendibility_search
 
 RANK_EIGENVALUE_THRESHOLD = 1e-8
@@ -102,8 +102,7 @@ def be_state(upb: Upb) -> DensityMatrix:
         )
     m = len(upb)
     proj = np.zeros((total, total), dtype=complex)
-    for s in upb.states:
-        v = s.dense()
+    for v in upb.dense():
         proj += np.outer(v, v.conj())
     rho = (np.eye(total, dtype=complex) - proj) / (total - m)
     rho = (rho + rho.conj().T) / 2
@@ -117,11 +116,7 @@ def state_rank(rho: DensityMatrix) -> int:
 
 def member_annihilation(rho: DensityMatrix, upb: Upb) -> float:
     """max_i <psi_i| rho |psi_i> over the UPB members (should vanish)."""
-    worst = 0.0
-    for s in upb.states:
-        v = s.dense()
-        worst = max(worst, abs(complex(v.conj() @ rho.matrix @ v)))
-    return worst
+    return max((abs(complex(v.conj() @ rho.matrix @ v)) for v in upb.dense()), default=0.0)
 
 
 def bipartitions(n: int):
@@ -153,35 +148,27 @@ def ppt_report(rho: DensityMatrix) -> VerificationReport:
     return report
 
 
-def separability_completion(upb: Upb, singled_party: int) -> list[ProductState]:
-    """Complete the UPB to a full orthogonal product basis across one cut.
-
-    Requires the saturated shape: n = d+1 parties, all of dimension d.  The
-    returned states are product across the cut singled_party | rest, with the
-    singled party first and the remaining parties in ascending order; the
-    first m states are the input members regrouped across that cut.
-    """
-    kets, rests, _ = _completion(upb, singled_party)
-    cut_dims = (upb.dims[0], rests.shape[1])
-    return [ProductState((ket, Dense(r)), cut_dims) for ket, r in zip(kets, rests)]
-
-
-def _completion(upb: Upb, singled_party: int) -> tuple[list, np.ndarray, float]:
-    """``separability_completion`` as the singled-party kets and the D x d^d
-    stack of rest vectors, and the completed basis's Gram deviation.
+def separability_completion(upb: Upb, singled_party: int) -> tuple[list, np.ndarray, float]:
+    """Complete the UPB to a full orthogonal product basis across the cut
+    singled_party | rest.  Requires the saturated shape: n = d+1 parties,
+    all of dimension d.  Returns the singled-party kets, the D x d^d stack
+    of rest vectors (the other parties in ascending order) and the
+    completed basis's Gram deviation; state i is kets[i] (x) rests[i], and
+    the first m states are the input members regrouped across the cut.
 
     Every member must carry a computational ket |c> or a dual-basis ket
-    F|k> on the singled party s; r_i is member i's rest vector (its other
-    factors, kron'ed) and R_F the span of the rest vectors of the F|k>
-    members.  As |<c|F k>| = 1/sqrt(d), a |c> member is orthogonal to an
-    F|k> member only through its rest vector, so every |c> rest lies in
-    the complement of R_F.  The completion is the members regrouped as
-    (f_s, r_i), in member order, then for each c the kets |c> (x) w with w
-    spanning the complement of the |c> rests and R_F, then for each k the
-    kets F|k> (x) u with u spanning the complement of the F|k> rests and
-    R_F's own complement, i.e. R_F minus the F|k> rests.  The result
-    is certified by its size D and the largest entry of |G - I|, G its
-    Gram matrix (``_cut_gram``); a dense factor on s is a contract
+    F|k> on the singled party s; r_i is member i's rest vector
+    (``upb.dense`` at the other parties) and R_F the span of the rest
+    vectors of the F|k> members.  As |<c|F k>| = 1/sqrt(d), a |c> member is
+    orthogonal to an F|k> member only through its rest vector, so every |c>
+    rest lies in the complement of R_F.  The completion is the members
+    regrouped as (f_s, r_i), in member order, then for each c the kets
+    |c> (x) w with w spanning the complement of the |c> rests and R_F, then
+    for each k the kets F|k> (x) u with u spanning the complement of the
+    F|k> rests and R_F's own complement, i.e. R_F minus the F|k> rests.
+    The members are grouped by their ids at s, in first-seen order.  The
+    result is certified by its size D and the largest entry of |G - I|, G
+    its Gram matrix (``_cut_gram``); a dense factor on s is a contract
     violation.
     """
     dims = upb.dims
@@ -198,26 +185,22 @@ def _completion(upb: Upb, singled_party: int) -> tuple[list, np.ndarray, float]:
     if not 0 <= s < n:
         raise ContractViolationError(f"singled party {s} outside 0..{n - 1}")
     tol = tolerance()
-    rest = [p for p in range(n) if p != s]
 
-    kets = []
-    rests = []
-    by_ket: dict[CB | DFT, list[np.ndarray]] = {}
-    for i, row in enumerate(upb.ids.tolist()):
-        ket = upb.factors[s][row[s]]
+    ids = upb.ids[:, s]
+    kets = [upb.factors[s][k] for k in ids.tolist()]
+    for i, ket in enumerate(kets):
         if not isinstance(ket, (CB, DFT)):
             raise ContractViolationError(
                 f"member {i} has a dense factor on party {party_label(s)}; "
                 "the completion needs a computational or dual-basis ket there"
             )
-        r = kron_all(upb.vectors[p][row[p]] for p in rest)
-        by_ket.setdefault(ket, []).append(r)
-        kets.append(ket)
-        rests.append(r)
+    member_rests = upb.dense([p for p in range(n) if p != s])
+    by_ket = {upb.factors[s][k]: list(member_rests[ids == k]) for k in dict.fromkeys(ids.tolist())}
 
     dual_rests = [r for ket, rs in by_ket.items() if isinstance(ket, DFT) for r in rs]
     dual_perp = orthogonal_complement_basis(dual_rests, d**d, tol)
     added = [(CB(c), dual_rests) for c in range(d)] + [(DFT(k), dual_perp) for k in range(d)]
+    rests = list(member_rests)
     for ket, against in added:
         for w in orthogonal_complement_basis(by_ket.get(ket, []) + against, d**d, tol):
             kets.append(ket)
@@ -262,7 +245,7 @@ def separability_report(upb: Upb) -> VerificationReport:
     for s in range(n):
         label = cut_label({s}, n)
         try:
-            kets, _, deviation = _completion(upb, s)
+            kets, _, deviation = separability_completion(upb, s)
         except ContractViolationError as exc:
             report.add(f"completion[{label}]", False, detail=str(exc))
             continue

@@ -21,7 +21,9 @@ SCALE_RANGE = (0.25, 4.0)
 
 
 def preserves_orthogonality(k: np.ndarray, basis) -> bool:
-    """True iff the images of an orthonormal basis stay pairwise orthogonal.
+    """True iff the images of an orthonormal basis (its vectors, or the rows
+    of a matrix) stay pairwise orthogonal, read off one Gram matrix of the
+    images.
 
     Overlaps are evaluated on images rescaled by the largest image norm, so
     the answer is invariant under global rescaling of the operator; branches
@@ -31,17 +33,14 @@ def preserves_orthogonality(k: np.ndarray, basis) -> bool:
     tol = tolerance()
     k = np.asarray(k, dtype=complex)
     vecs = [np.asarray(b, dtype=complex) for b in basis]
-    if any(v.shape[0] != k.shape[1] for v in vecs):
+    if any(v.shape != (k.shape[1],) for v in vecs):
         raise DimensionMismatchError("basis vectors do not match the operator dimension")
-    images = [k @ v for v in vecs]
-    scale = max((float(np.linalg.norm(u)) for u in images), default=0.0)
+    images = np.reshape(vecs, (len(vecs), k.shape[1])) @ k.T  # row i is K|b_i>
+    scale = float(np.max(np.linalg.norm(images, axis=1), initial=0.0))
     if scale == 0.0:
         return True
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if not abs(np.vdot(images[i], images[j])) / scale**2 <= tol:
-                return False
-    return True
+    overlaps = np.abs(images.conj() @ images.T)[np.triu_indices(len(vecs), 1)]
+    return bool(np.all(overlaps / scale**2 <= tol))
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,7 @@ def lemma_check(k: np.ndarray) -> LemmaCheck:
     if not np.all(np.isfinite(k)):
         raise ContractViolationError("branch operator has a non-finite entry")
     d = k.shape[0]
-    cb = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    db = [dft_matrix(d)[:, i] for i in range(d)]
-    holds = preserves_orthogonality(k, cb) and preserves_orthogonality(k, db)
+    holds = preserves_orthogonality(k, np.eye(d)) and preserves_orthogonality(k, dft_matrix(d).T)
     ktk = k.conj().T @ k
     c = complex(np.trace(ktk)) / d
     residual = float(np.max(np.abs(ktk - c * np.eye(d))))

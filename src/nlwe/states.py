@@ -10,13 +10,14 @@ factors in first-seen order, and an m x n integer array ``ids`` whose row i
 names member i's factor at each party.  A control-DFT basis has at most 2d
 distinct kets per party however many members it has, so circuits, files
 and checks all work on the table.  ``ProductBasis`` and ``upb.Upb``
-subclass it, so every set is read directly; its ``states`` tuple of
-``ProductState`` objects is a view built on first use, for callers that
-walk members.  Norms, the Gram matrix and the census come from the
-table's distinct factors, with no vector or matrix of the full dimension
-D = prod(d_j).  A product overlap is the product of the local overlaps,
-and it vanishes exactly when one local overlap does (Bennett et al., PRL
-82, 5385 (1999)).
+subclass it, so every set is read directly.  ``LocalFactors.dense``
+renders the members, at every party or at some, from the table; the
+``states`` tuple of ``ProductState`` objects is a view built on first use
+for ``ProductBasis.gram`` and the tests, the dense references.  Norms, the
+Gram matrix and the census come from the table's distinct factors, with
+no vector or matrix of the full dimension D = prod(d_j).  A product
+overlap is the product of the local overlaps, and it vanishes exactly
+when one local overlap does (Bennett et al., PRL 82, 5385 (1999)).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError
-from .linalg import dft_matrix, gram, kron_all, require_dense_budget
+from .linalg import gram, kron_all, require_dense_budget
 
 DENSE_FACTOR_NORM_TOL = 1e-12
 
@@ -74,7 +75,8 @@ def factor_dense(factor: Factor, dim: int) -> np.ndarray:
         v[factor.index] = 1.0
         return v
     if isinstance(factor, DFT):
-        return dft_matrix(dim)[:, factor.index].copy()
+        # column k of ``dft_matrix(dim)``, rendered alone
+        return np.exp(2j * np.pi * (np.arange(dim) * factor.index) / dim) / np.sqrt(dim)
     if isinstance(factor, Dense):
         if factor.entries.shape[0] != dim:
             raise DimensionMismatchError(
@@ -158,11 +160,12 @@ class LocalFactors:
     factor.  The factors are taken as checked (``check_factor``): the
     builders (``from_states``, ``circuit.images`` and the file loader)
     check each distinct factor once, or make only valid ones, and pass
-    ``dims`` as a tuple of ints.  ``states`` is the members as
-    ``ProductState`` objects, ``vectors[p]`` stacks the distinct factors'
-    renderings in id order and ``overlaps[p][a, b]`` is <f_a|f_b>, written
-    as an exact 0 when f_a and f_b are distinct kets of one basis
-    (computational or DFT); all three are built on first use.
+    ``dims`` as a tuple of ints.  ``vectors[p]`` stacks the distinct
+    factors' renderings in id order, ``overlaps[p][a, b]`` is <f_a|f_b>,
+    written as an exact 0 when f_a and f_b are distinct kets of one basis
+    (computational or DFT), and ``states`` is the members as
+    ``ProductState`` objects, the dense references' view; all three are
+    built on first use.
     """
 
     dims: tuple
@@ -208,6 +211,21 @@ class LocalFactors:
             np.array([factor_dense(f, d) for f in kept]).reshape(len(kept), d)
             for kept, d in zip(self.factors, self.dims)
         ]
+
+    def dense(self, parties=None) -> np.ndarray:
+        """The members rendered at ``parties`` (default: every party), as an
+        m x prod(d_p) array: row i is the Kronecker product of member i's
+        rendered factors there, in ascending party order, taken from
+        ``vectors[p][ids[:, p]]``.  Held to the dense budget before it is
+        formed."""
+        m = len(self)
+        parties = sorted(range(len(self.dims)) if parties is None else parties)
+        require_dense_budget(m, math.prod(self.dims[p] for p in parties), "the rendered members")
+        blocks = [self.vectors[p][self.ids[:, p]] for p in parties]
+        out = blocks[0] if blocks else np.ones((m, 1), dtype=complex)
+        for rows in blocks[1:]:
+            out = (out[:, :, None] * rows[:, None, :]).reshape(m, out.shape[1] * rows.shape[1])
+        return out
 
     @cached_property
     def overlaps(self) -> list[np.ndarray]:

@@ -23,8 +23,9 @@ completion failed and skips a subtree that arrives at one, within
 stays exact, only slower.  While the set has room, the work is bounded
 by the members times the reachable mask tuples, not by n^m.  The first
 successful assignment is the lexicographically least.  Its product
-witness is each party's complement of the masked rows that the search
-ranked, checked against every member before it is reported.
+witness, a one-row set of ``Dense`` factors, is each party's complement
+of the masked rows that the search ranked, checked against every member
+before it is reported.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport
-from .states import DFT, Dense, LocalFactors, ProductState
+from .states import DFT, Dense, LocalFactors, check_factor
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -178,7 +179,7 @@ class ExtendibilityResult:
     assignment_bound: int
     nodes_visited: int
     witness_assignment: tuple | None = None
-    witness_state: ProductState | None = None
+    witness_state: LocalFactors | None = None
 
 
 def _state_bytes(factors: LocalFactors) -> int:
@@ -279,13 +280,14 @@ def _search(factors: LocalFactors, tol):
         j = 0
 
 
-def _witness_state(members: LocalFactors, witness, tol) -> ProductState:
-    """Orthogonal product witness for a successful assignment: at party j,
-    the first vector of the complement of the distinct factors that the
-    assignment gives party j, in id order, i.e. of the rows whose rank the
-    search found below d_j.  It is checked on its own: each member's
-    overlap with it, the product of the local overlaps at the member's
-    ids, must be at most ``tol``."""
+def _witness_state(members: LocalFactors, witness, tol) -> LocalFactors:
+    """Orthogonal product witness for a successful assignment, as a one-row
+    set of ``Dense`` factors: at party j, the first vector of the
+    complement of the distinct factors that the assignment gives party j,
+    in id order, i.e. of the rows whose rank the search found below d_j.
+    It is checked on its own: each factor must be a unit vector
+    (``check_factor``), and each member's overlap with it, the product of
+    the local overlaps at the member's ids, must be at most ``tol``."""
     ids = members.ids
     parties = np.array(witness, dtype=np.intp)
     factors = []
@@ -298,15 +300,17 @@ def _witness_state(members: LocalFactors, witness, tol) -> ProductState:
                 f"witness assignment {witness} leaves party {j} no orthogonal "
                 f"direction at tolerance {tol:g}"
             )
-        factors.append(comp[0])
-        overlaps *= np.abs(vectors.conj() @ comp[0])[ids[:, j]]
+        factor = Dense(comp[0])
+        check_factor(factor, d)
+        factors.append([factor])
+        overlaps *= np.abs(vectors.conj() @ factor.entries)[ids[:, j]]
     for i, overlap in enumerate(overlaps.tolist()):
         if not overlap <= tol:
             raise ContractViolationError(
                 f"witness for assignment {witness} overlaps member {i} "
                 f"by {overlap:.3e}, above tolerance {tol:g}"
             )
-    return ProductState(tuple(Dense(f) for f in factors), members.dims)
+    return LocalFactors(members.dims, factors, np.zeros((1, len(factors)), dtype=np.intp))
 
 
 def extendibility_search(members: LocalFactors) -> ExtendibilityResult:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
+from nlwe.boundent import separability_completion
 from nlwe.circuit import Circuit, ControlDftGate, gate_unitary, generate_basis
 from nlwe.config import tolerance
 from nlwe.linalg import span_dimension
@@ -52,6 +53,15 @@ def basis_row(circuit, cb_input):
     """The image of one computational input: its row of ``generate_basis``,
     whose inputs run in lexicographic order."""
     return generate_basis(circuit).states[np.ravel_multi_index(tuple(cb_input), circuit.dims)]
+
+
+def completion_states(upb, singled_party):
+    """``separability_completion`` as ``ProductState``s (ket, Dense(rest)) on
+    the cut dims, the dense reference's view; building each one checks its
+    ket's index and its rest vector's unit norm within 1e-12."""
+    kets, rests, _ = separability_completion(upb, singled_party)
+    cut_dims = (upb.dims[singled_party], rests.shape[1])
+    return [ProductState((ket, Dense(r)), cut_dims) for ket, r in zip(kets, rests)]
 
 
 def dft_parties(state):

@@ -18,7 +18,6 @@ from nlwe.boundent import (
     be_state,
     member_annihilation,
     ppt_report,
-    separability_completion,
     state_rank,
 )
 from nlwe.circuit import Circuit, check_commutation, generate_basis, validate_exclusivity
@@ -42,7 +41,7 @@ from nlwe.serialize import basis_from_obj, loads
 from nlwe.states import CB, DFT, LocalFactors
 from nlwe.upb import extendibility_search, extract_upb, is_unextendible, minimal_size
 
-from helpers import apply_dense, circuit_unitary, ket, kron_chain, symbolic_key
+from helpers import apply_dense, circuit_unitary, completion_states, ket, kron_chain, symbolic_key
 
 SHIFT_KEYS = {
     (("CB", 0), ("CB", 0), ("CB", 0)),
@@ -276,7 +275,7 @@ def test_criterion_8_separability_completion():
     start = time.perf_counter()
     shift_upb = extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
     for s in range(3):
-        states = separability_completion(shift_upb, s)
+        states = completion_states(shift_upb, s)
         g = gram([st.dense() for st in states])
         dev = float(np.max(np.abs(g - np.eye(len(states)))))
         parts.append(
@@ -284,7 +283,7 @@ def test_criterion_8_separability_completion():
         )
     qutrit_upb = extract_upb(four_qutrit_circuit())
     for s in range(4):
-        states = separability_completion(qutrit_upb, s)
+        states = completion_states(qutrit_upb, s)
         g = gram([st.dense() for st in states])
         dev = float(np.max(np.abs(g - np.eye(len(states)))))
         parts.append(

@@ -17,14 +17,15 @@ from nlwe.errors import ContractViolationError, TooLargeError, UnsupportedShapeE
 from nlwe.linalg import (
     gram,
     hermitian_eigenvalues,
+    kron_all,
     orthogonal_complement_basis,
     partial_transpose,
     span_dimension,
 )
-from nlwe.states import CB, Dense, ProductBasis, ProductState
+from nlwe.states import CB, Dense, ProductBasis, ProductState, check_factor, factor_dense
 from nlwe.upb import Upb, extract_upb
 
-from helpers import NON_FINITE_CASES, ket, kron_chain, non_finite_matrix
+from helpers import NON_FINITE_CASES, completion_states, ket, kron_chain, non_finite_matrix
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -88,6 +89,38 @@ class TestBeState:
         report = ppt_report(rho)
         assert len(report.checks) == 7
         assert report.passed
+
+
+@pytest.mark.parametrize("excluded", [None, {0: 0, 1: 0, 2: 0}], ids=["shift", "shift-all=0"])
+class TestReadsTheTable:
+    """The mixture, the annihilation check and the completion render members
+    from the id table; bit for bit they are what a walk over the members'
+    dense product states gives."""
+
+    def test_be_state_is_the_sum_over_member_states(self, excluded):
+        u = extract_upb(shift_circuit(), excluded)
+        proj = np.zeros((8, 8), dtype=complex)
+        for s in u.states:
+            v = s.dense()
+            proj += np.outer(v, v.conj())
+        rho = (np.eye(8, dtype=complex) - proj) / (8 - len(u))
+        rho = (rho + rho.conj().T) / 2
+        assert be_state(u).matrix.tobytes() == rho.tobytes()
+
+    def test_annihilation_is_the_max_over_member_states(self, excluded):
+        u = extract_upb(shift_circuit(), excluded)
+        rho = be_state(u)
+        walked = max(abs(complex(s.dense().conj() @ rho.matrix @ s.dense())) for s in u.states)
+        assert member_annihilation(rho, u) == walked
+
+    def test_completion_rests_are_the_kron_of_the_rest_factors(self, excluded):
+        u = extract_upb(shift_circuit(), excluded)
+        for s in range(3):
+            kets, rests, _ = separability_completion(u, s)
+            for i, member in enumerate(u.states):
+                rest = kron_all(factor_dense(f, 2) for p, f in enumerate(member.factors) if p != s)
+                assert kets[i] == member.factors[s]
+                assert rests[i].tobytes() == rest.tobytes()
 
 
 class TestPptReport:
@@ -155,7 +188,7 @@ class TestSeparabilityCompletion:
     def test_qubit_case_every_cut(self):
         u = shift_upb()
         for s in range(3):
-            states = separability_completion(u, s)
+            states = completion_states(u, s)
             assert len(states) == 8
             g = gram([st.dense() for st in states])
             assert np.max(np.abs(g - np.eye(8))) <= 1e-9
@@ -173,7 +206,7 @@ class TestSeparabilityCompletion:
         # span of the shared rest pattern and the stopper rest factor is 2,
         # so its complement inside the rest space has dimension d^d - 2
         u = shift_upb()
-        states = separability_completion(u, 0)
+        states = completion_states(u, 0)
         member_rest = [st.factors[1].entries for st in states[:4]]
         f = member_rest[2]  # family with dual factor on party A shares one pattern
         g = member_rest[3]  # stopper rest factors
@@ -181,7 +214,7 @@ class TestSeparabilityCompletion:
 
     def test_qutrit_case_single_cut(self):
         u = extract_upb(four_qutrit_circuit())
-        states = separability_completion(u, 0)
+        states = completion_states(u, 0)
         assert len(states) == 81
         g = gram([st.dense() for st in states])
         assert np.max(np.abs(g - np.eye(81))) <= 1e-9
@@ -191,7 +224,7 @@ class TestSeparabilityCompletion:
     def test_qutrit_anchor_complement_dimension(self):
         # span of the two rest anchors is 2, so its complement has 27 - 2 = 25
         u = extract_upb(four_qutrit_circuit())
-        states = separability_completion(u, 0)
+        states = completion_states(u, 0)
         member_rest = [st.factors[1].entries for st in states[:9]]
         f = member_rest[6]  # family with dual factor on party A
         g = member_rest[8]  # stopper
@@ -213,11 +246,15 @@ class TestSeparabilityCompletion:
             separability_report(u)
 
     def test_completion_states_validate_as_product_states(self):
+        # each returned (ket, rest) passes the checks a product state's
+        # factors must pass: a ket index in range, a unit rest vector
         u = shift_upb()
-        for st in separability_completion(u, 1):
-            assert isinstance(st, ProductState)
-            if isinstance(st.factors[1], Dense):
-                assert abs(np.linalg.norm(st.factors[1].entries) - 1.0) <= 1e-12
+        kets, rests, _ = separability_completion(u, 1)
+        assert rests.shape == (8, 4)
+        for ket, r in zip(kets, rests):
+            check_factor(ket, 2)
+            check_factor(Dense(r), 4)
+            assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("make_upb", [shift_upb, lambda: extract_upb(four_qutrit_circuit())],
                              ids=["shift", "four-qutrit"])
@@ -227,7 +264,7 @@ class TestSeparabilityCompletion:
         rev = Upb.from_states(u.states[::-1], u.dims, stopper_index=m - 1 - u.stopper_index)
         total = rev.total_dimension()
         for s in range(len(u.dims)):
-            states = separability_completion(rev, s)
+            states = completion_states(rev, s)
             assert len(states) == total
             g = ProductBasis.from_states(states, states[0].dims).gram()
             assert np.max(np.abs(g - np.eye(total))) <= 1e-9
@@ -255,7 +292,7 @@ class TestSeparabilityCompletion:
 
     def test_five_ququart_single_cut(self):
         u = extract_upb(preset_circuit("canonical:n=5,d=4"))
-        states = separability_completion(u, 2)
+        states = completion_states(u, 2)
         assert len(states) == 1024
         g = ProductBasis.from_states(states, (4, 256)).gram()
         assert np.max(np.abs(g - np.eye(1024))) <= 1e-9
@@ -268,10 +305,10 @@ class TestSeparabilityCompletion:
         class Reached(Exception):
             pass
 
-        def first_rest_vector(factors):
+        def first_rest_vector(self, parties=None):
             raise Reached
 
-        monkeypatch.setattr("nlwe.boundent.kron_all", first_rest_vector)
+        monkeypatch.setattr("nlwe.states.LocalFactors.dense", first_rest_vector)
         u = extract_upb(preset_circuit(f"canonical:n={d + 1},d={d}"))
         if d <= 4:
             with pytest.raises(Reached):
@@ -297,7 +334,7 @@ class TestSeparabilityCompletion:
         monkeypatch.setattr(boundent, "_cut_gram", kept)
         u = extract_upb(preset_circuit(preset))
         for s in cuts:
-            states = separability_completion(u, s)
+            states = completion_states(u, s)
             dense = gram([st.dense() for st in states])
             assert seen[-1].shape == dense.shape
             assert np.max(np.abs(seen[-1] - dense)) <= 1e-15

@@ -24,9 +24,10 @@ from nlwe.circuit import (
 from nlwe.config import tolerance
 from nlwe.errors import TooLargeError
 from nlwe.ensembles import local_factor_census, preset_circuit
-from nlwe.states import CB, DFT, LocalFactors, ProductBasis, ProductState
+from nlwe.linalg import dft_matrix
+from nlwe.states import CB, DFT, LocalFactors, ProductBasis, ProductState, factor_dense
 
-from helpers import control_dft_circuits, factor_sets
+from helpers import control_dft_circuits, factor_sets, kron_chain, product_tables
 
 PRODUCT_FORM_TOL = 1e-10  # the threshold of verify's product-form row
 
@@ -124,3 +125,35 @@ class TestCanonicalBases:
     def test_five_party_gram_matches_the_dense_reference(self):
         basis = generate_basis(preset_circuit("canonical:n=5,d=4"))
         assert abs(basis.gram_deviation() - dense_gram_extremes(basis)[2]) <= 1e-15
+
+
+class TestDenseRendering:
+    """``LocalFactors.dense`` against the Kronecker product of each member's
+    rendered factors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_tables(), st.data())
+    def test_rows_are_the_kron_of_the_member_factors(self, table, data):
+        n = len(table.dims)
+        parties = data.draw(
+            st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        rendered = table.dense(parties)
+        picked = range(n) if parties is None else sorted(parties)
+        assert rendered.shape == (len(table), int(np.prod([table.dims[p] for p in picked])))
+        for row, state in zip(rendered, table.states):
+            factors = [factor_dense(state.factors[p], table.dims[p]) for p in picked]
+            assert np.array_equal(row, kron_chain(*factors))
+
+    def test_oversized_set_is_refused_before_rendering(self):
+        # one member of dimension 2100^2: a 67 MiB row, above the 64 MiB budget
+        table = LocalFactors.from_states([ProductState((CB(0), CB(0)), (2100, 2100))], (2100, 2100))
+        with pytest.raises(TooLargeError, match="the rendered members"):
+            table.dense()
+        assert "vectors" not in vars(table)
+        assert table.dense([1]).shape == (1, 2100)
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_dft_factor_is_the_dft_matrix_column(self, d):
+        columns = dft_matrix(d)
+        for k in range(d):
+            assert factor_dense(DFT(k), d).tobytes() == columns[:, k].copy().tobytes()

@@ -64,6 +64,38 @@ class TestPreservesOrthogonality:
         assert preserves_orthogonality(np.zeros((2, 2)), cb_basis(2))
 
 
+def pairwise_reference(k, basis, tol=1e-9):
+    """Each pair of images compared on its own, relative to the largest image
+    norm."""
+    images = [k @ b for b in basis]
+    scale = max(np.linalg.norm(u) for u in images)
+    return scale == 0.0 or all(
+        abs(np.vdot(images[i], images[j])) / scale**2 <= tol
+        for i in range(len(images)) for j in range(i + 1, len(images))
+    )
+
+
+class TestGramAgainstPairs:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_agrees_with_the_pairwise_reference(self, d):
+        rng = np.random.default_rng(d)
+        ops = [random_gaussian_operator(d, rng) for _ in range(5)]
+        ops += [random_scaled_unitary(d, rng) for _ in range(5)] + weyl_operators(d)
+        ops.append(np.diag(np.linspace(1.0, 0.5, d)))
+        for k in ops:
+            for basis in (cb_basis(d), db_basis(d)):
+                assert preserves_orthogonality(k, basis) == pairwise_reference(k, basis)
+
+    def test_rows_of_a_matrix_are_its_basis(self):
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 4):
+            for k in (random_gaussian_operator(d, rng), random_scaled_unitary(d, rng)):
+                assert preserves_orthogonality(k, dft_matrix(d).T) == preserves_orthogonality(
+                    k, db_basis(d))
+                assert preserves_orthogonality(k, np.eye(d)) == preserves_orthogonality(
+                    k, cb_basis(d))
+
+
 class TestLemmaCheck:
     def test_scaled_unitary_passes_with_tiny_residual(self):
         rng = np.random.default_rng(12)

@@ -73,7 +73,7 @@ def shift_cubed():
 
 def assert_witness(res, table):
     """The witness is a unit product state orthogonal to every member."""
-    w = res.witness_state.dense()
+    (w,) = res.witness_state.dense()
     assert abs(np.vdot(w, w) - 1) <= 1e-9
     for s in table.states:
         assert abs(np.vdot(s.dense(), w)) <= 1e-9
@@ -296,7 +296,7 @@ class TestUnextendibility:
         res = extendibility_search(rest)
         assert res.extendible
         assert res.assignments_covered < res.assignment_bound
-        assert res.witness_state.dense().shape == (512,)
+        assert res.witness_state.dense().shape == (1, 512)
         assert_witness(res, rest)
 
     def test_minimization_oracle_shift_bounded_away_from_zero(self):
@@ -438,6 +438,27 @@ class TestOneToleranceSource:
 
 
 class TestWitnessCheck:
+    def test_witness_is_a_one_row_set_of_dense_factors(self):
+        u = shift_upb()
+        res = extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+        w = res.witness_state
+        assert isinstance(w, LocalFactors) and len(w) == 1
+        assert w.dims == u.dims
+        assert all(len(kept) == 1 and isinstance(kept[0], Dense) for kept in w.factors)
+        assert w.dense().shape == (1, 8)
+
+    def test_non_unit_witness_factor_is_contract_violation(self, monkeypatch):
+        # a complement vector 1e-9 too long stays orthogonal to the members
+        # but fails the unit-norm check every product-state factor must pass
+        complement = linalg.orthogonal_complement_basis
+        monkeypatch.setattr(
+            "nlwe.upb.orthogonal_complement_basis",
+            lambda vecs, d, tol: [v * (1 + 1e-9) for v in complement(vecs, d, tol)],
+        )
+        u = shift_upb()
+        with pytest.raises(ContractViolationError, match="norm"):
+            extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+
     def test_empty_complement_is_contract_violation(self, monkeypatch):
         # a search that thinks every party has room reaches the all-party-0
         # assignment, whose four factors span party 0 completely
