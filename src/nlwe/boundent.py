@@ -83,9 +83,6 @@ class DensityMatrix:
                 f"matrix has a negative eigenvalue ({low:.3e})"
             )
 
-    def total_dimension(self) -> int:
-        return math.prod(self.dims)
-
 
 def be_state(upb: Upb) -> DensityMatrix:
     """Uniform mixture on the complement of a UPB.
@@ -93,7 +90,7 @@ def be_state(upb: Upb) -> DensityMatrix:
     The input must actually be unextendible, otherwise the entanglement
     conclusion would not follow and a contract error is raised.
     """
-    total = upb.total_dimension()
+    total = math.prod(upb.dims)
     require_dense_budget(total, total, "the complement mixture")
     res = extendibility_search(upb)
     if res.extendible:

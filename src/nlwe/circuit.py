@@ -68,9 +68,6 @@ class Circuit:
                         f"(d={self.dims[p]})"
                     )
 
-    def total_dimension(self) -> int:
-        return math.prod(self.dims)
-
 
 def _conflicting_party(g1: ControlDftGate, g2: ControlDftGate) -> int | None:
     c1, c2 = g1.control_map, g2.control_map
@@ -249,7 +246,7 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
     conflicting shared control both fire on the input that holds each of
     their controls at its required value.
     """
-    total = circuit.total_dimension()
+    total = math.prod(circuit.dims)
     if total > MAX_BASIS_STATES:
         raise TooLargeError(
             f"a basis of {total} states exceeds the limit of {MAX_BASIS_STATES}"

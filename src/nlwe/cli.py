@@ -3,11 +3,19 @@
 Exit status 0 means every requested check passed; 1 means at least one
 check failed; 2 signals an input or precondition error, reported on stderr
 as one line ``error:<code>: <message>``.
+
+The parser holds data only and is built once per process
+(``build_parser``); ``main`` runs the module's ``cmd_<command>``, looked
+up by name at call time, so a replaced ``cmd_*`` attribute is the one
+that runs.  ``upb check`` is handled inside ``cmd_upb``.  Files are read
+and written through ``serialize``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -24,7 +32,7 @@ from .boundent import (
 from .circuit import check_commutation, generate_basis, validate_exclusivity
 from .config import tolerance
 from .ensembles import local_factor_census, preset_circuit
-from .errors import MalformedJsonError, NlweError, PreconditionError
+from .errors import NlweError, PreconditionError
 from .lemma import (
     lemma_check,
     random_gaussian_operator,
@@ -148,7 +156,7 @@ def cmd_bestate(args) -> int:
     upb = serialize.upb_from_obj(serialize.load_file(args.infile))
     rho = be_state(upb)
     report = VerificationReport()
-    total = rho.total_dimension()
+    total = math.prod(rho.dims)
     trace_dev = abs(complex(np.trace(rho.matrix)) - 1.0)
     report.add("trace", trace_dev <= 1e-10, residual=float(trace_dev),
                detail="deviation of trace from 1")
@@ -170,14 +178,7 @@ def cmd_bestate(args) -> int:
 
 
 def _lemma_single(path: str) -> int:
-    obj = serialize.load_file(path)
-    try:
-        matrix = np.array(
-            [[serialize._pair_complex(p) for p in row] for row in obj["matrix"]]
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise MalformedJsonError(f"bad operator file: {exc}") from exc
-    result = lemma_check(matrix)
+    result = lemma_check(serialize.operator_from_obj(serialize.load_file(path)))
     report = VerificationReport()
     implication = (not result.constraints_hold) or result.isotropy_residual <= 1e-8
     report.add(
@@ -239,6 +240,7 @@ def cmd_lemma(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlwe",
@@ -250,47 +252,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit a preset product basis as JSON")
     p_gen.add_argument("--preset", required=True)
     p_gen.add_argument("--out")
-    p_gen.set_defaults(func=cmd_generate)
 
     p_ver = sub.add_parser("verify", help="run checks on a basis JSON file")
     p_ver.add_argument("--in", dest="infile", required=True)
     p_ver.add_argument("--checks", help="comma list: " + ",".join(VERIFY_CHECKS))
     p_ver.add_argument("--json", help="also write the report as JSON")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_upb = sub.add_parser("upb", help="extract a UPB, or check one (upb check)")
     p_upb.add_argument("--preset")
     p_upb.add_argument("--excluded-index", dest="excluded_index",
                        help="all=<k> or comma list <party>=<k> (0-based)")
     p_upb.add_argument("--out")
-    p_upb.set_defaults(func=cmd_upb)
     upb_sub = p_upb.add_subparsers(dest="upb_cmd")
     p_check = upb_sub.add_parser("check", help="unextendibility report")
     p_check.add_argument("--in", dest="infile", required=True)
-    p_check.set_defaults(func=cmd_upb)
 
     p_be = sub.add_parser("bestate", help="complement mixture of a UPB + reports")
     p_be.add_argument("--in", dest="infile", required=True)
     p_be.add_argument("--ppt", action="store_true")
     p_be.add_argument("--separability", action="store_true")
     p_be.add_argument("--out")
-    p_be.set_defaults(func=cmd_bestate)
 
     p_lem = sub.add_parser("lemma", help="measurement-branch lemma report")
     p_lem.add_argument("--dim", type=int)
     p_lem.add_argument("--seed", type=int, default=0)
     p_lem.add_argument("--samples", type=int, default=100)
     p_lem.add_argument("--kraus", help="JSON file with a single operator")
-    p_lem.set_defaults(func=cmd_lemma)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except NlweError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,11 @@ explicit threshold.  Eigenvalue sign decisions use the tighter 1e-10
 default.
 
 The span tolerance bounds a singular value of unit-normalised vectors
-(see ``linalg``).  It must be finite and lie in (0, 1/sqrt(2)): below
-1/sqrt(2) no unit vector can be both within tolerance of another unit
-vector's span (residual <= tol) and orthogonal to it within tolerance
-(overlap <= tol), since residual^2 + overlap^2 = 1.  For a pair's smaller
-singular value, sqrt(1 - overlap), the same holds only below
-(sqrt(5) - 1)/2.  The extendibility search further requires
+(see ``linalg``).  It must be finite and lie in (0, (sqrt(5) - 1)/2),
+about (0, 0.618): there no pair of unit vectors is both rank 1 within
+tolerance (its smaller singular value, sqrt(1 - overlap), <= tol) and
+orthogonal within tolerance (overlap <= tol), which needs
+tol >= sqrt(1 - tol).  The extendibility search further requires
 tol < 1/sqrt(d) on its largest local dimension d (see
 ``upb.extendibility_search``).
 """
@@ -26,7 +25,7 @@ from .errors import PreconditionError
 
 DEFAULT_TOLERANCE = 1e-9
 EIGENVALUE_SIGN_TOL = 1e-10
-MAX_TOLERANCE = 1 / math.sqrt(2)
+MAX_TOLERANCE = (math.sqrt(5) - 1) / 2
 
 
 def tolerance(override: float | None = None) -> float:
@@ -43,6 +42,6 @@ def tolerance(override: float | None = None) -> float:
         raise PreconditionError(f"{source} {value!r} is not a number") from None
     if not 0.0 < tol < MAX_TOLERANCE:
         raise PreconditionError(
-            f"{source} {value!r} must be finite and in (0, 1/sqrt(2))"
+            f"{source} {value!r} must be finite and in (0, (sqrt(5)-1)/2)"
         )
     return tol

@@ -105,7 +105,6 @@ def _offdiag_norm(a: np.ndarray) -> float:
 def jacobi_eigh(
     a: np.ndarray,
     *,
-    offdiag_tol: float = JACOBI_OFFDIAG_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
@@ -113,8 +112,8 @@ def jacobi_eigh(
     The pure-Python reference for ``hermitian_eigenvalues``.  Returns
     ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvector k stored in column k.  Sweeps run until the off-diagonal
-    Frobenius norm drops below ``offdiag_tol``; exceeding ``max_sweeps``
-    raises a convergence error.
+    Frobenius norm drops below ``JACOBI_OFFDIAG_TOL``; exceeding
+    ``max_sweeps`` raises a convergence error.
     """
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -127,8 +126,8 @@ def jacobi_eigh(
     if n == 1:
         return a.real.diagonal().copy(), vecs
 
-    skip_thresh = offdiag_tol / (100.0 * n)
-    converged = _offdiag_norm(a) <= offdiag_tol
+    skip_thresh = JACOBI_OFFDIAG_TOL / (100.0 * n)
+    converged = _offdiag_norm(a) <= JACOBI_OFFDIAG_TOL
     for _ in range(max_sweeps):
         if converged:
             break
@@ -160,10 +159,10 @@ def jacobi_eigh(
                 vcol_q = vecs[:, q].copy()
                 vecs[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
                 vecs[:, q] = s * vcol_p + c * np.conj(phase) * vcol_q
-        converged = _offdiag_norm(a) <= offdiag_tol
+        converged = _offdiag_norm(a) <= JACOBI_OFFDIAG_TOL
     if not converged:
         raise ConvergenceError(
-            f"Jacobi sweeps did not reach off-diagonal norm {offdiag_tol:g} "
+            f"Jacobi sweeps did not reach off-diagonal norm {JACOBI_OFFDIAG_TOL:g} "
             f"within {max_sweeps} sweeps"
         )
     evals = a.real.diagonal().copy()

@@ -1,4 +1,5 @@
-"""JSON schemas for circuits, bases, UPBs, density matrices, and reports.
+"""JSON schemas for circuits, bases, UPBs, density matrices, operators
+and reports: every file the command line reads or writes.
 
 Complex values are always two-element [re, im] arrays of JSON numbers;
 floats are emitted with 17 significant digits so re-serialization is
@@ -382,3 +383,12 @@ def density_from_obj(obj) -> tuple[np.ndarray, tuple]:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad density-matrix object: {exc}") from exc
     return matrix, dims
+
+
+def operator_from_obj(obj) -> np.ndarray:
+    """The operator of a ``lemma --kraus`` file: ``{"matrix": [[[re, im],
+    ...], ...]}``, rows of [re, im] entries."""
+    try:
+        return np.array([[_pair_complex(p) for p in row] for row in obj["matrix"]])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise MalformedJsonError(f"bad operator file: {exc}") from exc

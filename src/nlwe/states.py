@@ -231,13 +231,6 @@ class LocalFactors:
     def overlaps(self) -> list[np.ndarray]:
         return [_overlap_table(kept, v) for kept, v in zip(self.factors, self.vectors)]
 
-    def norms(self) -> np.ndarray:
-        """Each member's norm: the product of its local factor norms."""
-        out = np.ones(len(self))
-        for p, v in enumerate(self.vectors):
-            out *= np.linalg.norm(v, axis=1)[self.ids[:, p]]
-        return out
-
     def gram_extremes(self) -> tuple[float, float]:
         """(max_i |G_ii - 1|, max_{i != j} |G_ij|) for the Gram matrix
         G_ij = <psi_i|psi_j> = prod_p overlaps[p][ids[i, p], ids[j, p]].
@@ -331,5 +324,9 @@ class ProductBasis(LocalFactors):
 
     def norm_deviation(self) -> float:
         """Largest |<psi|psi>^(1/2) - 1| over the states, from the norms of
-        their distinct local factors."""
-        return float(np.max(np.abs(self.norms() - 1.0), initial=0.0))
+        their distinct local factors: each member's norm is the product of
+        its factors' norms."""
+        norms = np.ones(len(self))
+        for p, v in enumerate(self.vectors):
+            norms *= np.linalg.norm(v, axis=1)[self.ids[:, p]]
+        return float(np.max(np.abs(norms - 1.0), initial=0.0))

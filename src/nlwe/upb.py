@@ -69,7 +69,7 @@ class Upb(LocalFactors):
     def __post_init__(self):
         dims = self.dims
         m = len(self)
-        total = self.total_dimension()
+        total = math.prod(dims)
         if not 0 <= self.stopper_index < m:
             raise ContractViolationError(f"stopper index {self.stopper_index} out of range")
         if m < minimal_size(dims):
@@ -85,9 +85,6 @@ class Upb(LocalFactors):
             raise ContractViolationError(
                 f"states are not mutually orthogonal (max overlap {off:.3e})"
             )
-
-    def total_dimension(self) -> int:
-        return math.prod(self.dims)
 
 
 def _require_canonical(circuit: Circuit) -> None:
@@ -167,16 +164,14 @@ class ExtendibilityResult:
 
     ``assignments_covered`` counts the complete member->party assignments
     the search reached or ruled out (pruned at a full-rank party or skipped
-    at party masks known to fail); on an unextendible set it equals
-    ``assignment_bound``, n^m.  ``nodes_visited`` counts the (member, party)
-    placements tried, so it falls when failed masks are skipped while the
-    verdict, the covered count and the witness stay those of the plain
-    search.
+    at party masks known to fail); on an unextendible set it equals n^m.
+    ``nodes_visited`` counts the (member, party) placements tried, so it
+    falls when failed masks are skipped while the verdict, the covered
+    count and the witness stay those of the plain search.
     """
 
     extendible: bool
     assignments_covered: int
-    assignment_bound: int
     nodes_visited: int
     witness_assignment: tuple | None = None
     witness_state: LocalFactors | None = None
@@ -341,7 +336,6 @@ def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
-        assignment_bound=len(dims) ** len(members),
         nodes_visited=nodes,
         witness_assignment=witness,
     )

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ def kron_chain(*vecs):
 def circuit_unitary(circuit):
     """Dense reference: the product of the gate unitaries in listed order
     (the last gate acts first)."""
-    u = np.eye(circuit.total_dimension(), dtype=complex)
+    u = np.eye(math.prod(circuit.dims), dtype=complex)
     for gate in circuit.gates:
         u = u @ gate_unitary(gate, circuit.dims)
     return u

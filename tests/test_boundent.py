@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def shift_upb():
 def complement_mixture(upb):
     """Uniform mixture on the complement, built directly (no
     unextendibility gate), for characterizing arbitrary orthogonal sets."""
-    total = upb.total_dimension()
+    total = math.prod(upb.dims)
     proj = np.zeros((total, total), dtype=complex)
     for s in upb.states:
         v = s.dense()
@@ -262,7 +264,7 @@ class TestSeparabilityCompletion:
         u = make_upb()
         m = len(u)
         rev = Upb.from_states(u.states[::-1], u.dims, stopper_index=m - 1 - u.stopper_index)
-        total = rev.total_dimension()
+        total = math.prod(rev.dims)
         for s in range(len(u.dims)):
             states = completion_states(rev, s)
             assert len(states) == total

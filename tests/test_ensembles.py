@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from nlwe.circuit import check_commutation, generate_basis, validate_exclusivity
@@ -147,7 +149,7 @@ class TestPresetProperties:
     def test_basis_size_and_orthonormality(self, name):
         circuit = preset_circuit(name)
         basis = generate_basis(circuit)
-        assert len(basis) == circuit.total_dimension()
+        assert len(basis) == math.prod(circuit.dims)
         assert basis.gram_deviation() <= 1e-10
         assert validate_exclusivity(circuit).passed
         report = check_commutation(circuit)

@@ -6,6 +6,7 @@ gate unitaries and the rendered D-dimensional state vectors.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from nlwe.config import tolerance
 from nlwe.errors import TooLargeError
 from nlwe.ensembles import local_factor_census, preset_circuit
 from nlwe.linalg import dft_matrix
-from nlwe.states import CB, DFT, LocalFactors, ProductBasis, ProductState, factor_dense
+from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_dense
 
-from helpers import control_dft_circuits, factor_sets, kron_chain, product_tables
+from helpers import control_dft_circuits, dft_col, factor_sets, ket, kron_chain, product_tables
 
 PRODUCT_FORM_TOL = 1e-10  # the threshold of verify's product-form row
 
@@ -46,6 +47,46 @@ def dense_gram_extremes(basis):
     diag = float(np.max(np.abs(np.diag(g) - 1.0)))
     off = float(np.max(np.abs(g - np.diag(np.diag(g))), initial=0.0))
     return diag, off, float(np.max(np.abs(g - np.eye(m))))
+
+
+# Largest |overlaps[0] - dense| seen for d = 1..12 over 600 random lists of
+# every CB and DFT ket plus three random dense kets: 3.0e-15, at the zeroed
+# pairs of distinct DFT kets as elsewhere.
+OVERLAP_TABLE_TOL = 1e-14
+
+
+@st.composite
+def one_party_factors(draw):
+    """(d, distinct factors of one party in random order): computational
+    and dual kets without repeats, plus up to three random dense kets with
+    no zero entry, so no dense overlap is an exact 0."""
+    d = draw(st.integers(1, 12))
+    symbolic = [CB(i) for i in range(d)] + [DFT(i) for i in range(d)]
+    chosen = draw(st.lists(st.sampled_from(symbolic), unique=True, max_size=2 * d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = []
+    for _ in range(draw(st.integers(0 if chosen else 1, 3))):
+        v = rng.uniform(0.5, 1.5, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        dense.append(Dense(v / np.linalg.norm(v)))
+    return d, draw(st.permutations(chosen + dense))
+
+
+class TestOverlapTableZeros:
+    @settings(max_examples=200, deadline=None)
+    @given(one_party_factors())
+    def test_table_is_the_dense_overlap_with_exact_zeros(self, case):
+        d, factors = case
+        table = LocalFactors((d,), [factors], np.zeros((1, 1), dtype=np.intp)).overlaps[0]
+        rendered = np.array([
+            ket(f.index, d) if isinstance(f, CB) else dft_col(f.index, d) if isinstance(f, DFT)
+            else f.entries
+            for f in factors
+        ])
+        assert np.max(np.abs(table - rendered.conj() @ rendered.T)) <= OVERLAP_TABLE_TOL
+        one_basis = np.array([[
+            type(a) is type(b) and not isinstance(a, Dense) and a.index != b.index
+            for b in factors] for a in factors])
+        assert np.array_equal(table == 0.0, one_basis)
 
 
 class TestCommutationAgainstDense:
@@ -111,7 +152,7 @@ class TestCanonicalBases:
     def test_every_check_passes_and_commutators_vanish_exactly(self, preset):
         circuit = preset_circuit(preset)
         basis = generate_basis(circuit)
-        assert len(basis) == circuit.total_dimension()
+        assert len(basis) == math.prod(circuit.dims)
         assert basis.gram_deviation() <= 1e-15
         assert basis.norm_deviation() <= 1e-15
         assert validate_exclusivity(circuit).passed

@@ -357,7 +357,7 @@ class TestCliFlows:
         monkeypatch.setenv("NLWE_TOLERANCE", "1e-5")
         assert main(["verify", "--in", str(path), "--checks", "orth"]) == 0
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf", "0.9", "10"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf", "0.65", "0.9", "10"])
     def test_bad_tolerance_is_one_error_line(self, tmp_path, capsys, monkeypatch, value):
         path = tmp_path / "upb.json"
         main(["upb", "--preset", "shift", "--out", str(path)])
