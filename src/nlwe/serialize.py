@@ -4,10 +4,12 @@ and reports: every file the command line reads or writes.
 Complex values are always two-element [re, im] arrays of JSON numbers;
 floats are emitted with 17 significant digits so re-serialization is
 byte-identical and round-trips exactly; -0.0 is written as ``-0.0``, as
-``-0`` would read back as the integer 0 and lose the sign.  Party indices are 0-based in
-files.  Integer fields (dims, indices, targets, control values, rows and
-cols) must be JSON integers and control keys decimal strings; anything
-else is malformed, not truncated.
+``-0`` would read back as the integer 0 and lose the sign.  Party
+indices are 0-based in files.  Integer fields (dims, indices, targets,
+control values, rows and cols) must be JSON integers and control keys
+decimal strings; anything else is malformed, not truncated.  A dims
+entry below 1 is an invalid dimension, and one whose factor would not
+fit the dense budget is too large.
 
 A basis or UPB file lists every member's factors, but a set is one
 ``states.LocalFactors`` table (a ``ProductBasis`` or ``Upb``) with a few
@@ -30,7 +32,8 @@ import json
 import numpy as np
 
 from .circuit import Circuit, ControlDftGate
-from .errors import DimensionMismatchError, MalformedJsonError
+from .errors import DimensionMismatchError, InvalidDimensionError, MalformedJsonError
+from .linalg import require_dense_budget
 from .states import (
     CB,
     DFT,
@@ -38,7 +41,6 @@ from .states import (
     LocalFactors,
     ProductBasis,
     check_factor,
-    factor_key,
 )
 from .upb import Upb
 
@@ -135,7 +137,13 @@ def _int(value, field: str) -> int:
 
 
 def _dims(obj) -> tuple:
-    return tuple(_int(d, "dims entry") for d in obj["dims"])
+    """JSON integers of at least 1, each within the dense budget as a 1 x d row."""
+    dims = tuple(_int(d, "dims entry") for d in obj["dims"])
+    for d in dims:
+        if d < 1:
+            raise InvalidDimensionError(f"dims entry {d} is below 1")
+        require_dense_budget(1, d, "a local factor")
+    return dims
 
 
 def _party_key(key) -> int:
@@ -180,11 +188,12 @@ def _table_from_obj(objs, dims) -> tuple[list, np.ndarray]:
     party.  A factor object is interned under a key read from it inline: a
     ("cb" | "dft", index) pair, the index a JSON integer (so ``true`` or
     ``1.0``, which hash like ``1``, never find the factor a ``1`` made), or
-    a dense factor's entry bytes.  Every factor object of a state is read
-    before its length is compared with the parties'.  A key seen for the
-    first time at a party is then built into a factor (once per file for all
-    parties), checked against that party's dimension
-    (``states.check_factor``) and given the next id there.
+    a dense factor's entry bytes (the bytes a ``Dense`` compares and hashes
+    by).  Every factor object of a state is read before its length is
+    compared with the parties'.  A key seen for the first time at a party
+    is then built into a factor (once per file for all parties), checked
+    against that party's dimension (``states.check_factor``) and given the
+    next id there.
     """
     n = len(dims)
     made = {}
@@ -241,18 +250,11 @@ def _table_from_obj(objs, dims) -> tuple[list, np.ndarray]:
 
 def _table_to_obj(table: LocalFactors) -> list:
     """The members' objects, with one factor object shared by every
-    occurrence of a factor at any party: CB and DFT factors by value,
-    dense ones by entry bytes."""
+    occurrence of a factor at any party (a factor is its own key)."""
     shared = {}
     columns = []
     for kept, col in zip(table.factors, table.ids.T.tolist()):
-        objs = []
-        for f in kept:
-            key = factor_key(f)
-            obj = shared.get(key)
-            if obj is None:
-                obj = shared[key] = factor_to_obj(f)
-            objs.append(obj)
+        objs = [shared.setdefault(f, factor_to_obj(f)) for f in kept]
         columns.append([objs[k] for k in col])
     rows = zip(*columns) if columns else [()] * len(table.ids)
     return [{"factors": list(row)} for row in rows]

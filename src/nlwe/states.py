@@ -5,9 +5,11 @@ image of a computational ket, i.e. a dual-basis ket), or ``Dense(vector)``.
 Symbolic factors are kept exact end-to-end; densification happens only when
 a verification needs numbers.
 
-A product set is one ``LocalFactors`` table: per party, the distinct local
-factors in first-seen order, and an m x n integer array ``ids`` whose row i
-names member i's factor at each party.  A control-DFT basis has at most 2d
+A factor is its own interning key (dense factors are equal exactly when
+their entries are bit-identical).  A product set is one ``LocalFactors``
+table: per party, the distinct local factors in first-seen order, and an
+m x n integer array ``ids`` whose row i names member i's factor at each
+party.  A control-DFT basis has at most 2d
 distinct kets per party however many members it has, so circuits, files
 and checks all work on the table.  ``ProductBasis`` and ``upb.Upb``
 subclass it, so every set is read directly.  ``LocalFactors.dense``
@@ -45,9 +47,10 @@ class DFT:
 
 
 class Dense:
-    """Dense local factor; entries are stored as an immutable complex vector."""
+    """Dense local factor; entries are stored as an immutable complex vector,
+    whose bytes (taken once) are its equality and hash."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_bytes")
 
     def __init__(self, entries):
         arr = np.asarray(entries, dtype=complex).copy()
@@ -57,9 +60,13 @@ class Dense:
             raise ContractViolationError("dense factor has a non-finite entry")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "_bytes", arr.tobytes())
 
     def __eq__(self, other):
-        return isinstance(other, Dense) and np.array_equal(self.entries, other.entries)
+        return isinstance(other, Dense) and self._bytes == other._bytes
+
+    def __hash__(self):
+        return hash(self._bytes)
 
     def __repr__(self):
         return f"Dense({self.entries.tolist()!r})"
@@ -94,13 +101,6 @@ def factor_descriptor(factor: Factor) -> str:
         return f"DFT{factor.index}"
     rounded = np.round(factor.entries, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
     return "dense:" + ",".join(f"{z.real:+.9f}{z.imag:+.9f}j" for z in rounded)
-
-
-def factor_key(factor: Factor):
-    """The key under which a set interns a factor: the factor itself for a
-    symbolic ket, the entries' bytes for a dense one (bit-identical entries
-    share a key)."""
-    return factor.entries.tobytes() if isinstance(factor, Dense) else factor
 
 
 def check_factor(factor: Factor, dim: int) -> None:
@@ -155,10 +155,10 @@ class LocalFactors:
     """A product set of m members on n parties, as interned local factors.
 
     ``factors[p]`` lists party p's distinct factors in first-seen order
-    (the same symbolic ket, or dense factors with bit-identical entries,
-    are one factor) and ``ids[i, p]`` is the index there of member i's
-    factor.  The factors are taken as checked (``check_factor``): the
-    builders (``from_states``, ``circuit.images`` and the file loader)
+    (equal factors are one factor: the same symbolic ket, or dense factors
+    with bit-identical entries) and ``ids[i, p]`` is the index there of
+    member i's factor.  The factors are taken as checked (``check_factor``):
+    the builders (``from_states``, ``circuit.images`` and the file loader)
     check each distinct factor once, or make only valid ones, and pass
     ``dims`` as a tuple of ints.  ``vectors[p]`` stacks the distinct
     factors' renderings in id order, ``overlaps[p][a, b]`` is <f_a|f_b>,
@@ -177,20 +177,14 @@ class LocalFactors:
         """The set of ``ProductState`` members in listed order; ``fields``
         are a subclass's other fields."""
         dims = tuple(int(d) for d in dims)
-        seen = [{} for _ in dims]
-        distinct = [[] for _ in dims]
-        rows = []
-        for s in states:
-            if s.dims != dims:
-                raise DimensionMismatchError("state dims differ from the set's dims")
-            row = []
-            for key_ids, kept, f in zip(seen, distinct, s.factors):
-                k = key_ids.setdefault(factor_key(f), len(kept))
-                if k == len(kept):
-                    kept.append(f)
-                row.append(k)
-            rows.append(row)
-        ids = np.array(rows, dtype=np.intp).reshape(len(rows), len(dims))
+        if any(s.dims != dims for s in states):
+            raise DimensionMismatchError("state dims differ from the set's dims")
+        distinct = []
+        ids = np.zeros((len(states), len(dims)), dtype=np.intp)
+        for p in range(len(dims)):
+            first = {}  # party p's factors, each mapped to its first-seen id
+            ids[:, p] = [first.setdefault(s.factors[p], len(first)) for s in states]
+            distinct.append(list(first))
         return cls(dims, distinct, ids, **fields)
 
     def __len__(self) -> int:
@@ -240,12 +234,13 @@ class LocalFactors:
         of subtrees is dropped at the first party whose overlap is an exact
         0, so the work scales with the pairs that are not orthogonal early,
         not with m^2.  Identical members meet at a leaf and show their
-        overlap (about 1) off the diagonal.
+        overlap (about 1) off the diagonal; on no parties every member is
+        the empty product 1, so two members overlap by 1.
         """
         m, n = self.ids.shape
         if m == 0:
             return 0.0, 0.0
-        rows = self.ids[np.lexsort(self.ids.T[::-1])]
+        rows = self.ids[np.lexsort(self.ids.T[::-1])] if n else self.ids
         # children[p][node] lists (factor id at party p, child node) for the
         # trie nodes at depth p, i.e. the runs of equal prefixes rows[:, :p]
         children = []

@@ -8,11 +8,11 @@ kill any new orthogonal product state.  The search enumerates assignments
 depth-first (members in listed order, parties ascending) and prunes a branch
 as soon as one party's assigned factors span its whole local space.
 
-The search runs on the set itself, a ``states.LocalFactors`` table (the
-same symbolic ket, or dense factors with bit-identical entries, share one
-id at a party), so a party's assigned factors are an integer mask over a
-handful of ids.  The span rank of each (party, mask) pair is computed once
-per search, by ``linalg.span_dimension`` (singular values above tol of the
+The search runs on the set itself, a ``states.LocalFactors`` table (equal
+factors share one id at a party; dense factors are equal when their
+entries are bit-identical), so a party's assigned factors are an integer
+mask over a handful of ids.  The span rank of each (party, mask) pair is
+computed once per search, by ``linalg.span_dimension`` (singular values above tol of the
 masked factors in id order), and looked up at every later node.
 
 That rank never falls when factors are added, so whether the remaining

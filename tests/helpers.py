@@ -356,9 +356,9 @@ def _dense_factors(draw, d):
 
 
 @st.composite
-def product_tables(draw):
-    """``LocalFactors`` tables of 1-40 members on 1-4 parties of dimension
-    2-5, each member's factors drawn from a per-party pool of computational,
+def product_rows(draw):
+    """``(rows, dims)``: 1-40 members on 1-4 parties of dimension 2-5, each
+    member a tuple of factors drawn from a per-party pool of computational,
     dual and dense kets, the dense ones including bit-identical and nearly
     identical pairs.  Members need not be orthogonal."""
     dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
@@ -369,8 +369,32 @@ def product_tables(draw):
             pool += _dense_factors(draw, d)
         pools.append(pool)
     row = st.tuples(*[st.sampled_from(pool) for pool in pools])
-    rows = draw(st.lists(row, min_size=1, max_size=40))
-    return LocalFactors.from_states([ProductState(r, dims) for r in rows], dims)
+    return draw(st.lists(row, min_size=1, max_size=40)), dims
+
+
+def product_tables():
+    """The ``LocalFactors`` tables of ``product_rows``."""
+    return product_rows().map(
+        lambda case: LocalFactors.from_states([ProductState(r, case[1]) for r in case[0]], case[1])
+    )
+
+
+def reference_interning(rows, n):
+    """Each party's distinct factors in first-seen order, and the members'
+    ids, interned by a key read from each factor: (kind, index) for a
+    symbolic ket, the entries' bytes for a dense one.  Keys are found by a
+    linear scan, so neither factor equality nor hashing is involved."""
+    keys = [[] for _ in range(n)]
+    distinct = [[] for _ in range(n)]
+    ids = []
+    for row in rows:
+        for p, f in enumerate(row):
+            key = f.entries.tobytes() if isinstance(f, Dense) else (type(f).__name__, f.index)
+            if key not in keys[p]:
+                keys[p].append(key)
+                distinct[p].append(f)
+            ids.append(keys[p].index(key))
+    return distinct, np.array(ids, dtype=np.intp).reshape(len(rows), n)
 
 
 @st.composite

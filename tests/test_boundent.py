@@ -24,6 +24,7 @@ from nlwe.linalg import (
     partial_transpose,
     span_dimension,
 )
+from nlwe.report import cut_label, party_label
 from nlwe.states import CB, Dense, ProductBasis, ProductState, check_factor, factor_dense
 from nlwe.upb import Upb, extract_upb
 
@@ -129,6 +130,11 @@ class TestPptReport:
     def test_bipartition_count(self):
         assert len(bipartitions(3)) == 3
         assert len(bipartitions(4)) == 7
+
+    def test_labels_past_the_alphabet(self):
+        assert party_label(25) == "Z"
+        assert party_label(26) == "P27"
+        assert cut_label({0, 26}, 27) == "AP27|" + "BCDEFGHIJKLMNOPQRSTUVWXYZ"
 
     def test_shift_state_ppt_on_all_cuts(self):
         rho = be_state(shift_upb())

@@ -146,6 +146,13 @@ class TestGramAgainstDense:
     def test_empty_set(self):
         assert LocalFactors.from_states([], (2, 2)).gram_extremes() == (0.0, 0.0)
 
+    @pytest.mark.parametrize("m, off", [(1, 0.0), (2, 1.0), (3, 1.0)])
+    def test_no_parties(self, m, off):
+        # every member is the empty product 1, as ``dense`` renders it
+        table = LocalFactors.from_states([ProductState((), ())] * m, ())
+        assert table.gram_extremes() == (0.0, off)
+        assert np.array_equal(table.dense(), np.ones((m, 1)))
+
 
 class TestCanonicalBases:
     @pytest.mark.parametrize("preset", ["canonical:n=5,d=4", "canonical:n=6,d=5"])

@@ -13,7 +13,7 @@ from nlwe import serialize
 from nlwe.circuit import Circuit, ControlDftGate, generate_basis
 from nlwe.cli import main
 from nlwe.ensembles import preset_circuit, shift_circuit
-from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState, factor_key
+from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState
 from nlwe.upb import extract_upb
 
 from helpers import circuits_on, product_tables, reference_dumps
@@ -150,7 +150,7 @@ class TestEncoder:
 
 
 def _keys(table):
-    return [[factor_key(f) for f in kept] for kept in table.factors]
+    return [list(kept) for kept in table.factors]
 
 
 class TestSetWriter:
@@ -393,6 +393,18 @@ class TestCliFlows:
         assert err.count("\n") == 1
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("m, code, residual", [(1, 0, 0.0), (2, 1, 1.0)])
+    def test_verify_on_no_parties(self, tmp_path, m, code, residual):
+        # on no parties every member is the empty product 1: one member is
+        # an orthonormal set, two overlap by 1
+        path = tmp_path / "basis.json"
+        report = tmp_path / "report.json"
+        path.write_text(json.dumps({"dims": [], "states": [{"factors": []}] * m}))
+        assert main(["verify", "--in", str(path), "--json", str(report)]) == code
+        rows = {row["name"]: row for row in json.loads(report.read_text())["checks"]}
+        assert rows["orthogonality"]["residual"] == residual
+        assert rows["product-form"]["pass"]
+
     def test_verify_json_report(self, tmp_path):
         path = tmp_path / "basis.json"
         report = tmp_path / "report.json"
@@ -410,6 +422,26 @@ class TestCliFlows:
         code = main(["verify", "--in", str(path), "--checks", "exclusivity"])
         assert code == 2
         assert "error:precondition-failed:" in capsys.readouterr().err
+
+    def test_verify_missing_circuit_for_commutation(self, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        main(["generate", "--preset", "shift", "--out", str(path)])
+        obj = json.loads(path.read_text())
+        del obj["circuit"]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--checks", "commutation"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:precondition-failed:")
+        assert "for commutation" in err
+
+    @pytest.mark.parametrize("command", [["verify"], ["upb", "check"], ["bestate"]])
+    def test_missing_input_file_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.json"
+        assert main(command + ["--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:malformed-json: cannot read {path}: ")
+        assert err.count("\n") == 1
 
     def test_upb_extract_and_check(self, tmp_path, capsys):
         path = tmp_path / "upb.json"
@@ -578,6 +610,42 @@ class TestCliFlows:
         assert captured.err.startswith("error:precondition-failed:")
         assert "party 0 named twice" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_excluded_index_of_an_unknown_party(self, capsys):
+        assert main(["upb", "--preset", "shift", "--excluded-index", "5=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:contract-violation:")
+        assert "unknown party 5" in err
+        assert err.count("\n") == 1
+
+    def test_excluded_index_per_party(self, capsys):
+        # parties named one by one; party 1 keeps the default index d - 1
+        assert main(["upb", "--preset", "shift", "--excluded-index", "0=1,2=0"]) == 0
+        out = capsys.readouterr().out
+        assert out == serialize.upb_text(extract_upb(shift_circuit(), {0: 1, 2: 0}))
+        assert out != serialize.upb_text(extract_upb(shift_circuit()))
+
+    def test_canonical_preset_with_too_few_dimensions(self, capsys):
+        assert main(["generate", "--preset", "canonical:n=3,d=2,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:construction-error:")
+        assert err.count("\n") == 1
+
+    def test_lemma_without_dim_or_kraus(self, capsys):
+        assert main(["lemma"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:precondition-failed:")
+        assert captured.err.count("\n") == 1
+
+    def test_lemma_kraus_file_with_a_non_square_operator(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"matrix": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}))
+        assert main(["lemma", "--kraus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:dimension-mismatch:")
+        assert err.count("\n") == 1
 
     def test_lemma_rejects_bad_dimension(self, capsys):
         assert main(["lemma", "--dim", "-2"]) == 2
@@ -803,6 +871,44 @@ class TestIntegerFields:
         with pytest.raises(MalformedJsonError):
             serialize.density_from_obj(obj)
 
+    @pytest.mark.parametrize("dims", [[0, 2], [-3]])
+    def test_dims_below_one_in_a_circuit_or_density_file(self, dims):
+        from nlwe.errors import InvalidDimensionError
+
+        with pytest.raises(InvalidDimensionError):
+            serialize.circuit_from_obj({"dims": dims, "gates": []})
+        obj = serialize.density_to_obj(np.eye(4) / 4, (2, 2))
+        obj["dims"] = dims
+        with pytest.raises(InvalidDimensionError):
+            serialize.density_from_obj(obj)
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda circuit: circuit.pop("gates"), "malformed-json"),
+        (lambda circuit: circuit["gates"][0].__setitem__("target", 5), "dimension-mismatch"),
+        (lambda circuit: circuit["gates"][0]["controls"].__setitem__("9", 0), "dimension-mismatch"),
+    ], ids=["no-gates", "target-5", "control-party-9"])
+    def test_bad_embedded_circuit_is_one_error_line(self, shift_file, capsys, edit, code):
+        obj = json.loads(shift_file.read_text())
+        edit(obj["circuit"])
+        shift_file.write_text(json.dumps(obj))
+        assert main(["verify", "--in", str(shift_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:{code}:")
+        assert err.count("\n") == 1
+
+    def test_upb_file_without_stopper_index(self, tmp_path, capsys):
+        path = tmp_path / "upb.json"
+        main(["upb", "--preset", "shift", "--out", str(path)])
+        obj = json.loads(path.read_text())
+        del obj["stopper_index"]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["upb", "check", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:malformed-json:")
+        assert "stopper_index" in err
+        assert err.count("\n") == 1
+
     def test_embedded_circuit_on_other_dims_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "basis.json"
         main(["generate", "--preset", "shift", "--out", str(path)])
@@ -894,12 +1000,48 @@ LOADER_CASES = {
 }
 
 
+def _cb_member(n):
+    return {"factors": [{"kind": "cb", "index": 0}] * n}
+
+
+# (file object, error code): dims that no factor can have, with and
+# without members
+BAD_DIMS = {
+    "negative": ({"dims": [-1, 2, 2], "states": []}, "invalid-dimension"),
+    "zero": ({"dims": [0, 2, 2], "states": []}, "invalid-dimension"),
+    "negative-with-a-member": ({"dims": [-1, 2], "states": [_cb_member(2)]},
+                               "invalid-dimension"),
+    "huge": ({"dims": [10**30, 2], "states": []}, "too-large"),
+    "above-the-budget": ({"dims": [2**22 + 1, 2], "states": [_cb_member(2)]}, "too-large"),
+}
+
+
 class TestLoaderErrors:
     """Every fault the set loader finds in a basis or UPB file is exit 2
     and one ``error:<code>:`` line, the same for ``verify`` and ``upb
     check``, except where the two commands' own checks differ: a
     duplicated member fails verify's orthogonality row (exit 1) but the
     UPB's orthogonality gate (exit 2)."""
+
+    @pytest.mark.parametrize("command", [["verify"], ["upb", "check"], ["bestate"]])
+    @pytest.mark.parametrize("case", sorted(BAD_DIMS))
+    def test_bad_dims_is_one_error_line(self, tmp_path, capsys, command, case):
+        # a dims entry below 1, or one whose single factor is beyond the
+        # dense budget, is refused as the file is read
+        obj, code = BAD_DIMS[case]
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({**obj, "stopper_index": 0}))
+        assert main(command + ["--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:{code}:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_dims_at_the_budget_load(self):
+        # a 1 x 2^22 complex row is exactly the 64 MiB budget
+        basis, _ = serialize.basis_from_obj({"dims": [2**22, 2], "states": []})
+        assert basis.dims == (2**22, 2)
 
     @pytest.mark.parametrize("command", ["verify", "upb check"])
     @pytest.mark.parametrize("case", sorted(LOADER_CASES))

@@ -21,7 +21,7 @@ from nlwe.errors import ContractViolationError
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_descriptor
 from nlwe.upb import Upb, extract_upb
 
-from helpers import control_dft_circuits
+from helpers import control_dft_circuits, product_rows, reference_interning
 
 PRESETS = [
     "oneway", "shift", "fig4", "canonical:n=4,d=3", "canonical:n=4,d=3,4,3,3",
@@ -136,6 +136,55 @@ class TestLoaderAgreesWithStates:
         assert local_factor_census(ProductBasis.from_states(states, (2, 2)), 0) == {
             factor_descriptor(Dense(v)): 2
         }
+
+
+PLUS_ZERO = Dense(np.array([1.0, 0.0]))
+MINUS_ZERO = Dense(np.array([1.0, -0.0]))
+
+
+class TestFactorIdentity:
+    """A factor is its own interning key: a dense factor equals, and hashes
+    like, one with bit-identical entries and no other."""
+
+    def test_bit_identical_dense_factors_are_equal_and_hash_alike(self):
+        v = np.array([0.6 + 0.2j, 0.3 - 0.7j]) / np.sqrt(0.98)
+        a, b = Dense(v), Dense(v.copy())
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        near = v.copy()
+        near[0] = complex(np.nextafter(v[0].real, 2.0), v[0].imag)
+        assert Dense(near) != a
+
+    def test_signed_zero_is_another_factor(self):
+        assert np.array_equal(PLUS_ZERO.entries, MINUS_ZERO.entries)
+        assert PLUS_ZERO != MINUS_ZERO
+        assert len({PLUS_ZERO, MINUS_ZERO}) == 2
+
+    def test_dense_factor_is_not_a_symbolic_one(self):
+        assert Dense(np.array([1.0, 0.0])) != CB(0)
+        assert CB(0) != Dense(np.array([1.0, 0.0]))
+        assert CB(1) != DFT(1)
+
+    def test_product_state_with_a_dense_factor_hashes(self):
+        s = ProductState((Dense(np.array([1.0, 0.0])), CB(1)), (2, 2))
+        t = ProductState((Dense(np.array([1.0, 0.0])), CB(1)), (2, 2))
+        assert s == t and hash(s) == hash(t)
+        assert ProductState((MINUS_ZERO, CB(1)), (2, 2)) not in {s}
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_rows())
+    @example(case=([(PLUS_ZERO, CB(0)), (MINUS_ZERO, CB(1)), (Dense(np.array([1.0, 0.0])), DFT(0))],
+                   (2, 2)))
+    def test_from_states_interns_like_the_reference(self, case):
+        rows, dims = case
+        table = LocalFactors.from_states([ProductState(r, dims) for r in rows], dims)
+        factors, ids = reference_interning(rows, len(dims))
+        assert np.array_equal(table.ids, ids)
+        # the same first-seen objects, in the same order
+        assert [[id(f) for f in kept] for kept in table.factors] == [
+            [id(f) for f in kept] for kept in factors
+        ]
 
 
 def fired_factors(circuit, cb_input):
