@@ -23,6 +23,10 @@ One loader (``_table_from_obj``) reads the factors and ids for both file
 kinds in one pass: it checks each factor object's shape, kind and integer
 index where it reads it, and each distinct factor's range, dimension,
 finiteness and norm once.
+
+``density_text`` writes a density-matrix file from the array: one %-format
+of every entry's two parts over the matrix's flat float view, byte for
+byte ``dumps`` of ``density_to_obj``, which stays the writer's reference.
 """
 
 from __future__ import annotations
@@ -373,6 +377,25 @@ def density_to_obj(matrix: np.ndarray, dims) -> dict:
         "cols": cols,
         "entries": [_complex_pair(z) for z in matrix.reshape(-1)],
     }
+
+
+def density_text(matrix: np.ndarray, dims) -> str:
+    """The density-matrix file's text, ``dumps(density_to_obj(matrix,
+    dims))``: every entry is formatted by one ``%.17g`` %-format over the
+    flat float view, and each exact ``-0`` token is then written ``-0.0``
+    as ``dumps`` writes it.  A non-finite entry raises ``ValueError``."""
+    matrix = np.asarray(matrix, dtype=complex)
+    rows, cols = matrix.shape
+    parts = np.ascontiguousarray(matrix).reshape(-1).view(float)
+    if not np.isfinite(parts).all():
+        raise ValueError("non-finite float is not serializable")
+    # indent depths: the file 0, "entries" 1, an entry 2, its parts 3
+    pair = "[\n      %.17g,\n      %.17g\n    ]"
+    entries = _container_text([pair] * (parts.size // 2), 1) % tuple(parts.tolist())
+    entries = entries.replace(" -0,\n", " -0.0,\n").replace(" -0\n", " -0.0\n")
+    items = ['"dims": ' + _encode([int(d) for d in dims], 1, set()),
+             f'"rows": {rows}', f'"cols": {cols}', '"entries": ' + entries]
+    return _container_text(items, 0, "{}") + "\n"
 
 
 def density_from_obj(obj) -> tuple[np.ndarray, tuple]:

@@ -12,8 +12,12 @@ The search runs on the set itself, a ``states.LocalFactors`` table (equal
 factors share one id at a party; dense factors are equal when their
 entries are bit-identical), so a party's assigned factors are an integer
 mask over a handful of ids.  The span rank of each (party, mask) pair is
-computed once per search, by ``linalg.span_dimension`` (singular values above tol of the
-masked factors in id order), and looked up at every later node.
+the number of singular values above tol of the masked factors in id order;
+it is found once per search and looked up at every later node.  A mask
+that holds only computational (CB) and dual-basis (DFT) kets has its rank
+counted, with no SVD, where a bound proves the count (``_certified``);
+every other mask is ranked by ``linalg.span_dimension``, which computes
+the singular values.
 
 That rank never falls when factors are added, so whether the remaining
 members can be placed depends only on the masks, not on the next member
@@ -43,7 +47,7 @@ from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport
-from .states import DFT, Dense, LocalFactors, check_factor
+from .states import CB, DFT, Dense, LocalFactors, check_factor
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -186,6 +190,76 @@ def _state_bytes(factors: LocalFactors) -> int:
     return sys.getsizeof((0,) * n) + n * sys.getsizeof((1 << bits) - 1) + 64
 
 
+# the bound in ``_certified`` must beat tol^2 by this much, far above the
+# rounding of the rendered kets and of LAPACK's singular values
+_CERTIFIED_MARGIN = 1e-9
+
+
+def _certified(d: int, a: int, b: int, tol: float) -> bool:
+    """Whether a distinct CB kets and b distinct DFT kets of one d-dimensional
+    party (indices in range, a, b >= 1) provably have rank min(d, a + b),
+    i.e. that many singular values above tol.
+
+    The rows' Gram matrix is [[I, X], [X+, I]] with |X_kl| = |<k|F|l>| =
+    1/sqrt(d), so its eigenvalues are 1 and 1 +- s for the singular values
+    s of X, each at most ||X||_F = sqrt(ab/d): every squared singular value
+    of the rows is at least 1 - sqrt(ab/d).  For a + b <= d the rank is
+    a + b once that bound exceeds tol^2 + ``_CERTIFIED_MARGIN``, i.e.
+    ab < d (1 - tol^2 - margin)^2.  For a + b > d it suffices that some
+    sub-mask of a' <= a CB and b' <= b DFT kets with a' + b' = d is so
+    certified: adding rows lowers no singular value (the interlacing the
+    search relies on), so the mask has d singular values above tol, and it
+    has at most d.  a'b' = a'(d - a') is concave in a', so the least one
+    sits at an end of the range max(0, d - b) <= a' <= min(a, d), and a
+    product of 0 is d orthonormal kets.
+    """
+    if a + b > d:
+        a = min(max(0, d - b), min(a, d), key=lambda x: x * (d - x))
+        b = d - a
+    return a * b < d * (1 - tol * tol - _CERTIFIED_MARGIN) ** 2
+
+
+def _counted_ids(kept, d: int) -> tuple[int, int]:
+    """(CB ids, DFT ids) of one party's distinct factors as bitmasks, so a
+    mask holding only those ids can have its rank counted; (0, 0), which
+    sends every mask to ``span_dimension``, unless the party's symbolic
+    factors are distinct and have indices in range (a hand-built table may
+    hold ``CB(0)`` under two ids, or ``DFT(d)``, which renders as F|0>)."""
+    cb = dft = 0
+    symbolic = set()
+    for k, f in enumerate(kept):
+        if isinstance(f, (CB, DFT)):
+            if f in symbolic or not 0 <= f.index < d:
+                return 0, 0
+            symbolic.add(f)
+            if isinstance(f, CB):
+                cb |= 1 << k
+            else:
+                dft |= 1 << k
+    return cb, dft
+
+
+def _mask_rank(mask: int, vectors: np.ndarray, counted: tuple[int, int], tol) -> int:
+    """Rank of the rows of ``vectors`` (one party's rendered distinct
+    factors) named by ``mask``: the number of singular values above tol.
+    ``counted`` is the party's (CB ids, DFT ids) from ``_counted_ids``.  A
+    mask of a CB and b DFT kets with a = 0 or b = 0 is orthonormal, rank
+    a + b; with both nonzero its rank is min(d, a + b) where ``_certified``
+    proves it.  Any other mask, and every mask with a ``Dense`` id, is
+    ranked by ``span_dimension``.  The search calls this once per
+    (party, mask) it has not seen."""
+    cb, dft = counted
+    if not mask & ~(cb | dft):
+        a = (mask & cb).bit_count()
+        b = (mask & dft).bit_count()
+        if not (a and b):
+            return a + b
+        d = vectors.shape[1]
+        if _certified(d, a, b, tol):
+            return min(d, a + b)
+    return span_dimension([v for k, v in enumerate(vectors) if mask >> k & 1], tol)
+
+
 def _search(factors: LocalFactors, tol):
     """Depth-first search over member->party assignments.
 
@@ -193,16 +267,18 @@ def _search(factors: LocalFactors, tol):
     keeps the mask of the factor ids assigned to it, whose span stays below
     the local dimension; assigning member i to party j is pruned iff the
     rank of the mask with its id added reaches d_j.  Ranks are memoised per
-    (party, mask) and come from ``span_dimension`` on the masked factors in
-    id order.  Returns (witness assignment or None, assignments covered,
-    nodes visited).  Covered counts complete assignments either reached or
-    ruled out, so an unextendible input always covers the full n^m bound;
-    nodes counts the (member, party) placements tried.
+    (party, mask) and come from ``_mask_rank``: the singular values above
+    tol of the masked factors in id order, counted without an SVD where
+    ``_certified`` proves the count.  Returns (witness assignment or None,
+    assignments covered, nodes visited).  Covered counts complete
+    assignments either reached or ruled out, so an unextendible input
+    always covers the full n^m bound; nodes counts the (member, party)
+    placements tried.
 
     Whether the members from i on can be placed depends only on the party
     masks, not on i.  The code relies on one condition: a rank never falls
-    when factors are added to a mask, which holds because ``span_dimension``
-    counts singular values above tol, and adding a vector lowers none of
+    when factors are added to a mask, which holds because a rank counts
+    singular values above tol, and adding a vector lowers none of
     them (Cauchy interlacing).  Say the state (i, masks) fails, i.e. no
     placement of members i..m-1 succeeds from it, and the search arrives at
     (i', masks).  If i' > i, each of members i..i'-1 sits in a party whose
@@ -229,6 +305,7 @@ def _search(factors: LocalFactors, tol):
     m = len(ids)
     n = len(dims)
     memo = [{} for _ in range(n)]
+    counted = [_counted_ids(kept, d) for kept, d in zip(factors.factors, dims)]
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
     saved = []  # the mask each placement replaced, restored on backtrack
@@ -255,8 +332,7 @@ def _search(factors: LocalFactors, tol):
         grown = masks[j] | 1 << ids[i][j]
         rank = memo[j].get(grown)
         if rank is None:
-            picked = [v for k, v in enumerate(factors.vectors[j]) if grown >> k & 1]
-            rank = memo[j][grown] = span_dimension(picked, tol)
+            rank = memo[j][grown] = _mask_rank(grown, factors.vectors[j], counted[j], tol)
         if rank >= dims[j]:
             # party j would be fully spanned: no product state can be
             # orthogonal there, so every completion of this branch fails
@@ -350,7 +426,9 @@ def is_unextendible(upb: Upb) -> VerificationReport:
     The report passes iff no member->party assignment leaves every party's
     assigned span below its local dimension.  When a witness assignment
     exists, the detail names it; ``extendibility_search`` returns it with
-    an orthogonal product state.
+    an orthogonal product state.  The residual is the covered assignment
+    count as a float, or None past float range; the detail keeps the exact
+    count.
     """
     res = extendibility_search(upb)
     report = VerificationReport()
@@ -364,10 +442,11 @@ def is_unextendible(upb: Upb) -> VerificationReport:
             f"unextendible, {res.assignments_covered} assignments examined "
             f"(pre-pruning bound)"
         )
+    covered = res.assignments_covered
     report.add(
         "unextendible",
         not res.extendible,
-        residual=float(res.assignments_covered),
+        residual=float(covered) if covered <= sys.float_info.max else None,
         detail=detail,
     )
     return report

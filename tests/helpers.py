@@ -356,11 +356,12 @@ def _dense_factors(draw, d):
 
 
 @st.composite
-def product_rows(draw):
-    """``(rows, dims)``: 1-40 members on 1-4 parties of dimension 2-5, each
-    member a tuple of factors drawn from a per-party pool of computational,
-    dual and dense kets, the dense ones including bit-identical and nearly
-    identical pairs.  Members need not be orthogonal."""
+def product_rows(draw, max_members=40):
+    """``(rows, dims)``: 1-``max_members`` members on 1-4 parties of
+    dimension 2-5, each member a tuple of factors drawn from a per-party
+    pool of computational, dual and dense kets, the dense ones including
+    bit-identical and nearly identical pairs.  Members need not be
+    orthogonal."""
     dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
     pools = []
     for d in dims:
@@ -369,12 +370,12 @@ def product_rows(draw):
             pool += _dense_factors(draw, d)
         pools.append(pool)
     row = st.tuples(*[st.sampled_from(pool) for pool in pools])
-    return draw(st.lists(row, min_size=1, max_size=40)), dims
+    return draw(st.lists(row, min_size=1, max_size=max_members)), dims
 
 
-def product_tables():
+def product_tables(max_members=40):
     """The ``LocalFactors`` tables of ``product_rows``."""
-    return product_rows().map(
+    return product_rows(max_members).map(
         lambda case: LocalFactors.from_states([ProductState(r, case[1]) for r in case[0]], case[1])
     )
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwe import serialize
@@ -153,6 +153,46 @@ def _keys(table):
     return [list(kept) for kept in table.factors]
 
 
+_PARTS = (st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 1e-05, -1e-05, 5e-324, -5e-324,
+                           2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, 2.0**60])
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def density_cases(draw):
+    """(matrix, dims): a 0-4 x 0-4 complex matrix whose real and imaginary
+    parts mix signed zeros, integral floats, subnormals and extremes."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    parts = draw(st.lists(_PARTS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    matrix = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    return matrix, draw(st.lists(st.integers(1, 5), max_size=3))
+
+
+class TestDensityWriter:
+    """``serialize.density_text`` writes ``dumps(density_to_obj(...))``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(density_cases())
+    @example((np.zeros((0, 0), dtype=complex), []))
+    @example((np.array([[complex(-0.0, -0.0)]]), [1]))
+    @example((np.array([[complex(1.0, 1e-05)]]), [1]))
+    def test_matches_the_reference_writer(self, case):
+        matrix, dims = case
+        text = serialize.density_text(matrix, dims)
+        assert text == serialize.dumps(serialize.density_to_obj(matrix, dims))
+        assert text == reference_dumps(serialize.density_to_obj(matrix, dims))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_non_finite_entry_raises(self, bad, imag):
+        matrix = np.eye(2, dtype=complex)
+        matrix[1, 0] = complex(0.0, bad) if imag else complex(bad, 0.0)
+        with pytest.raises(ValueError):
+            serialize.dumps(serialize.density_to_obj(matrix, [2]))
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.density_text(matrix, [2])
+
+
 class TestSetWriter:
     """``basis_text`` and ``upb_text`` write from the id table the text that
     ``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj``, and the loader
@@ -243,8 +283,36 @@ VERIFY_SHA256 = {
 }
 
 
+# sha256 of ``bestate --ppt --out`` density files: the SHIFT extraction and
+# SHIFT (x) {|0>, |1>} (``_bestate_input``)
+BESTATE_SHA256 = {
+    "shift": "ed97159cb0b932df7d573be9f5f766606fdbb7b9a3d955484ae206fcc36cc5ac",
+    "shift-x-cb2": "f81025afe802e027c4cd56b583895b3582ef80562fb6c729dd0e153c355e6262",
+}
+
+# sha256 of ``upb check`` standard output on the extraction of each preset
+UPB_CHECK_SHA256 = {
+    "shift": "03e99f77cd88a83ae833e7f30073b0ab6f02dcb18772d3a9495321d379f3a4c0",
+    "canonical:n=4,d=3": "619fb628d903efbc67d088f30729f6b96f62e19f8b44755a1c316ce7c6852508",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _bestate_input(name: str) -> dict:
+    """The UPB file object of the SHIFT extraction, or of SHIFT (x) {|0>, |1>}
+    (members SHIFT-major, stopper index 0)."""
+    shift = serialize.upb_to_obj(extract_upb(preset_circuit("shift")))
+    if name == "shift":
+        return shift
+    return {
+        "dims": shift["dims"] + [2],
+        "states": [{"factors": s["factors"] + [{"kind": "cb", "index": k}]}
+                   for s in shift["states"] for k in range(2)],
+        "stopper_index": 0,
+    }
 
 
 class TestPinnedOutput:
@@ -285,6 +353,22 @@ class TestPinnedOutput:
         assert main(["verify", "--in", str(basis), "--checks", checks,
                      "--json", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_SHA256[preset]
+
+    @pytest.mark.parametrize("name", sorted(BESTATE_SHA256))
+    def test_bestate_density_file(self, name, tmp_path):
+        upb = tmp_path / "upb.json"
+        rho = tmp_path / "rho.json"
+        upb.write_text(json.dumps(_bestate_input(name)))
+        assert main(["bestate", "--in", str(upb), "--ppt", "--out", str(rho)]) == 0
+        assert hashlib.sha256(rho.read_bytes()).hexdigest() == BESTATE_SHA256[name]
+
+    @pytest.mark.parametrize("preset", sorted(UPB_CHECK_SHA256))
+    def test_upb_check(self, preset, tmp_path, capsys):
+        path = tmp_path / "upb.json"
+        assert main(["upb", "--preset", preset, "--out", str(path)]) == 0
+        code = main(["upb", "check", "--in", str(path)])
+        assert code == (0 if preset == "shift" else 1)
+        assert _sha256(capsys.readouterr().out) == UPB_CHECK_SHA256[preset]
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +573,26 @@ class TestCliFlows:
         out = capsys.readouterr().out
         assert out.startswith("extendible, ")
         assert "witness assignment (0, 0, 0, 1)" in out
+
+    def test_upb_check_beyond_the_float_range(self, tmp_path):
+        # the 1102 computational kets |0, k> and |1, 1> on (2, 1101): the
+        # witness comes after 1 103 nodes and a covered count of 332 digits,
+        # past float range, so the residual is "-"
+        members = [(0, 0), (1, 1)] + [(0, k) for k in range(2, 1101)] + [(0, 1)]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps({"dims": [2, 1101], "stopper_index": 0, "states": [
+            {"factors": [{"kind": "cb", "index": a}, {"kind": "cb", "index": b}]}
+            for a, b in members]}))
+        proc = subprocess.run([sys.executable, "-m", "nlwe", "upb", "check", "--in", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        first, table = proc.stdout.split("\n", 1)
+        count = first.removeprefix("extendible, ").split(" ")[0]
+        assert len(count) == 332
+        assert first == f"extendible, {count} assignments examined; witness assignment " + str(
+            (0, 1) + (0,) * 1100)
+        assert "unextendible  FAIL             -  extendible, " + count in table
 
     def test_verify_runs_every_check_on_the_big_basis(self, big_basis, tmp_path):
         # D = 15625: every check works on local factors, no D-sized array

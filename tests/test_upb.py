@@ -15,11 +15,15 @@ from nlwe.ensembles import (
 )
 from nlwe import linalg
 from nlwe.boundent import be_state, state_rank
+from nlwe.config import MAX_TOLERANCE
 from nlwe.errors import ContractViolationError, PreconditionError
 from nlwe.linalg import dft_matrix, gram, span_dimension
-from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState
+from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
 from nlwe.upb import (
     Upb,
+    _certified,
+    _counted_ids,
+    _mask_rank,
     _state_bytes,
     extendibility_search,
     extract_upb,
@@ -35,6 +39,7 @@ from helpers import (
     kron_chain,
     member_search,
     min_total_overlap,
+    product_tables,
     residual_search,
     symbolic_key,
 )
@@ -359,6 +364,63 @@ class TestSearchProperties:
             assert_witness(res, table)
 
 
+class TestCertifiedRanks:
+    """A mask of computational and dual-basis kets gets its rank by counting
+    (``_mask_rank``) only where the count is proven, so the search decides
+    as the SVD reference does."""
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_count_agrees_with_span_dimension_on_every_subset(self, d):
+        kept = [CB(k) for k in range(d)] + [DFT(k) for k in range(d)]
+        vectors = np.array([factor_dense(f, d) for f in kept])
+        counted = _counted_ids(kept, d)
+        assert counted == ((1 << d) - 1, ((1 << d) - 1) << d)
+        bound = min(1 / math.sqrt(d), MAX_TOLERANCE)
+        tols = [1e-9, 0.1, 0.3, float(np.nextafter(bound, 0))]
+        certified = dict.fromkeys(tols, 0)  # counted masks with both kinds
+        for mask in range(1, 1 << 2 * d):
+            a = (mask & counted[0]).bit_count()
+            b = (mask & counted[1]).bit_count()
+            rows = vectors[[k for k in range(2 * d) if mask >> k & 1]]
+            for tol in tols:
+                if a and b and not _certified(d, a, b, tol):
+                    continue
+                rank = min(d, a + b)
+                assert span_dimension(rows, tol) == rank, (d, mask, tol)
+                assert _mask_rank(mask, vectors, counted, tol) == rank
+                certified[tol] += bool(a and b)
+        assert all(certified.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_tables(max_members=8), st.data())
+    def test_search_agrees_with_the_svd_reference(self, table, data):
+        bound = min(1 / math.sqrt(max(table.dims)), MAX_TOLERANCE)
+        tol = data.draw(st.just(1e-9) | st.floats(1e-12, bound, exclude_max=True))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("NLWE_TOLERANCE", repr(tol))
+            res = extendibility_search(table)
+        witness, covered, nodes = member_search(table, tol)
+        assert res.extendible == (witness is not None)
+        assert res.witness_assignment == witness
+        assert res.assignments_covered == covered
+        assert res.nodes_visited <= nodes
+
+    @pytest.mark.parametrize("kept", [[CB(0), CB(1), CB(0)], [DFT(0), DFT(1), DFT(2)]],
+                             ids=["CB(0) twice", "DFT(d)"])
+    def test_a_party_with_equal_symbolic_kets_keeps_the_svd(self, kept):
+        # ids 0 and 2 of party 0 render as one ket (DFT(2) is F|0> on a
+        # qubit): the first two members fit party 0, whose rank is 1, not
+        # the 2 a count would give
+        assert _counted_ids(kept, 2) == (0, 0)
+        table = LocalFactors((2, 2), [kept, [CB(0), CB(1)]],
+                             np.array([[0, 0], [2, 1], [1, 1]], dtype=np.intp))
+        res = extendibility_search(table)
+        witness, covered, nodes = member_search(table)
+        assert res.witness_assignment == witness == (0, 0, 1)
+        assert res.assignments_covered == covered
+        assert res.nodes_visited == nodes
+
+
 class TestFailureSet:
     """The failed states are held to ``linalg.DENSE_BYTES_BUDGET``; a full
     set only stops recording, so a starved search decides the same."""
@@ -463,7 +525,7 @@ class TestWitnessCheck:
     def test_empty_complement_is_contract_violation(self, monkeypatch):
         # a search that thinks every party has room reaches the all-party-0
         # assignment, whose four factors span party 0 completely
-        monkeypatch.setattr("nlwe.upb.span_dimension", lambda vecs, tol: min(len(vecs), 1))
+        monkeypatch.setattr("nlwe.upb._mask_rank", lambda mask, vectors, counted, tol: 1)
         with pytest.raises(ContractViolationError, match="no orthogonal direction"):
             extendibility_search(shift_upb())
 
