@@ -45,15 +45,15 @@ from .upb import extract_upb, is_unextendible
 VERIFY_CHECKS = ("orth", "product", "exclusivity", "commutation", "census")
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout when no path is given; a
-    path that cannot be written is a precondition error."""
+def _write_or_print(pieces, path: str | None) -> None:
+    """Write the str ``pieces`` in turn to ``path``, or to stdout when no
+    path is given; a path that cannot be written is a precondition error."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
@@ -84,7 +84,7 @@ def _parse_excluded(spec: str | None, n_parties: int):
 def cmd_generate(args) -> int:
     circuit = preset_circuit(args.preset)
     basis = generate_basis(circuit)
-    _write_or_print(serialize.basis_text(basis, circuit), args.out)
+    _write_or_print(serialize.basis_pieces(basis, circuit), args.out)
     return 0
 
 
@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
             )
     print(report.table())
     if args.json:
-        _write_or_print(serialize.dumps(report.to_obj()), args.json)
+        _write_or_print((serialize.dumps(report.to_obj()),), args.json)
     return 0 if report.passed else 1
 
 
@@ -148,7 +148,7 @@ def cmd_upb(args) -> int:
     circuit = preset_circuit(args.preset)
     excluded = _parse_excluded(args.excluded_index, len(circuit.dims))
     upb = extract_upb(circuit, excluded)
-    _write_or_print(serialize.upb_text(upb), args.out)
+    _write_or_print(serialize.upb_pieces(upb), args.out)
     return 0
 
 
@@ -173,7 +173,7 @@ def cmd_bestate(args) -> int:
         report.merge(separability_report(upb))
     print(report.table())
     if args.out:
-        _write_or_print(serialize.density_text(rho.matrix, rho.dims), args.out)
+        _write_or_print((serialize.density_text(rho.matrix, rho.dims),), args.out)
     return 0 if report.passed else 1
 
 

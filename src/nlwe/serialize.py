@@ -14,15 +14,20 @@ fit the dense budget is too large.
 A basis or UPB file lists every member's factors, but a set is one
 ``states.LocalFactors`` table (a ``ProductBasis`` or ``Upb``) with a few
 distinct factors per party (at most 2d for a control-DFT basis), so the
-per-factor work is done once per distinct factor.  ``basis_text`` and
-``upb_text`` write a file from the table: each distinct factor's text is
-encoded once per party and each member's text is one join of those
-texts, byte for byte the text that ``dumps`` gives for ``basis_to_obj``
-and ``upb_to_obj`` (which share one factor object per distinct factor).
-One loader (``_table_from_obj``) reads the factors and ids for both file
-kinds in one pass: it checks each factor object's shape, kind and integer
-index where it reads it, and each distinct factor's range, dimension,
-finiteness and norm once.
+per-factor work is done once per distinct factor.  ``basis_pieces`` and
+``upb_pieces`` stream a file from the table, one text piece per member
+between a head and a tail: each distinct factor's text is encoded once
+per party and each member's text is one join of those texts, so a writer
+holds one member's text at a time.  The pieces join (``basis_text``,
+``upb_text``) byte for byte to the text that ``dumps`` gives for
+``basis_to_obj`` and ``upb_to_obj`` (which share one factor object per
+distinct factor).  ``loads`` shares factor objects the same way: equal
+symbolic factor objects of a file are one dict, so a loaded basis holds a
+few factor objects, not one per occurrence.  One loader
+(``_table_from_obj``) reads the factors and ids for both file kinds in
+one pass: it checks each distinct factor object's shape, kind and integer
+index where it first reads it, and each distinct factor's range,
+dimension, finiteness and norm once.
 
 ``density_text`` writes a density-matrix file from the array: one %-format
 of every entry's two parts over the matrix's flat float view, byte for
@@ -117,8 +122,27 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    """The JSON value of ``text``, with one dict shared by every object
+    that has exactly the keys ``kind`` (a string) and ``index`` (an
+    integer) with equal values: a file's symbolic factor objects, so a
+    basis file holds a few factor objects, not one per occurrence.  Like
+    ``basis_to_obj``'s, the tree must not be mutated.
+
+    Every other object is kept as parsed, and nothing is checked here: an
+    object whose index is ``true`` or ``1.0`` is its own, since only JSON
+    integers are keys, and the loaders find its faults as for plain
+    ``json.loads``."""
+    shared = {}
+
+    def share(obj):
+        if len(obj) == 2:
+            kind, index = obj.get("kind"), obj.get("index")
+            if type(kind) is str and type(index) is int:
+                return shared.setdefault((kind, index), obj)
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=share)
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
 
@@ -184,22 +208,38 @@ def factor_to_obj(factor) -> dict:
 _SYMBOLIC = {"cb": CB, "dft": DFT}
 
 
+def _factor_key(obj):
+    """A factor object's interning key: a ("cb" | "dft", index) pair, the
+    index a JSON integer (so ``true`` or ``1.0``, which hash like ``1``,
+    never find the factor a ``1`` made), or a dense factor's entry bytes
+    (the bytes a ``Dense`` compares and hashes by)."""
+    kind = obj["kind"]
+    if kind == "cb" or kind == "dft":
+        index = obj["index"]
+        if type(index) is not int:
+            raise MalformedJsonError(f"factor index must be a JSON integer, got {index!r}")
+        return kind, index
+    if kind == "dense":
+        return np.array([_pair_complex(z) for z in obj["entries"]], dtype=complex).tobytes()
+    raise MalformedJsonError(f"unknown factor kind {kind!r}")
+
+
 def _table_from_obj(objs, dims) -> tuple[list, np.ndarray]:
     """The ``factors`` and ``ids`` of the set in a file's ``states`` list,
     for the caller to make a ``ProductBasis`` or ``Upb`` on ``dims``.
 
     Each state's ``factors`` must be a list with one factor object per
-    party.  A factor object is interned under a key read from it inline: a
-    ("cb" | "dft", index) pair, the index a JSON integer (so ``true`` or
-    ``1.0``, which hash like ``1``, never find the factor a ``1`` made), or
-    a dense factor's entry bytes (the bytes a ``Dense`` compares and hashes
-    by).  Every factor object of a state is read before its length is
-    compared with the parties'.  A key seen for the first time at a party
-    is then built into a factor (once per file for all parties), checked
-    against that party's dimension (``states.check_factor``) and given the
-    next id there.
+    party.  A factor object is interned under its ``_factor_key``, read
+    once per distinct object (``loads`` shares equal symbolic ones): the
+    keys are held by ``id``, which stays valid while ``objs`` is alive.
+    Every factor object of a state is read before its length is compared
+    with the parties'.  A key seen for the first time at a party is then
+    built into a factor (once per file for all parties), checked against
+    that party's dimension (``states.check_factor``) and given the next id
+    there.
     """
     n = len(dims)
+    keys = {}  # id of a factor object -> its key
     made = {}
     seen = [{} for _ in dims]
     distinct = [[] for _ in dims]
@@ -216,19 +256,9 @@ def _table_from_obj(objs, dims) -> tuple[list, np.ndarray]:
             )
         try:
             for p, obj in enumerate(factor_objs):
-                kind = obj["kind"]
-                if kind == "cb" or kind == "dft":
-                    index = obj["index"]
-                    if type(index) is not int:
-                        raise MalformedJsonError(
-                            f"factor index must be a JSON integer, got {index!r}"
-                        )
-                    key = kind, index
-                elif kind == "dense":
-                    key = np.array([_pair_complex(z) for z in obj["entries"]],
-                                   dtype=complex).tobytes()
-                else:
-                    raise MalformedJsonError(f"unknown factor kind {kind!r}")
+                key = keys.get(id(obj))
+                if key is None:
+                    key = keys[id(obj)] = _factor_key(obj)
                 if p < n:
                     k = seen[p].get(key)
                     if k is None:
@@ -325,37 +355,59 @@ def upb_to_obj(upb: Upb) -> dict:
     }
 
 
-def _set_text(table: LocalFactors, tail: dict) -> str:
+def _set_pieces(table: LocalFactors, tail: dict):
     """The text of ``{"dims": ..., "states": [...], **tail}`` for a basis or
     UPB file, byte for byte ``dumps`` of ``basis_to_obj``/``upb_to_obj``,
-    written from the table: each party's distinct factors are encoded once,
-    at the depth where factor objects sit, and each member's text is one
-    join of its factors' texts inside a fixed frame."""
+    as pieces: the head, one piece per member, then the tail.  It is
+    written from the table: each party's distinct factors are encoded
+    once, at the depth where factor objects sit, and each member's text is
+    one join of its factors' texts inside a fixed frame."""
     # indent depths: the file 0, "states" 1, a member 2, its "factors" 3,
     # a factor object 4
     texts = [[_encode(factor_to_obj(f), 4, set()) for f in kept] for kept in table.factors]
     columns = [[t[k] for k in col] for t, col in zip(texts, table.ids.T.tolist())]
     if columns:
         frame = _container_text(['"factors": ' + _container_text(["\0"], 3)], 2, "{}")
-        head, _, end = frame.partition("\0")
+        before, _, after = frame.partition("\0")
         sep = ",\n" + "  " * 4
-        members = [head + sep.join(row) + end for row in zip(*columns)]
+        members = (before + sep.join(row) + after for row in zip(*columns))
     else:
         members = [_container_text(['"factors": []'], 2, "{}")] * len(table.ids)
-    items = ['"dims": ' + _encode(list(table.dims), 1, set()),
-             '"states": ' + _container_text(members, 1)]
-    items += [_key_text(k) + ": " + _encode(v, 1, set()) for k, v in tail.items()]
-    return _container_text(items, 0, "{}") + "\n"
+    # the frame that _container_text(items, 0, "{}") puts around the items
+    # "dims", "states" and the tail's, with the members at depth 2
+    head = '{\n  "dims": ' + _encode(list(table.dims), 1, set()) + ',\n  "states": '
+    end = "".join(",\n  " + _key_text(k) + ": " + _encode(v, 1, set())
+                  for k, v in tail.items()) + "\n}\n"
+    if not len(table.ids):
+        yield head + "[]" + end
+        return
+    yield head + "["
+    lead = "\n    "
+    for member in members:
+        yield lead + member
+        lead = ",\n    "
+    yield "\n  ]" + end
+
+
+def basis_pieces(basis: ProductBasis, circuit: Circuit | None = None):
+    """The basis file's text in pieces, one per member between a head and
+    a tail; they join to ``dumps(basis_to_obj(basis, circuit))``."""
+    return _set_pieces(basis, {} if circuit is None else {"circuit": circuit_to_obj(circuit)})
+
+
+def upb_pieces(upb: Upb):
+    """The UPB file's text in pieces; they join to ``dumps(upb_to_obj(upb))``."""
+    return _set_pieces(upb, {"stopper_index": upb.stopper_index})
 
 
 def basis_text(basis: ProductBasis, circuit: Circuit | None = None) -> str:
     """The basis file's text: ``dumps(basis_to_obj(basis, circuit))``."""
-    return _set_text(basis, {} if circuit is None else {"circuit": circuit_to_obj(circuit)})
+    return "".join(basis_pieces(basis, circuit))
 
 
 def upb_text(upb: Upb) -> str:
     """The UPB file's text: ``dumps(upb_to_obj(upb))``."""
-    return _set_text(upb, {"stopper_index": upb.stopper_index})
+    return "".join(upb_pieces(upb))
 
 
 def upb_from_obj(obj) -> Upb:
