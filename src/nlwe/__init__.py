@@ -31,9 +31,9 @@ from .ensembles import (
 from .errors import NlweError
 from .lemma import (
     LemmaCheck,
+    isotropy_dimension,
     lemma_check,
     preserves_orthogonality,
-    weyl_operators,
 )
 from .linalg import (
     dft_matrix,

@@ -2,9 +2,12 @@
 
 A branch operator that keeps the computational basis orthogonal and the
 dual basis orthogonal gains no information: its polar part must be unitary,
-i.e. K†K is a multiple of the identity.  ``lemma_check`` tests exactly that
-implication, with the dual basis fixed to the columns of the shared DFT
-convention.
+i.e. K†K is a multiple of the identity.  ``isotropy_dimension`` proves
+that statement for one local dimension d: it is the dimension of the space
+of matrices E that meet both orthogonality constraints, and E = K†K is one
+of them, so a dimension of 1 (the multiples of the identity) leaves
+K†K = c*1.  ``lemma_check`` tests the implication on one given operator.
+The dual basis is fixed to the columns of the shared DFT convention.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import ContractViolationError, DimensionMismatchError
-from .linalg import dft_matrix, require_dense_budget
-
-SCALE_RANGE = (0.25, 4.0)
+from .linalg import dft_matrix, require_dense_budget, span_dimension
 
 
 def preserves_orthogonality(k: np.ndarray, basis) -> bool:
@@ -71,35 +72,19 @@ def lemma_check(k: np.ndarray) -> LemmaCheck:
     return LemmaCheck(constraints_hold=holds, isotropy_residual=residual)
 
 
-def weyl_operators(d: int) -> list[np.ndarray]:
-    """All d^2 shift-and-phase operators X^a Z^b.
+def isotropy_dimension(d: int) -> int:
+    """Dimension of {E in C^(d x d) : <i|E|j> = 0 and <Fi|E|Fj> = 0, i != j}.
 
-    X is the cyclic shift |j> -> |j+1 mod d| and Z the diagonal of d-th
-    roots of unity; every one preserves orthogonality in both bases.  The
-    d^2 matrices of d x d entries are held to the dense budget.
+    The computational constraints leave exactly the diagonal matrices
+    E = diag(e).  On those, the dual-basis constraint of the ordered pair
+    (i, j) is one row with entries conj(F[k, i]) * F[k, j] over k, so the
+    answer is d minus the ``span_dimension`` of the d(d - 1) rows, at the
+    tolerance from ``config.tolerance()``.  The rows are held to the dense
+    budget before they are formed.
     """
-    require_dense_budget(d * d, d * d, "the Weyl operator family")
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            ops.append(
-                np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            )
-    return ops
-
-
-def random_gaussian_operator(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex-Gaussian d x d matrix (entries standard normal in re and im)."""
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def random_scaled_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary times a random complex scalar of magnitude
-    in ``SCALE_RANGE``."""
-    q, r = np.linalg.qr(random_gaussian_operator(d, rng))
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    magnitude = rng.uniform(*SCALE_RANGE)
-    phase = np.exp(2j * np.pi * rng.uniform())
-    return magnitude * phase * q
+    require_dense_budget(d * (d - 1), d, "the lemma's constraint matrix")
+    f = dft_matrix(d)
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    rows = f.T.conj()[i]
+    rows *= f.T[j]
+    return d - span_dimension(rows)

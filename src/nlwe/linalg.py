@@ -215,12 +215,15 @@ def _svd(vectors, tol: float, dim: int | None = None) -> tuple[int, np.ndarray]:
     Returns (rank, vh): the rank counts the singular values above ``tol``,
     ``vh[:rank]`` spans the inputs and ``vh[rank:]`` their orthogonal
     complement in C^dim.  An added input lowers no singular value (Cauchy
-    interlacing), so the rank is monotone in the inputs."""
+    interlacing), so the rank is monotone in the inputs.  The full vh is
+    asked for only when there are fewer rows than columns; otherwise the
+    reduced one is already square, and a tall stack forms no m x m U."""
     rows = [np.asarray(v, dtype=complex) for v in vectors]
     rows = [v / nrm for v in rows if (nrm := np.linalg.norm(v)) != 0.0]
     if not rows:
         return 0, np.eye(dim or 0, dtype=complex)
-    _, s, vh = np.linalg.svd(np.reshape(rows, (len(rows), dim or -1)))
+    stack = np.reshape(rows, (len(rows), dim or -1))
+    _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
     return int(np.count_nonzero(s > tol)), vh
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nlwe.boundent import separability_completion
 from nlwe.circuit import Circuit, ControlDftGate, gate_unitary, generate_basis
 from nlwe.config import tolerance
-from nlwe.linalg import span_dimension
+from nlwe.linalg import require_dense_budget, span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
 
 
@@ -459,3 +459,56 @@ class Float17Encoder(json.JSONEncoder):
 
 def reference_dumps(obj) -> str:
     return json.dumps(obj, cls=Float17Encoder, indent=2) + "\n"
+
+
+SCALE_RANGE = (0.25, 4.0)
+
+
+def weyl_operators(d: int) -> list[np.ndarray]:
+    """All d^2 shift-and-phase operators X^a Z^b.
+
+    X is the cyclic shift |j> -> |j+1 mod d| and Z the diagonal of d-th
+    roots of unity; every one preserves orthogonality in both bases.  The
+    d^2 matrices of d x d entries are held to the dense budget.
+    """
+    require_dense_budget(d * d, d * d, "the Weyl operator family")
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = []
+    for a in range(d):
+        for b in range(d):
+            ops.append(
+                np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            )
+    return ops
+
+
+def random_gaussian_operator(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex-Gaussian d x d matrix (entries standard normal in re and im)."""
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def random_scaled_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary times a random complex scalar of magnitude
+    in ``SCALE_RANGE``."""
+    q, r = np.linalg.qr(random_gaussian_operator(d, rng))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    magnitude = rng.uniform(*SCALE_RANGE)
+    phase = np.exp(2j * np.pi * rng.uniform())
+    return magnitude * phase * q
+
+
+def isotropy_dimension_dense(d):
+    """Dense reference for ``lemma.isotropy_dimension``: the null-space
+    dimension of the whole 2d(d - 1) x d^2 constraint matrix on the entries
+    of E, one row <b_i|E|b_j> = sum_kl conj(b_i[k]) b_j[l] E[k, l] per
+    ordered pair i != j of the computational and the dual basis, with no
+    elimination and numpy's own rank rule."""
+    rows = [
+        np.outer(basis[:, i].conj(), basis[:, j]).ravel()
+        for basis in (np.eye(d), np.array([dft_col(n, d) for n in range(d)]).T)
+        for i in range(d)
+        for j in range(d)
+        if i != j
+    ]
+    return d * d - (np.linalg.matrix_rank(np.array(rows)) if rows else 0)

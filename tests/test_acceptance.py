@@ -30,18 +30,23 @@ from nlwe.ensembles import (
     shift_circuit,
 )
 from nlwe.errors import NlweError
-from nlwe.lemma import (
-    lemma_check,
-    random_gaussian_operator,
-    random_scaled_unitary,
-    weyl_operators,
-)
+from nlwe.lemma import lemma_check
 from nlwe.linalg import gram
 from nlwe.serialize import basis_from_obj, loads
 from nlwe.states import CB, DFT, LocalFactors
 from nlwe.upb import extendibility_search, extract_upb, is_unextendible, minimal_size
 
-from helpers import apply_dense, circuit_unitary, completion_states, ket, kron_chain, symbolic_key
+from helpers import (
+    apply_dense,
+    circuit_unitary,
+    completion_states,
+    ket,
+    kron_chain,
+    random_gaussian_operator,
+    random_scaled_unitary,
+    symbolic_key,
+    weyl_operators,
+)
 
 SHIFT_KEYS = {
     (("CB", 0), ("CB", 0), ("CB", 0)),

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from nlwe.lemma import (
-    lemma_check,
-    preserves_orthogonality,
-    random_gaussian_operator,
-    random_scaled_unitary,
-    weyl_operators,
-)
+from nlwe.lemma import lemma_check, preserves_orthogonality
 from nlwe.linalg import dft_matrix
 
-from helpers import ket
+from helpers import ket, random_gaussian_operator, random_scaled_unitary, weyl_operators
 
 
 def cb_basis(d):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,33 @@ class TestSpanAndComplement:
             for v in vecs:
                 assert abs(np.vdot(v / np.linalg.norm(v), w)) <= 1e-10
         assert np.max(np.abs(gram(comp) - np.eye(len(comp)))) < 1e-12
+
+    def test_a_tall_stack_forms_no_square_u(self):
+        # 3000 rows of length 3: a full SVD would also form the 3000 x 3000
+        # complex U, 144 MB
+        rows = _random_vectors(np.random.default_rng(21), 3000, 3)
+        tracemalloc.start()
+        try:
+            rank = span_dimension(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == 3
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("k, n, rank", [(7, 4, 2), (4, 4, 4), (2, 5, 2)])
+    def test_complement_size_for_tall_square_and_wide_stacks(self, k, n, rank):
+        # k inputs in C^n spanning a rank-dimensional subspace
+        rng = np.random.default_rng(k * n)
+        span = _random_vectors(rng, rank, n)
+        vecs = [sum(rng.standard_normal() * v for v in span) for _ in range(k)]
+        comp = orthogonal_complement_basis(vecs, n)
+        assert len(comp) == n - rank
+        for w in comp:
+            for v in vecs:
+                assert abs(np.vdot(v / np.linalg.norm(v), w)) <= 1e-10
+        if comp:
+            assert np.max(np.abs(gram(comp) - np.eye(len(comp)))) < 1e-12
 
 
 def _random_vectors(rng, k, d):

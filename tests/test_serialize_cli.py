@@ -659,10 +659,12 @@ class TestCliFlows:
         assert abs(np.trace(matrix) - 1.0) < 1e-12
 
     def test_lemma_sampling(self, capsys):
-        assert main(["lemma", "--dim", "2", "--seed", "7", "--samples", "25"]) == 0
-        out = capsys.readouterr().out
-        assert "scaled-unitary-family" in out
-        assert "weyl-family" in out
+        # one row: the dimension of the lemma's solution space, which is 1
+        assert main(["lemma", "--dim", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].split()[:3] == ["isotropy-dimension", "ok", "1.000e+00"]
+        assert "K†K = c*1" in lines[1]
 
     def test_lemma_kraus_file(self, tmp_path, capsys):
         path = tmp_path / "k.json"
@@ -758,11 +760,13 @@ class TestCliFlows:
         assert "error:precondition-failed:" in capsys.readouterr().err
 
     def test_lemma_rejects_negative_seed(self, capsys):
-        assert main(["lemma", "--dim", "2", "--seed", "-1"]) == 2
+        # --seed is gone: argparse refuses it as an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["lemma", "--dim", "2", "--seed", "-1"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:precondition-failed:")
-        assert captured.err.count("\n") == 1
+        assert "unrecognized arguments: --seed -1" in captured.err
 
     def test_upb_beyond_the_dense_budget_is_refused_before_extraction(self, capsys, monkeypatch):
         # a 10^7 x 10^7 local factor table: refused before any input row is built
@@ -848,9 +852,40 @@ class TestCliFlows:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["dims"] == [2, 2]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["generate", "upb check"])
+    def test_full_stdout_is_one_error_line(self, tmp_path, command):
+        upb = tmp_path / "upb.json"
+        assert main(["upb", "--preset", "shift", "--excluded-index", "all=0", "--out", str(upb)]) == 0
+        argv = {
+            "generate": ["generate", "--preset", "shift"],
+            "upb check": ["upb", "check", "--in", str(upb)],
+        }[command]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "nlwe", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:precondition-failed: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_stdout_closed_early_is_one_error_line(self):
+        # as `nlwe generate ... | head -c 10`: the reader leaves after 10 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nlwe", "generate", "--preset", "canonical:n=5,d=4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert head == b'{\n  "dims"'
+        assert err.startswith("error:precondition-failed: cannot write stdout: ")
+        assert err.count("\n") == 1
+
     def test_lemma_beyond_the_dense_budget_is_one_error_line(self, capsys):
-        # 46^2 Weyl operators of 46 x 46 entries: 68 MiB, refused before any is built
-        assert main(["lemma", "--dim", "46", "--samples", "0"]) == 2
+        # 162 * 161 constraint rows of 162 entries: 64.5 MiB, refused before
+        # any is built
+        assert main(["lemma", "--dim", "162"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:too-large:")
         assert err.count("\n") == 1
