@@ -170,7 +170,7 @@ def cmd_bestate(args) -> int:
         report.merge(separability_report(upb))
     print(report.table())
     if args.out:
-        _write_or_print((serialize.density_text(rho.matrix, rho.dims),), args.out)
+        _write_or_print(serialize.density_pieces(rho.matrix, rho.dims), args.out)
     return 0 if report.passed else 1
 
 

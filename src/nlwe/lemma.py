@@ -75,16 +75,14 @@ def lemma_check(k: np.ndarray) -> LemmaCheck:
 def isotropy_dimension(d: int) -> int:
     """Dimension of {E in C^(d x d) : <i|E|j> = 0 and <Fi|E|Fj> = 0, i != j}.
 
-    The computational constraints leave exactly the diagonal matrices
-    E = diag(e).  On those, the dual-basis constraint of the ordered pair
-    (i, j) is one row with entries conj(F[k, i]) * F[k, j] over k, so the
-    answer is d minus the ``span_dimension`` of the d(d - 1) rows, at the
-    tolerance from ``config.tolerance()``.  The rows are held to the dense
-    budget before they are formed.
+    The computational constraints leave E = diag(e).  On those, the
+    constraint of the pair (i, j) is the row conj(F[k, i]) * F[k, j] =
+    F[j - i, k]/sqrt(d) over k (indices mod d), and unit normalisation
+    removes the 1/sqrt(d).  So the answer is d minus the ``span_dimension``
+    of rows 1..d-1 of F at ``config.tolerance()``.  It is at least 1, and
+    the rows are orthonormal (every singular value 1), so the rank is
+    d - 1 at every tolerance in range and the dimension is exactly 1:
+    E = c*1.  The d x d DFT matrix is held to the dense budget first.
     """
-    require_dense_budget(d * (d - 1), d, "the lemma's constraint matrix")
-    f = dft_matrix(d)
-    i, j = np.nonzero(~np.eye(d, dtype=bool))
-    rows = f.T.conj()[i]
-    rows *= f.T[j]
-    return d - span_dimension(rows)
+    require_dense_budget(d, d, "the lemma's DFT matrix")
+    return d - span_dimension(dft_matrix(d)[1:])

@@ -13,7 +13,8 @@ cyclic-Jacobi solver kept as the independent reference the tests compare
 against; no library code calls it.
 
 Every rank, span and orthogonal complement is a view of one SVD of the
-unit-normalised inputs (``_svd``).
+unit-normalised inputs (``_svd``), which holds them as one stacked copy
+normalised in place.
 
 The arrays on whole spaces first pass their largest shape to
 ``require_dense_budget``: the complement mixture and the completed basis's
@@ -52,7 +53,7 @@ def require_dense_budget(rows: int, cols: int, what: str) -> None:
     nbytes = 16 * int(rows) * int(cols)
     if nbytes > DENSE_BYTES_BUDGET:
         raise TooLargeError(
-            f"{what} needs a {rows} x {cols} complex array ({nbytes / 2**20:.0f} MiB), "
+            f"{what} needs a {rows} x {cols} complex array ({nbytes / 2**20:.2f} MiB), "
             f"above the {DENSE_BYTES_BUDGET >> 20} MiB budget"
         )
 
@@ -215,14 +216,23 @@ def _svd(vectors, tol: float, dim: int | None = None) -> tuple[int, np.ndarray]:
     Returns (rank, vh): the rank counts the singular values above ``tol``,
     ``vh[:rank]`` spans the inputs and ``vh[rank:]`` their orthogonal
     complement in C^dim.  An added input lowers no singular value (Cauchy
-    interlacing), so the rank is monotone in the inputs.  The full vh is
-    asked for only when there are fewer rows than columns; otherwise the
-    reduced one is already square, and a tall stack forms no m x m U."""
-    rows = [np.asarray(v, dtype=complex) for v in vectors]
-    rows = [v / nrm for v in rows if (nrm := np.linalg.norm(v)) != 0.0]
-    if not rows:
+    interlacing), so the rank is monotone in the inputs.  The inputs are
+    held as one stacked copy, normalised in place, so the caller's array is
+    never written.  The full vh is asked for only when there are fewer rows
+    than columns; otherwise the reduced one is already square, and a tall
+    stack forms no m x m U."""
+    stack = np.array(vectors, dtype=complex)
+    if stack.size:
+        stack = stack.reshape(len(stack), dim or -1)
+        # one 1-D norm per row: a norm along the axis sums in another order
+        # and would move the last bits of the unit rows
+        norms = np.array([np.linalg.norm(row) for row in stack])
+        if not norms.all():
+            keep = norms != 0.0
+            stack, norms = stack[keep], norms[keep]
+    if not stack.size:
         return 0, np.eye(dim or 0, dtype=complex)
-    stack = np.reshape(rows, (len(rows), dim or -1))
+    stack /= norms[:, None]
     _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
     return int(np.count_nonzero(s > tol)), vh
 

@@ -29,13 +29,15 @@ one pass: it checks each distinct factor object's shape, kind and integer
 index where it first reads it, and each distinct factor's range,
 dimension, finiteness and norm once.
 
-``density_text`` writes a density-matrix file from the array: one %-format
-of every entry's two parts over the matrix's flat float view, byte for
-byte ``dumps`` of ``density_to_obj``, which stays the writer's reference.
+``density_pieces`` streams a density-matrix file from the array, one piece
+per matrix row, each one %-format of the row's float parts; the pieces
+join (``density_text``) byte for byte to ``dumps`` of ``density_to_obj``,
+which stays the writer's reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -431,23 +433,34 @@ def density_to_obj(matrix: np.ndarray, dims) -> dict:
     }
 
 
-def density_text(matrix: np.ndarray, dims) -> str:
-    """The density-matrix file's text, ``dumps(density_to_obj(matrix,
-    dims))``: every entry is formatted by one ``%.17g`` %-format over the
-    flat float view, and each exact ``-0`` token is then written ``-0.0``
-    as ``dumps`` writes it.  A non-finite entry raises ``ValueError``."""
+def density_pieces(matrix: np.ndarray, dims):
+    """The density-matrix file's text in pieces: the head, one piece per
+    matrix row, then the tail; they join to ``dumps(density_to_obj(matrix,
+    dims))``.  Each row's entries are formatted by one ``%.17g`` %-format
+    over its float parts, and each exact ``-0`` token is then written
+    ``-0.0`` as ``dumps`` writes it, so a writer holds one row's text at a
+    time.  A non-finite entry raises ``ValueError`` before any piece."""
     matrix = np.asarray(matrix, dtype=complex)
     rows, cols = matrix.shape
-    parts = np.ascontiguousarray(matrix).reshape(-1).view(float)
+    parts = np.ascontiguousarray(matrix).view(float)  # row r: re, im, re, ...
     if not np.isfinite(parts).all():
         raise ValueError("non-finite float is not serializable")
     # indent depths: the file 0, "entries" 1, an entry 2, its parts 3
-    pair = "[\n      %.17g,\n      %.17g\n    ]"
-    entries = _container_text([pair] * (parts.size // 2), 1) % tuple(parts.tolist())
-    entries = entries.replace(" -0,\n", " -0.0,\n").replace(" -0\n", " -0.0\n")
     items = ['"dims": ' + _encode([int(d) for d in dims], 1, set()),
-             f'"rows": {rows}', f'"cols": {cols}', '"entries": ' + entries]
-    return _container_text(items, 0, "{}") + "\n"
+             f'"rows": {rows}', f'"cols": {cols}', '"entries": \0']
+    head, _, tail = (_container_text(items, 0, "{}") + "\n").partition("\0")
+    if not parts.size:
+        return (head + "[]" + tail,)
+    row = ",\n    ".join(["[\n      %.17g,\n      %.17g\n    ]"] * cols)
+    first, rest = "[\n    " + row, ",\n    " + row
+    texts = ((rest if r else first) % tuple(p.tolist()) for r, p in enumerate(parts))
+    pieces = (t.replace(" -0,\n", " -0.0,\n").replace(" -0\n", " -0.0\n") for t in texts)
+    return itertools.chain((head,), pieces, ("\n  ]" + tail,))
+
+
+def density_text(matrix: np.ndarray, dims) -> str:
+    """The density-matrix file's text: ``dumps(density_to_obj(matrix, dims))``."""
+    return "".join(density_pieces(matrix, dims))
 
 
 def density_from_obj(obj) -> tuple[np.ndarray, tuple]:

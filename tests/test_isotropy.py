@@ -17,15 +17,17 @@ def test_agrees_with_the_dense_constraint_matrix(d):
     assert isotropy_dimension(d) == isotropy_dimension_dense(d)
 
 
-def test_only_the_multiples_of_the_identity_remain_up_to_45():
-    assert [d for d in range(1, 46) if isotropy_dimension(d) != 1] == []
+def test_only_the_multiples_of_the_identity_remain_up_to_300():
+    assert [d for d in range(1, 301) if isotropy_dimension(d) != 1] == []
 
 
 def test_refused_above_the_dense_budget():
-    # 162 * 161 rows of 162 entries: 64.5 MiB
+    # the d x d DFT matrix is the largest array formed: 2049^2 entries are
+    # 64.06 MiB
     assert isotropy_dimension(161) == 1
-    with pytest.raises(TooLargeError):
-        isotropy_dimension(162)
+    assert isotropy_dimension(500) == 1
+    with pytest.raises(TooLargeError, match=r"2049 x 2049 complex array \(64\.06 MiB\)"):
+        isotropy_dimension(2049)
 
 
 def test_refuses_a_dimension_below_one():
@@ -33,11 +35,13 @@ def test_refuses_a_dimension_below_one():
         isotropy_dimension(0)
 
 
-def test_an_impossible_tolerance_finds_no_solution(monkeypatch):
-    # below the rounding of the null direction's singular value the float
-    # rank counts it too, so the rank reads d and the dimension 0
-    monkeypatch.setenv("NLWE_TOLERANCE", "1e-18")
-    assert isotropy_dimension(7) == 0
+@pytest.mark.parametrize("tol", ["1e-18", "0.6"])
+@pytest.mark.parametrize("d", [2, 7, 45])
+def test_the_dimension_is_one_at_every_tolerance(monkeypatch, d, tol):
+    # the d - 1 constraint rows are orthonormal, so every singular value is
+    # 1 and the rank is d - 1 at the smallest and the largest tolerances
+    monkeypatch.setenv("NLWE_TOLERANCE", tol)
+    assert isotropy_dimension(d) == 1
 
 
 def _meets_the_constraints(e, tol=1e-9):

@@ -438,3 +438,45 @@ class TestRankPrimitive:
         subset, superset = [at[0], at[40]], [at[20], at[0], at[40]]
         assert gs_span_dimension(subset, 0.5) == 2 > gs_span_dimension(superset, 0.5) == 1
         assert span_dimension(subset, 0.5) == span_dimension(superset, 0.5) == 1
+
+
+class TestRankPrimitiveCopies:
+    """The rank primitive holds its inputs as one stacked copy, normalised
+    in place: it never writes the caller's array, and its peak beside the
+    input is the copy plus the SVD's U and vh."""
+
+    @pytest.mark.parametrize("shape, bound", [((1000, 1000), 3.5), ((3000, 300), 2.5)])
+    def test_span_dimension_peaks_at_the_copy_and_the_svd(self, shape, bound):
+        # a per-row copy, a normalised list and a stack of both: 4.0x and 3.1x
+        rng = np.random.default_rng(shape[1])
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            rank = span_dimension(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == min(shape)
+        assert peak <= bound * a.nbytes
+
+    @pytest.mark.parametrize("view", [
+        span_dimension,
+        orthonormalize,
+        lambda vectors: orthogonal_complement_basis(vectors, 4),
+    ])
+    def test_the_input_is_not_written(self, view):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        a[1] *= 1e5
+        a[2] = 0.0
+        kept = a.copy()
+        view(a)
+        view(list(a))
+        assert np.array_equal(a, kept)
+
+    @pytest.mark.parametrize("vectors", [[], [np.zeros(3)], np.zeros((2, 3)), np.zeros((0, 3))])
+    def test_zero_and_empty_inputs_leave_the_whole_space(self, vectors):
+        assert span_dimension(vectors) == 0
+        assert orthonormalize(vectors) == []
+        comp = orthogonal_complement_basis(vectors, 3)
+        assert np.array_equal(np.array(comp), np.eye(3))

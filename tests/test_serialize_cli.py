@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nlwe import serialize
 from nlwe.circuit import Circuit, ControlDftGate, generate_basis
-from nlwe.cli import main
+from nlwe.cli import _write_or_print, main
 from nlwe.ensembles import preset_circuit, shift_circuit
 from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState
 from nlwe.upb import extract_upb
@@ -183,6 +183,9 @@ class TestDensityWriter:
         text = serialize.density_text(matrix, dims)
         assert text == serialize.dumps(serialize.density_to_obj(matrix, dims))
         assert text == reference_dumps(serialize.density_to_obj(matrix, dims))
+        pieces = list(serialize.density_pieces(matrix, dims))
+        assert "".join(pieces) == text
+        assert len(pieces) == (matrix.shape[0] + 2 if matrix.size else 1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("imag", [False, True])
@@ -193,6 +196,8 @@ class TestDensityWriter:
             serialize.dumps(serialize.density_to_obj(matrix, [2]))
         with pytest.raises(ValueError, match="non-finite"):
             serialize.density_text(matrix, [2])
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.density_pieces(matrix, [2])
 
 
 class TestSetWriter:
@@ -883,9 +888,8 @@ class TestCliFlows:
         assert err.count("\n") == 1
 
     def test_lemma_beyond_the_dense_budget_is_one_error_line(self, capsys):
-        # 162 * 161 constraint rows of 162 entries: 64.5 MiB, refused before
-        # any is built
-        assert main(["lemma", "--dim", "162"]) == 2
+        # the 2049 x 2049 DFT matrix: 64.06 MiB, refused before it is built
+        assert main(["lemma", "--dim", "2049"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:too-large:")
         assert err.count("\n") == 1
@@ -1381,3 +1385,21 @@ class TestSetFileMemory:
     def test_load_file_peaks_within_two_and_a_half_file_sizes(self, big_basis):
         _, peak = _traced_peak(lambda: serialize.load_file(str(big_basis)))
         assert peak <= 2.5 * big_basis.stat().st_size
+
+
+class TestDensityFileMemory:
+    """``bestate --out`` writes the density file one matrix row at a time:
+    for D = 256 (4.3 MB of text) the write peaks at one row's text and its
+    parts, far below the text (the whole-text writer peaked at 4x it)."""
+
+    def test_density_file_peaks_below_a_quarter_of_its_text(self, tmp_path):
+        rng = np.random.default_rng(256)
+        a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        path = tmp_path / "rho.json"
+        _, peak = _traced_peak(
+            lambda: _write_or_print(serialize.density_pieces(rho, [16, 16]), str(path)))
+        text = path.read_text()
+        assert text == serialize.density_text(rho, [16, 16])
+        assert peak <= 0.25 * len(text)
