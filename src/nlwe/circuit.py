@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, TooLargeError
 from .linalg import dft_matrix, kron_all, require_dense_budget
-from .report import VerificationReport, party_label
+from .report import VerificationReport, count_text, party_label
 from .states import CB, DFT, ProductBasis
 
 COMMUTATION_TOL = 1e-12
@@ -249,7 +249,7 @@ def generate_basis(circuit: Circuit) -> ProductBasis:
     total = math.prod(circuit.dims)
     if total > MAX_BASIS_STATES:
         raise TooLargeError(
-            f"a basis of {total} states exceeds the limit of {MAX_BASIS_STATES}"
+            f"a basis of {count_text(total)} states exceeds the limit of {MAX_BASIS_STATES}"
         )
     inputs = np.indices(circuit.dims).reshape(len(circuit.dims), total).T
     return ProductBasis(circuit.dims, *images(circuit, inputs))

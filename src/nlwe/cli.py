@@ -86,7 +86,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    basis, circuit = serialize.basis_from_obj(serialize.load_file(args.infile))
+    basis, circuit = serialize.read_basis(args.infile)
     if args.checks:
         names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
         if not names:
@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
 
 def cmd_upb(args) -> int:
     if getattr(args, "upb_cmd", None) == "check":
-        upb = serialize.upb_from_obj(serialize.load_file(args.infile))
+        upb = serialize.read_upb(args.infile)
         report = is_unextendible(upb)
         print(report.checks[0].detail)
         print(report.table())
@@ -150,7 +150,7 @@ def cmd_upb(args) -> int:
 
 
 def cmd_bestate(args) -> int:
-    upb = serialize.upb_from_obj(serialize.load_file(args.infile))
+    upb = serialize.read_upb(args.infile)
     rho = be_state(upb)
     report = VerificationReport()
     total = math.prod(rho.dims)

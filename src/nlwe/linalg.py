@@ -38,6 +38,7 @@ from .errors import (
     InvalidDimensionError,
     TooLargeError,
 )
+from .report import count_text
 
 HERMITICITY_TOL = 1e-10
 JACOBI_OFFDIAG_TOL = 1e-12
@@ -49,12 +50,21 @@ DENSE_BYTES_BUDGET = 2**26
 
 def require_dense_budget(rows: int, cols: int, what: str) -> None:
     """Raise ``TooLargeError`` if a rows x cols complex array would exceed
-    ``DENSE_BYTES_BUDGET``; call it before the array is formed."""
+    ``DENSE_BYTES_BUDGET``; call it before the array is formed.  The size
+    is exact integer arithmetic, so a shape past float range is refused
+    like any other."""
     nbytes = 16 * int(rows) * int(cols)
     if nbytes > DENSE_BYTES_BUDGET:
+        # MiB to two places, rounded half to even as "%.2f" rounds
+        hundredths, rest = divmod(100 * nbytes, 1 << 20)
+        hundredths += 2 * rest > 1 << 20 or (2 * rest == 1 << 20 and hundredths % 2)
+        whole, part = divmod(hundredths, 100)
+        mib = count_text(whole)
+        if mib.isdigit():  # exact digits, not a power of ten
+            mib += f".{part:02d}"
         raise TooLargeError(
-            f"{what} needs a {rows} x {cols} complex array ({nbytes / 2**20:.2f} MiB), "
-            f"above the {DENSE_BYTES_BUDGET >> 20} MiB budget"
+            f"{what} needs a {count_text(rows)} x {count_text(cols)} complex array "
+            f"({mib} MiB), above the {DENSE_BYTES_BUDGET >> 20} MiB budget"
         )
 
 

@@ -13,6 +13,18 @@ def party_label(index: int) -> str:
     return f"P{index + 1}"
 
 
+def count_text(n: int) -> str:
+    """An integer in decimal while it fits the interpreter's limit on
+    integer string conversion, and beyond it as a power of ten."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than the limit
+        # imported here: it would add about 0.4 MB to every command's peak
+        from decimal import Decimal
+
+        return f"about {Decimal(n):.2e}"  # Decimal(n) is exact and not limited
+
+
 def cut_label(subset, n_parties: int) -> str:
     """Label a bipartition, e.g. {0} of 3 parties -> 'A|BC'."""
     left = "".join(party_label(p) for p in sorted(subset))

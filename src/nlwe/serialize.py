@@ -21,13 +21,21 @@ per party and each member's text is one join of those texts, so a writer
 holds one member's text at a time.  The pieces join (``basis_text``,
 ``upb_text``) byte for byte to the text that ``dumps`` gives for
 ``basis_to_obj`` and ``upb_to_obj`` (which share one factor object per
-distinct factor).  ``loads`` shares factor objects the same way: equal
-symbolic factor objects of a file are one dict, so a loaded basis holds a
-few factor objects, not one per occurrence.  One loader
-(``_table_from_obj``) reads the factors and ids for both file kinds in
-one pass: it checks each distinct factor object's shape, kind and integer
-index where it first reads it, and each distinct factor's range,
-dimension, finiteness and norm once.
+distinct factor).
+
+``read_basis`` and ``read_upb`` read a basis or UPB file the same way
+round: through a window of ``_WINDOW`` characters, scanned by json's own
+scanner one member at a time, each member interned into the table as soon
+as it closes, so neither the file's text nor a tree of its members is held
+whole.  They give what ``basis_from_obj`` and ``upb_from_obj`` give of the
+file's ``json.loads`` tree (the tests' reference), faults included: the
+same member builder (``_table_from_obj``) and the same tail
+(``_set_from_obj``) serve both.  The builder looks a member's row up whole
+when its factors are known keys; otherwise it checks every factor object's
+shape, kind and integer index, and each distinct factor's range,
+dimension, finiteness and norm once.  ``loads`` (the tree readers' and
+``lemma --kraus``'s) shares one dict among a file's equal symbolic factor
+objects.
 
 ``density_pieces`` streams a density-matrix file from the array, one piece
 per matrix row, each one %-format of the row's float parts; the pieces
@@ -39,11 +47,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import numpy as np
 
 from .circuit import Circuit, ControlDftGate
-from .errors import DimensionMismatchError, InvalidDimensionError, MalformedJsonError
+from .errors import (
+    DimensionMismatchError,
+    InvalidDimensionError,
+    MalformedJsonError,
+    NlweError,
+)
 from .linalg import require_dense_budget
 from .states import (
     CB,
@@ -145,7 +159,7 @@ def loads(text: str):
 
     try:
         return json.loads(text, object_hook=share)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too deep or too long a number
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
 
 
@@ -214,7 +228,13 @@ def _factor_key(obj):
     """A factor object's interning key: a ("cb" | "dft", index) pair, the
     index a JSON integer (so ``true`` or ``1.0``, which hash like ``1``,
     never find the factor a ``1`` made), or a dense factor's entry bytes
-    (the bytes a ``Dense`` compares and hashes by)."""
+    (the bytes a ``Dense`` compares and hashes by).  A tuple is a
+    ``{"kind": <str>, "index": <int>}`` object as ``read_basis`` scans it
+    (JSON gives no tuples); one of a known kind is its own key."""
+    if type(obj) is tuple:
+        if obj[0] in _SYMBOLIC:
+            return obj
+        obj = dict(zip(("kind", "index"), obj))
     kind = obj["kind"]
     if kind == "cb" or kind == "dft":
         index = obj["index"]
@@ -226,62 +246,65 @@ def _factor_key(obj):
     raise MalformedJsonError(f"unknown factor kind {kind!r}")
 
 
-def _table_from_obj(objs, dims) -> tuple[list, np.ndarray]:
-    """The ``factors`` and ``ids`` of the set in a file's ``states`` list,
-    for the caller to make a ``ProductBasis`` or ``Upb`` on ``dims``.
+def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
+    """The ``factors`` and ``ids`` of the set whose members ``states`` (any
+    iterable, counted as it is read) lists, for the caller to make a
+    ``ProductBasis`` or ``Upb`` on ``dims``.
 
     Each state's ``factors`` must be a list with one factor object per
-    party.  A factor object is interned under its ``_factor_key``, read
-    once per distinct object (``loads`` shares equal symbolic ones): the
-    keys are held by ``id``, which stays valid while ``objs`` is alive.
-    Every factor object of a state is read before its length is compared
-    with the parties'.  A key seen for the first time at a party is then
-    built into a factor (once per file for all parties), checked against
-    that party's dimension (``states.check_factor``) and given the next id
-    there.
+    party.  A row whose factor objects are all keys seen before at their
+    parties (the symbolic ``(kind, index)`` tuples of ``read_basis``) is
+    looked up whole.  Any other row reads every factor object's
+    ``_factor_key`` before its length is compared with the parties'; a
+    key seen for the first time at a party is then built into a factor
+    (once per file for all parties), checked against that party's
+    dimension (``states.check_factor``) and given the next id there.
+    Factor objects are not remembered by ``id``: a streamed member's
+    objects are freed once it is read, and their ids reused.
     """
     n = len(dims)
-    keys = {}  # id of a factor object -> its key
     made = {}
     seen = [{} for _ in dims]
     distinct = [[] for _ in dims]
     ids = []
-    new = []  # (position in ids, party, key) of this state's unseen keys
-    for state in objs:
+    m = 0
+    for state in states:
+        m += 1
         try:
             factor_objs = state["factors"]
         except (KeyError, TypeError) as exc:
             raise MalformedJsonError(f"bad state object: {exc}") from exc
         if not isinstance(factor_objs, list):
-            raise MalformedJsonError(
-                f"a state's factors must be a list, got {type(factor_objs).__name__}"
-            )
+            found = "dict" if type(factor_objs) is tuple else type(factor_objs).__name__
+            raise MalformedJsonError(f"a state's factors must be a list, got {found}")
+        if len(factor_objs) == n:
+            try:
+                row = list(map(dict.get, seen, factor_objs))
+            except TypeError:  # a dict factor object, which is not hashable
+                row = None
+            if row is not None and None not in row:
+                ids += row
+                continue
         try:
-            for p, obj in enumerate(factor_objs):
-                key = keys.get(id(obj))
-                if key is None:
-                    key = keys[id(obj)] = _factor_key(obj)
-                if p < n:
-                    k = seen[p].get(key)
-                    if k is None:
-                        new.append((len(ids), p, key))
-                    ids.append(k)
+            keys = [_factor_key(obj) for obj in factor_objs]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJsonError(f"bad factor object: {exc}") from exc
-        if len(factor_objs) != n:
-            raise DimensionMismatchError(f"{len(factor_objs)} factors for {n} parties")
-        for at, p, key in new:
-            factor = made.get(key)
-            if factor is None:
-                factor = made[key] = (
-                    Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
-                    else _SYMBOLIC[key[0]](key[1])
-                )
-            check_factor(factor, dims[p])
-            ids[at] = seen[p][key] = len(distinct[p])
-            distinct[p].append(factor)
-        new.clear()
-    return distinct, np.array(ids, dtype=np.intp).reshape(len(objs), n)
+        if len(keys) != n:
+            raise DimensionMismatchError(f"{len(keys)} factors for {n} parties")
+        for p, key in enumerate(keys):
+            k = seen[p].get(key)
+            if k is None:
+                factor = made.get(key)
+                if factor is None:
+                    factor = made[key] = (
+                        Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
+                        else _SYMBOLIC[key[0]](key[1])
+                    )
+                check_factor(factor, dims[p])
+                k = seen[p][key] = len(distinct[p])
+                distinct[p].append(factor)
+            ids.append(k)
+    return distinct, np.array(ids, dtype=np.intp).reshape(m, n)
 
 
 def _table_to_obj(table: LocalFactors) -> list:
@@ -333,18 +356,30 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
     return obj
 
 
-def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
+def _set_from_obj(obj, table, upb: bool):
+    """The set of a basis file's (``upb`` false) or UPB file's top-level
+    object, the ``(factors, ids)`` of its members given by ``table(dims)``:
+    a basis and its embedded circuit, or None; or a ``Upb``."""
     try:
         dims = _dims(obj)
-        factors, ids = _table_from_obj(obj["states"], dims)
+        factors, ids = table(dims)
+        if upb:
+            stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedJsonError(f"bad basis object: {exc}") from exc
+        raise MalformedJsonError(f"bad {'UPB' if upb else 'basis'} object: {exc}") from exc
+    if upb:
+        return Upb(dims, factors, ids, stopper)
     circuit = circuit_from_obj(obj["circuit"]) if "circuit" in obj else None
     if circuit is not None and circuit.dims != dims:
         raise DimensionMismatchError(
             f"embedded circuit dims {circuit.dims} differ from the basis dims {dims}"
         )
     return ProductBasis(dims, factors, ids), circuit
+
+
+def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
+    """The basis and embedded circuit (or None) of a parsed basis file."""
+    return _set_from_obj(obj, lambda dims: _table_from_obj(obj["states"], dims), upb=False)
 
 
 def upb_to_obj(upb: Upb) -> dict:
@@ -413,13 +448,246 @@ def upb_text(upb: Upb) -> str:
 
 
 def upb_from_obj(obj) -> Upb:
+    """The UPB of a parsed UPB file."""
+    return _set_from_obj(obj, lambda dims: _table_from_obj(obj["states"], dims), upb=True)
+
+
+# characters of a set file that ``read_basis`` reads at a time
+_WINDOW = 1 << 16
+# a scanned value counts only if this many characters follow it in the
+# window (or the file ends): a number cut at the window's end reads short
+# ("1|2" as 1), and the scanner ends a number before a cut "." or "e+"
+_MARGIN = 3
+_SPACE = re.compile(r"[ \t\n\r]*").match
+_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _symbolic(obj):
+    """The ``(kind, index)`` key of an object with exactly the keys ``kind``
+    (a str) and ``index`` (an int, not a bool), which ``_factor_key`` takes
+    as it is; any other object as it is."""
+    if len(obj) == 2:
+        kind, index = obj.get("kind"), obj.get("index")
+        if type(kind) is str and type(index) is int:
+            return kind, index
+    return obj
+
+
+# scans a member, each symbolic factor object as its key
+_scan_member = json.JSONDecoder(object_hook=_symbolic).scan_once
+
+
+class _JsonFault(MalformedJsonError):
+    """A fault in a set file's JSON text.  It is raised at once, while a
+    fault in what the text holds waits for the end of the file, since for
+    ``json.loads`` a fault anywhere in the text comes first."""
+
+
+class _Window:
+    """A text file read ``_WINDOW`` or more characters at a time into
+    ``text``, of which ``text[pos:]`` is not yet consumed; ``base`` is the
+    file offset of ``text[0]``, and ``lines`` and ``line_start`` place it in
+    the file for error messages."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.text = ""
+        self.pos = 0
+        self.eof = False
+        self.base = self.lines = self.line_start = 0
+
+    def more(self) -> None:
+        """Drop the read text and read on: at least ``_WINDOW`` characters,
+        and at least as many as are left, so a value longer than the window
+        is scanned a bounded number of times."""
+        text, pos = self.text, self.pos
+        newlines = text.count("\n", 0, pos)
+        if newlines:
+            self.lines += newlines
+            self.line_start = self.base + text.rindex("\n", 0, pos) + 1
+        self.base += pos
+        chunk = self.fh.read(max(_WINDOW, len(text) - pos))
+        self.eof = not chunk
+        self.text, self.pos = text[pos:] + chunk, 0
+
+    def fault(self, msg: str, at: int) -> _JsonFault:
+        """``msg`` at ``text[at]``, placed as ``json`` places its faults."""
+        newline = self.text.rfind("\n", 0, at)
+        line = self.lines + self.text.count("\n", 0, at) + 1
+        column = at - newline if newline >= 0 else self.base + at - self.line_start + 1
+        return _JsonFault(
+            f"invalid JSON: {msg}: line {line} column {column} (char {self.base + at})")
+
+    def char(self) -> str:
+        """The next character after whitespace, left at ``pos``; "" at the
+        end of the file."""
+        while True:
+            self.pos = _SPACE(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self.more()
+
+    def value(self, scan):
+        """The value ``scan`` reads at ``pos``, which is not whitespace."""
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+            except StopIteration as exc:
+                if self.eof:
+                    raise self.fault("Expecting value", exc.value) from None
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise self.fault(exc.msg, exc.pos) from None
+            except (ValueError, RecursionError) as exc:  # too long a number, or too deep
+                raise _JsonFault(f"invalid JSON: {exc}") from None
+            else:
+                if end + _MARGIN <= len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            self.more()
+
+    def members(self, scan):
+        """The elements of the array whose "[" is at ``pos``, one at a time."""
+        self.pos += 1
+        if self.char() == "]":
+            self.pos += 1
+            return
+        while True:
+            # the elements that end, with a comma after them, within the window
+            text, pos = self.text, self.pos
+            limit = len(text) - _MARGIN
+            try:
+                value, end = scan(text, pos)
+                while end <= limit:
+                    comma = _COMMA(text, end)
+                    if comma is None or comma.end() > limit:
+                        break
+                    yield value
+                    pos = comma.end()
+                    value, end = scan(text, pos)
+            except (StopIteration, ValueError, RecursionError):
+                pass  # scanned again by ``value``, which raises a fault
+            self.pos = pos
+            yield self.value(scan)
+            c = self.char()
+            self.pos += 1
+            if c == "]":
+                return
+            if c != ",":
+                raise self.fault("Expecting ',' delimiter", self.pos - 1)
+            self.char()
+
+    def set_file(self, stream: bool):
+        """The file's top-level object, which must be the file's only
+        value, and what its "states" streamed into: ``(dims, table)``, the
+        ``table`` or ``NlweError`` of ``_table_from_obj`` on the "dims"
+        object that came before them; or None when "states" was kept in
+        the object (it came first, or not ``stream``, or was no array)."""
+        obj = {}
+        streamed = None
+        if self.char() != "{":
+            raise self.fault("Expecting value" if self.eof and self.pos == len(self.text)
+                             else "a set file must be one JSON object", self.pos)
+        self.pos += 1
+        c = self.char()
+        if c == "}":
+            self.pos += 1
+        else:
+            while True:
+                if c != '"':
+                    raise self.fault("Expecting property name enclosed in double quotes", self.pos)
+                key = self.value(_scan_value)
+                if self.char() != ":":
+                    raise self.fault("Expecting ':' delimiter", self.pos)
+                self.pos += 1
+                if self.char() == "[" and key == "states":
+                    obj.pop("states", None)
+                    streamed = None
+                    if stream and "dims" in obj:
+                        streamed = obj["dims"], self.stream(obj)
+                    else:
+                        obj["states"] = list(self.members(_scan_member))
+                else:
+                    obj[key] = self.value(_scan_value)
+                    if key == "states":
+                        streamed = None
+                c = self.char()
+                self.pos += 1
+                if c == "}":
+                    break
+                if c != ",":
+                    raise self.fault("Expecting ',' delimiter", self.pos - 1)
+                c = self.char()
+        if self.char():
+            raise self.fault("Extra data", self.pos)
+        return obj, streamed
+
+    def stream(self, obj):
+        """``_table_from_obj`` of the "states" array at ``pos`` on
+        ``obj``'s dims, or the ``NlweError`` it raised; with the array
+        read to its end either way.  Bad dims give None: reading the
+        object will raise their fault."""
+        members = self.members(_scan_member)
+        result = None
+        try:
+            dims = _dims(obj)
+        except (NlweError, KeyError, TypeError, ValueError):
+            pass
+        else:
+            try:
+                return _table_from_obj(members, dims)
+            except _JsonFault:
+                raise
+            except NlweError as exc:
+                result = exc
+        for _ in members:
+            pass
+        return result
+
+
+def _read_set(path: str, upb: bool):
+    """A basis or UPB file's set, read through a ``_WINDOW``-character
+    window: each member is interned into the table as it closes.  The
+    file's text and members are never held whole, unless "states" comes
+    before "dims" (which nlwe never writes): then its members are kept
+    until the object ends."""
+
+    def read(stream):
+        with open(path, "r", encoding="utf-8") as fh:
+            return _Window(fh).set_file(stream)
+
     try:
-        dims = _dims(obj)
-        factors, ids = _table_from_obj(obj["states"], dims)
-        stopper = _int(obj["stopper_index"], "stopper_index")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedJsonError(f"bad UPB object: {exc}") from exc
-    return Upb(dims, factors, ids, stopper)
+        obj, streamed = read(True)
+        if streamed is not None and streamed[0] is not obj["dims"]:
+            # "dims" came again after the streamed "states": the last one counts
+            obj, streamed = read(False)
+    except OSError as exc:
+        raise MalformedJsonError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedJsonError(f"{path} is not UTF-8 text: {exc}") from exc
+
+    def table(dims):
+        if streamed is None:
+            return _table_from_obj(obj["states"], dims)
+        if isinstance(streamed[1], NlweError):
+            raise streamed[1]
+        return streamed[1]
+
+    return _set_from_obj(obj, table, upb)
+
+
+def read_basis(path: str) -> tuple[ProductBasis, Circuit | None]:
+    """The basis and embedded circuit (or None) of the basis file at
+    ``path``, as ``basis_from_obj`` of ``load_file`` gives them, read with
+    a ``_WINDOW``-character window and the id table."""
+    return _read_set(path, upb=False)
+
+
+def read_upb(path: str) -> Upb:
+    """The UPB of the UPB file at ``path``, as ``upb_from_obj`` of
+    ``load_file`` gives it, read as ``read_basis`` reads."""
+    return _read_set(path, upb=True)
 
 
 def density_to_obj(matrix: np.ndarray, dims) -> dict:

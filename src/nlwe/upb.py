@@ -46,7 +46,7 @@ from .config import tolerance
 from .ensembles import canonical_circuit
 from .errors import ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
-from .report import VerificationReport
+from .report import VerificationReport, count_text
 from .states import CB, DFT, Dense, LocalFactors, check_factor
 
 UPB_ORTHOGONALITY_TOL = 1e-10
@@ -434,12 +434,12 @@ def is_unextendible(upb: Upb) -> VerificationReport:
     report = VerificationReport()
     if res.extendible:
         detail = (
-            f"extendible, {res.assignments_covered} assignments examined; "
+            f"extendible, {count_text(res.assignments_covered)} assignments examined; "
             f"witness assignment {res.witness_assignment}"
         )
     else:
         detail = (
-            f"unextendible, {res.assignments_covered} assignments examined "
+            f"unextendible, {count_text(res.assignments_covered)} assignments examined "
             f"(pre-pruning bound)"
         )
     covered = res.assignments_covered

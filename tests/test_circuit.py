@@ -10,7 +10,7 @@ from nlwe.circuit import (
     validate_exclusivity,
 )
 from nlwe.ensembles import four_qutrit_circuit, shift_circuit
-from nlwe.errors import ContractViolationError
+from nlwe.errors import ContractViolationError, TooLargeError
 from nlwe.states import CB, DFT
 
 from helpers import apply_dense, basis_row, circuit_unitary, dft_col, dft_parties, ket, kron_chain
@@ -151,6 +151,11 @@ class TestApplyDense:
 
 
 class TestGenerateBasis:
+    def test_refused_size_past_the_digit_limit(self):
+        # 1499^1500 has 4764 digits, more than str() converts by default
+        with pytest.raises(TooLargeError, match=r"^a basis of (about 5\.04e\+4763|\d{4764}) states"):
+            generate_basis(Circuit((1499,) * 1500, []))
+
     def test_gateless_circuit_gives_cb(self):
         basis = generate_basis(Circuit((2, 2), []))
         assert [s.factors for s in basis.states] == [

@@ -12,8 +12,10 @@ from nlwe.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     PreconditionError,
+    TooLargeError,
 )
 from nlwe.linalg import (
+    DENSE_BYTES_BUDGET,
     dft_matrix,
     gram,
     hermitian_eigenvalues,
@@ -22,8 +24,10 @@ from nlwe.linalg import (
     orthogonal_complement_basis,
     orthonormalize,
     partial_transpose,
+    require_dense_budget,
     span_dimension,
 )
+from nlwe.report import count_text
 
 from helpers import (
     NON_FINITE_CASES,
@@ -37,6 +41,32 @@ from helpers import (
 )
 
 SQ2 = 1 / np.sqrt(2)
+
+
+class TestDenseBudget:
+    @pytest.mark.parametrize("rows, cols, mib", [
+        (2049, 2049, "64.06"), (1, 2**22 + 1, "64.00"), (8193, 513, "64.13"),
+        # 64.125 and 64.375 MiB, rounded half to even as "%.2f" rounds
+        (513, 8192, "64.12"), (515, 8192, "64.38"),
+    ])
+    def test_message_in_float_range(self, rows, cols, mib):
+        assert mib == f"{16 * rows * cols / 2**20:.2f}"
+        with pytest.raises(TooLargeError, match=rf"^x needs a {rows} x {cols} complex array "
+                           rf"\({mib} MiB\), above the 64 MiB budget$"):
+            require_dense_budget(rows, cols, "x")
+
+    def test_shape_past_float_range(self):
+        # 2^1204 bytes: a float division of the byte count overflows
+        with pytest.raises(TooLargeError) as info:
+            require_dense_budget(2**600, 2**600, "x")
+        assert f"{2**600} x {2**600} complex array ({2**1184}.00 MiB)" in str(info.value)
+
+    def test_within_the_budget(self):
+        require_dense_budget(1, DENSE_BYTES_BUDGET // 16, "x")
+
+    def test_count_past_the_digit_limit(self):
+        assert count_text(12345) == "12345"
+        assert count_text(10**5000 - 1) in ("about 1.00e+5000", "9" * 5000)
 
 
 class TestDftMatrix:

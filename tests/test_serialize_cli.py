@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from nlwe import serialize
 from nlwe.circuit import Circuit, ControlDftGate, generate_basis
 from nlwe.cli import _write_or_print, main
+from nlwe.errors import MalformedJsonError, NlweError
 from nlwe.ensembles import preset_circuit, shift_circuit
 from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState
 from nlwe.upb import extract_upb
@@ -601,6 +605,36 @@ class TestCliFlows:
             (0, 1) + (0,) * 1100)
         assert "unextendible  FAIL             -  extendible, " + count in table
 
+    def test_upb_check_past_the_digit_limit(self, tmp_path, capsys):
+        # CB(0) x CB(i) x CB(j) on (1, 96, 96) but for (95, 95): extendible,
+        # with a covered count of about 4 400 digits, more than str() converts
+        members = [{"factors": [{"kind": "cb", "index": 0}, {"kind": "cb", "index": i},
+                                {"kind": "cb", "index": j}]}
+                   for i in range(96) for j in range(96) if (i, j) != (95, 95)]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps({"dims": [1, 96, 96], "states": members, "stopper_index": 0}))
+        assert main(["upb", "check", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, table = captured.out.split("\n", 1)
+        assert re.fullmatch(r"extendible, (about \d\.\d\de\+\d+|\d{4300,}) assignments examined; "
+                            r"witness assignment \(.*\)", first)
+        assert "unextendible  FAIL             -  extendible, " in table
+
+    def test_bestate_past_float_range_is_one_error_line(self, tmp_path, capsys):
+        # |0...0> and its 520 single flips: the complement mixture would be
+        # 2^520 x 2^520, whose byte count overflows a float
+        n = 520
+        members = [{"factors": [{"kind": "cb", "index": int(p == q)} for p in range(n)]}
+                   for q in range(-1, n)]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps({"dims": [2] * n, "states": members, "stopper_index": 0}))
+        assert main(["bestate", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:too-large: the complement mixture needs a {2**n} x ")
+        assert captured.err.count("\n") == 1
+
     def test_verify_runs_every_check_on_the_big_basis(self, big_basis, tmp_path):
         # D = 15625: every check works on local factors, no D-sized array
         report = tmp_path / "report.json"
@@ -625,6 +659,14 @@ class TestCliFlows:
         err = capsys.readouterr().err
         assert err.startswith("error:too-large:")
         assert err.count("\n") == 1
+
+    def test_generate_past_the_digit_limit_is_one_error_line(self, capsys):
+        # 1499^1500 states: a count of 4764 digits in the message
+        assert main(["generate", "--preset", "canonical:n=1500,d=1499"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:too-large: a basis of ")
+        assert captured.err.count("\n") == 1
 
     def test_total_dimension_beyond_int64(self, tmp_path, capsys):
         # 19^20 does not fit in an int64: generate refuses the basis, and
@@ -1403,3 +1445,188 @@ class TestDensityFileMemory:
         text = path.read_text()
         assert text == serialize.density_text(rho, [16, 16])
         assert peak <= 0.25 * len(text)
+
+
+def _read_outcome(read):
+    """What ``read()`` gives of a set: dims, distinct factors, ids and the
+    circuit or stopper index; or the class of the ``NlweError`` it raised."""
+    try:
+        got = read()
+    except NlweError as exc:
+        return type(exc)
+    table, extra = got if isinstance(got, tuple) else (got, got.stopper_index)
+    return table.dims, _keys(table), table.ids.tolist(), extra
+
+
+def _assert_reads_alike(text, windows=(1, 2, 7, 64, serialize._WINDOW)):
+    """``read_basis`` and ``read_upb`` of ``text`` at each window size give
+    what ``basis_from_obj`` and ``upb_from_obj`` give of ``json.loads``."""
+    tree = json.loads(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "set.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for read, load in ((serialize.read_basis, serialize.basis_from_obj),
+                           (serialize.read_upb, serialize.upb_from_obj)):
+            expected = _read_outcome(lambda: load(tree))
+            for window in windows:
+                with mock.patch.object(serialize, "_WINDOW", window):
+                    assert _read_outcome(lambda: read(path)) == expected, window
+
+
+_ITEM_SEPS = [",", ", ", " ,\n", "\r\n,\t"]
+_KEY_SEPS = [":", ": ", " :\n "]
+
+
+@st.composite
+def reencoded(draw, obj):
+    """The text of the set file object ``obj`` with random indent,
+    separators and key order (``states`` before ``dims`` included), and
+    some keys also given earlier or later with another value, of which
+    ``json.loads`` keeps the last."""
+    pairs = draw(st.permutations(list(obj.items())))
+    others = {
+        "dims": st.lists(st.integers(1, 5), max_size=4) | st.just(obj["dims"]),
+        "states": st.just(obj["states"][:1]) | st.just([]),
+        "stopper_index": st.integers(0, 3),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(others)), max_size=3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(others[key])))
+    indent = draw(st.sampled_from([None, 0, 2, "\t"]))
+    item_sep, key_sep = draw(st.sampled_from(_ITEM_SEPS)), draw(st.sampled_from(_KEY_SEPS))
+    items = [json.dumps(k) + key_sep + json.dumps(v, indent=indent, separators=(item_sep, key_sep))
+             for k, v in pairs]
+    space = st.sampled_from(["", " ", "\n", "\r\n\t "])
+    return draw(space) + "{" + draw(space) + item_sep.join(items) + draw(space) + "}" + draw(space)
+
+
+class TestSetReader:
+    """``read_basis`` and ``read_upb`` read a set file through a window of
+    ``serialize._WINDOW`` characters and intern each member as it closes;
+    they give what the tree readers give of ``json.loads`` of the file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_tables(max_members=12), st.data())
+    def test_reads_like_the_tree_readers(self, table, data):
+        basis = ProductBasis(table.dims, table.factors, table.ids)
+        circuit = data.draw(st.none() | circuits_on(table.dims))
+        _assert_reads_alike(data.draw(reencoded(serialize.basis_to_obj(basis, circuit))))
+        upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
+                              stopper_index=data.draw(st.integers(0, len(table) - 1)))
+        _assert_reads_alike(data.draw(reencoded(serialize.upb_to_obj(upb))))
+
+    @pytest.mark.parametrize("kind", ["basis", "upb"])
+    @pytest.mark.parametrize("preset", ["shift", "canonical:n=4,d=3"])
+    def test_preset_files_read_alike(self, kind, preset):
+        _assert_reads_alike(_set_file_text(kind, preset))
+
+    @pytest.mark.parametrize("member", [0, -1])
+    @pytest.mark.parametrize("case", sorted(FACTOR_TEXTS))
+    def test_edited_factor_reads_alike(self, member, case):
+        obj = json.loads(_set_file_text("upb", "shift"))
+        obj["states"][member]["factors"][0] = "@factor@"
+        _assert_reads_alike(json.dumps(obj).replace('"@factor@"', FACTOR_TEXTS[case]),
+                            windows=(7, serialize._WINDOW))
+
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_loader_case_reads_alike(self, case):
+        obj = json.loads(_set_file_text("basis", "shift"))
+        LOADER_CASES[case][0](obj)
+        _assert_reads_alike(json.dumps(obj), windows=(7, serialize._WINDOW))
+
+    @pytest.mark.parametrize("window", [7, serialize._WINDOW])
+    def test_every_truncation_and_trailing_data_is_malformed(self, window, tmp_path):
+        text = _set_file_text("basis", "shift")
+        path = tmp_path / "basis.json"
+        cases = [text[:k] for k in range(len(text.rstrip()))]
+        cases += [text + "x", text + "{}", text.rstrip() + " 0\n", text + "]"]
+        with mock.patch.object(serialize, "_WINDOW", window):
+            for case in cases:
+                path.write_text(case)
+                with pytest.raises(MalformedJsonError, match="^invalid JSON: "):
+                    serialize.read_basis(str(path))
+
+    def test_fault_positions_match_json(self, tmp_path):
+        # the line, column and character json.loads names, though the fault
+        # lies windows after the start of the file
+        text = _set_file_text("basis", "canonical:n=4,d=3")
+        bad = text[:-20] + "?" + text[-19:]
+        path = tmp_path / "basis.json"
+        path.write_text(bad)
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(bad)
+        with mock.patch.object(serialize, "_WINDOW", 64):
+            with pytest.raises(MalformedJsonError) as got:
+                serialize.read_basis(str(path))
+        assert str(got.value) == f"invalid JSON: {expected.value}"
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_a_number_split_by_the_window_reads_whole(self, cut, tmp_path):
+        # 15 of the 16 computational kets on (4, 4), stopper 12; the window
+        # ends after the stopper's first digit, or before it
+        upb = SimpleNamespace(dims=(4, 4), factors=[[CB(i) for i in range(4)]] * 2,
+                              ids=np.array([(a, b) for a in range(4) for b in range(4)][:15]),
+                              stopper_index=12)
+        text = serialize.upb_text(upb)
+        path = tmp_path / "upb.json"
+        path.write_text(text)
+        with mock.patch.object(serialize, "_WINDOW", text.index("12\n") + cut):
+            assert serialize.read_upb(str(path)).stopper_index == 12
+
+    @pytest.mark.parametrize("part", ["1.5", "1e-05", "-2.5E+3", "7e5"])
+    def test_a_float_split_by_the_window_reads_whole(self, part, tmp_path):
+        # the scanner ends a number before a cut "." or "e+": read as 1, a
+        # stopper index of 1.5 would be a fault at the "." instead
+        text = '{"dims": [2, 2], "states": [], "stopper_index": %s}' % part
+        path = tmp_path / "upb.json"
+        path.write_text(text)
+        for window in range(1, len(text) + 1):
+            with mock.patch.object(serialize, "_WINDOW", window):
+                with pytest.raises(MalformedJsonError, match=re.escape(
+                        f"stopper_index must be a JSON integer, got {json.loads(part)!r}")):
+                    serialize.read_upb(str(path))
+
+    def test_read_basis_peaks_below_half_the_file_size(self, big_basis):
+        # the (6,5) basis: the window, the id table and one member's objects
+        (basis, _), peak = _traced_peak(lambda: serialize.read_basis(str(big_basis)))
+        assert len(basis) == 15625
+        assert peak <= 0.5 * big_basis.stat().st_size
+
+
+DEPTH = 100_000
+
+
+class TestDeepJson:
+    """A file nested far beyond the recursion limit is malformed JSON:
+    exit 2 and one error line, not a traceback."""
+
+    @pytest.mark.parametrize("command", [["verify", "--in"], ["upb", "check", "--in"],
+                                         ["bestate", "--in"], ["lemma", "--kraus"]])
+    def test_deep_file_is_one_error_line(self, command, tmp_path, capsys):
+        nested = "[" * DEPTH + "]" * DEPTH
+        text = nested if command[0] == "lemma" else '{"dims": [2], "states": %s}' % nested
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:malformed-json: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+
+    def test_loads_of_a_deep_text(self):
+        with pytest.raises(MalformedJsonError):
+            serialize.loads("[" * DEPTH + "]" * DEPTH)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("read", [serialize.loads, None])
+    def test_a_number_past_the_digit_limit(self, read, tmp_path):
+        text = '{"dims": [%s], "states": []}' % ("9" * 5000)
+        if read is None:
+            path = tmp_path / "long.json"
+            path.write_text(text)
+            with pytest.raises(MalformedJsonError, match="^invalid JSON: "):
+                serialize.read_basis(str(path))
+        else:
+            with pytest.raises(MalformedJsonError, match="^invalid JSON: "):
+                read(text)
