@@ -14,28 +14,41 @@ import numpy as np
 
 from .circuit import Circuit, ControlDftGate
 from .errors import ConstructionError, UnknownPresetError
+from .linalg import require_dense_budget
 from .report import party_label
 from .states import ProductBasis, factor_descriptor
 
 
-def canonical_circuit(n: int, dims) -> Circuit:
-    """The n-gate exclusive circuit on n parties with d_j >= n-1.
-
-    Violating the dimension condition raises a construction error naming the
-    offending party.
-    """
-    n = int(n)
-    dims = tuple(int(d) for d in dims)
+def _check_canonical(n: int, dims, parties: int) -> None:
+    """Refuse the canonical circuit on n parties with ``parties`` local
+    dimensions ``dims`` (party j's at j): n below 3, ``parties`` other than
+    n, a d below n - 1, then a d x d local factor table above the dense
+    budget (the table that the commutation check and ``upb.extract_upb``
+    build; it bounds n to 2049), before any gate is built."""
     if n < 3:
         raise ConstructionError(f"canonical circuit needs n >= 3 parties, got {n}")
-    if len(dims) != n:
-        raise ConstructionError(f"expected {n} dimensions, got {len(dims)}")
+    if parties != n:
+        raise ConstructionError(f"expected {n} dimensions, got {parties}")
     for j, d in enumerate(dims):
         if d < n - 1:
             raise ConstructionError(
                 f"party {party_label(j)} has d_{j + 1} = {d} < {n - 1}; "
                 f"every local dimension must be at least n-1"
             )
+    for d in dims:
+        require_dense_budget(d, d, "the local factor table")
+
+
+def canonical_circuit(n: int, dims) -> Circuit:
+    """The n-gate exclusive circuit on n parties with d_j >= n-1.
+
+    Violating the dimension condition raises a construction error naming the
+    offending party; a local dimension whose d x d table would not fit the
+    dense budget is too large.
+    """
+    n = int(n)
+    dims = tuple(int(d) for d in dims)
+    _check_canonical(n, dims, len(dims))
     gates = []
     for k in range(n):
         target = n - 1 - k
@@ -118,6 +131,8 @@ def preset_circuit(name: str) -> Circuit:
         n = int(m.group(1))
         dims = tuple(int(tok) for tok in m.group(2).split(",") if tok)
         if len(dims) == 1:
+            # one d for all n parties: checked once before it is repeated
+            _check_canonical(n, dims, n)
             dims = dims * n
         return canonical_circuit(n, dims)
     raise UnknownPresetError(

@@ -23,14 +23,19 @@ holds one member's text at a time.  The pieces join (``basis_text``,
 ``basis_to_obj`` and ``upb_to_obj`` (which share one factor object per
 distinct factor).
 
-``read_basis`` and ``read_upb`` read a basis or UPB file the same way
-round: through a window of ``_WINDOW`` characters, scanned by json's own
-scanner one member at a time, each member interned into the table as soon
-as it closes, so neither the file's text nor a tree of its members is held
-whole.  They give what ``basis_from_obj`` and ``upb_from_obj`` give of the
-file's ``json.loads`` tree (the tests' reference), faults included: the
-same member builder (``_table_from_obj``) and the same tail
-(``_set_from_obj``) serve both.  The builder looks a member's row up whole
+``read_basis`` and ``read_upb`` follow one rule.  A regular file in the
+layout nlwe writes (one JSON object, "dims" before "states", no key given
+twice) is read through a window of ``_WINDOW`` characters, scanned by
+json's own scanner one member at a time, each member interned into the
+table as soon as it closes, so neither the file's text nor a tree of its
+members is held whole.  Every other input (another layout, malformed JSON,
+a pipe) is read whole by the tree readers, ``basis_from_obj`` and
+``upb_from_obj`` of ``loads``, so its set or fault is theirs by
+construction.  Both paths give what the tree readers give: the same member
+builder (``_table_from_obj``) and the same tail (``_set_from_obj``) serve
+both, and a fault in a streamed member is raised only once the rest of the
+text has been read, so a later fault in the text still comes first.  The
+builder looks a member's row up whole
 when its factors are known keys; otherwise it checks every factor object's
 shape, kind and integer index, and each distinct factor's range,
 dimension, finiteness and norm once.  ``loads`` (the tree readers' and
@@ -137,12 +142,24 @@ def dumps(obj) -> str:
     return _encode(obj, 0, set()) + "\n"
 
 
+def _symbolic(obj):
+    """The ``(kind, index)`` key of an object with exactly the keys ``kind``
+    (a str) and ``index`` (an int, not a bool), which ``_factor_key`` takes
+    as it is; any other object as it is.  ``loads`` shares one dict per
+    key, and ``read_basis`` scans each such factor object as its key."""
+    if len(obj) == 2:
+        kind, index = obj.get("kind"), obj.get("index")
+        if type(kind) is str and type(index) is int:
+            return kind, index
+    return obj
+
+
 def loads(text: str):
     """The JSON value of ``text``, with one dict shared by every object
     that has exactly the keys ``kind`` (a string) and ``index`` (an
-    integer) with equal values: a file's symbolic factor objects, so a
-    basis file holds a few factor objects, not one per occurrence.  Like
-    ``basis_to_obj``'s, the tree must not be mutated.
+    integer) with equal values (``_symbolic``): a file's symbolic factor
+    objects, so a basis file holds a few factor objects, not one per
+    occurrence.  Like ``basis_to_obj``'s, the tree must not be mutated.
 
     Every other object is kept as parsed, and nothing is checked here: an
     object whose index is ``true`` or ``1.0`` is its own, since only JSON
@@ -151,11 +168,8 @@ def loads(text: str):
     shared = {}
 
     def share(obj):
-        if len(obj) == 2:
-            kind, index = obj.get("kind"), obj.get("index")
-            if type(kind) is str and type(index) is int:
-                return shared.setdefault((kind, index), obj)
-        return obj
+        key = _symbolic(obj)
+        return obj if key is obj else shared.setdefault(key, obj)
 
     try:
         return json.loads(text, object_hook=share)
@@ -461,63 +475,34 @@ _MARGIN = 3
 _SPACE = re.compile(r"[ \t\n\r]*").match
 _COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 _scan_value = json.JSONDecoder().scan_once
-
-
-def _symbolic(obj):
-    """The ``(kind, index)`` key of an object with exactly the keys ``kind``
-    (a str) and ``index`` (an int, not a bool), which ``_factor_key`` takes
-    as it is; any other object as it is."""
-    if len(obj) == 2:
-        kind, index = obj.get("kind"), obj.get("index")
-        if type(kind) is str and type(index) is int:
-            return kind, index
-    return obj
-
-
 # scans a member, each symbolic factor object as its key
 _scan_member = json.JSONDecoder(object_hook=_symbolic).scan_once
 
 
-class _JsonFault(MalformedJsonError):
-    """A fault in a set file's JSON text.  It is raised at once, while a
-    fault in what the text holds waits for the end of the file, since for
-    ``json.loads`` a fault anywhere in the text comes first."""
+class _NotNlweLayout(Exception):
+    """The set file is not in the layout that the window reads (one object,
+    "dims" before "states", no key twice, valid JSON): the tree reader
+    reads it instead."""
 
 
 class _Window:
     """A text file read ``_WINDOW`` or more characters at a time into
-    ``text``, of which ``text[pos:]`` is not yet consumed; ``base`` is the
-    file offset of ``text[0]``, and ``lines`` and ``line_start`` place it in
-    the file for error messages."""
+    ``text``, of which ``text[pos:]`` is not yet consumed."""
 
     def __init__(self, fh):
         self.fh = fh
         self.text = ""
         self.pos = 0
         self.eof = False
-        self.base = self.lines = self.line_start = 0
 
     def more(self) -> None:
         """Drop the read text and read on: at least ``_WINDOW`` characters,
         and at least as many as are left, so a value longer than the window
         is scanned a bounded number of times."""
         text, pos = self.text, self.pos
-        newlines = text.count("\n", 0, pos)
-        if newlines:
-            self.lines += newlines
-            self.line_start = self.base + text.rindex("\n", 0, pos) + 1
-        self.base += pos
         chunk = self.fh.read(max(_WINDOW, len(text) - pos))
         self.eof = not chunk
         self.text, self.pos = text[pos:] + chunk, 0
-
-    def fault(self, msg: str, at: int) -> _JsonFault:
-        """``msg`` at ``text[at]``, placed as ``json`` places its faults."""
-        newline = self.text.rfind("\n", 0, at)
-        line = self.lines + self.text.count("\n", 0, at) + 1
-        column = at - newline if newline >= 0 else self.base + at - self.line_start + 1
-        return _JsonFault(
-            f"invalid JSON: {msg}: line {line} column {column} (char {self.base + at})")
 
     def char(self) -> str:
         """The next character after whitespace, left at ``pos``; "" at the
@@ -528,19 +513,26 @@ class _Window:
                 return self.text[self.pos:self.pos + 1]
             self.more()
 
+    def expect(self, chars: str) -> str:
+        """The next character after whitespace, which must be one of
+        ``chars``, consumed with the whitespace after it."""
+        c = self.char()
+        if not c or c not in chars:
+            raise _NotNlweLayout
+        self.pos += 1
+        self.char()
+        return c
+
     def value(self, scan):
         """The value ``scan`` reads at ``pos``, which is not whitespace."""
         while True:
             try:
                 value, end = scan(self.text, self.pos)
-            except StopIteration as exc:
+            except (StopIteration, json.JSONDecodeError):
                 if self.eof:
-                    raise self.fault("Expecting value", exc.value) from None
-            except json.JSONDecodeError as exc:
-                if self.eof:
-                    raise self.fault(exc.msg, exc.pos) from None
-            except (ValueError, RecursionError) as exc:  # too long a number, or too deep
-                raise _JsonFault(f"invalid JSON: {exc}") from None
+                    raise _NotNlweLayout from None
+            except (ValueError, RecursionError):  # too long a number, or too deep
+                raise _NotNlweLayout from None
             else:
                 if end + _MARGIN <= len(self.text) or self.eof:
                     self.pos = end
@@ -549,7 +541,7 @@ class _Window:
 
     def members(self, scan):
         """The elements of the array whose "[" is at ``pos``, one at a time."""
-        self.pos += 1
+        self.expect("[")
         if self.char() == "]":
             self.pos += 1
             return
@@ -567,120 +559,88 @@ class _Window:
                     pos = comma.end()
                     value, end = scan(text, pos)
             except (StopIteration, ValueError, RecursionError):
-                pass  # scanned again by ``value``, which raises a fault
+                pass  # scanned again by ``value``, which gives up on a fault
             self.pos = pos
             yield self.value(scan)
-            c = self.char()
-            self.pos += 1
-            if c == "]":
+            if self.expect(",]") == "]":
                 return
-            if c != ",":
-                raise self.fault("Expecting ',' delimiter", self.pos - 1)
-            self.char()
 
-    def set_file(self, stream: bool):
-        """The file's top-level object, which must be the file's only
-        value, and what its "states" streamed into: ``(dims, table)``, the
-        ``table`` or ``NlweError`` of ``_table_from_obj`` on the "dims"
-        object that came before them; or None when "states" was kept in
-        the object (it came first, or not ``stream``, or was no array)."""
+    def set_file(self) -> dict:
+        """The file's one top-level object, its "states" array read into
+        what ``_streamed_table`` gives on the "dims" before it."""
         obj = {}
-        streamed = None
-        if self.char() != "{":
-            raise self.fault("Expecting value" if self.eof and self.pos == len(self.text)
-                             else "a set file must be one JSON object", self.pos)
-        self.pos += 1
-        c = self.char()
-        if c == "}":
-            self.pos += 1
-        else:
-            while True:
-                if c != '"':
-                    raise self.fault("Expecting property name enclosed in double quotes", self.pos)
-                key = self.value(_scan_value)
-                if self.char() != ":":
-                    raise self.fault("Expecting ':' delimiter", self.pos)
-                self.pos += 1
-                if self.char() == "[" and key == "states":
-                    obj.pop("states", None)
-                    streamed = None
-                    if stream and "dims" in obj:
-                        streamed = obj["dims"], self.stream(obj)
-                    else:
-                        obj["states"] = list(self.members(_scan_member))
-                else:
-                    obj[key] = self.value(_scan_value)
-                    if key == "states":
-                        streamed = None
-                c = self.char()
-                self.pos += 1
-                if c == "}":
-                    break
-                if c != ",":
-                    raise self.fault("Expecting ',' delimiter", self.pos - 1)
-                c = self.char()
+        c = self.expect("{")
+        while c != "}":
+            if self.char() != '"':
+                raise _NotNlweLayout
+            key = self.value(_scan_value)
+            self.expect(":")
+            if key in obj or (key == "states" and "dims" not in obj):
+                raise _NotNlweLayout
+            if key == "states":
+                obj[key] = _streamed_table(self.members(_scan_member), obj)
+            else:
+                obj[key] = self.value(_scan_value)
+            c = self.expect(",}")
         if self.char():
-            raise self.fault("Extra data", self.pos)
-        return obj, streamed
+            raise _NotNlweLayout
+        return obj
 
-    def stream(self, obj):
-        """``_table_from_obj`` of the "states" array at ``pos`` on
-        ``obj``'s dims, or the ``NlweError`` it raised; with the array
-        read to its end either way.  Bad dims give None: reading the
-        object will raise their fault."""
-        members = self.members(_scan_member)
-        result = None
-        try:
-            dims = _dims(obj)
-        except (NlweError, KeyError, TypeError, ValueError):
-            pass
-        else:
-            try:
-                return _table_from_obj(members, dims)
-            except _JsonFault:
-                raise
-            except NlweError as exc:
-                result = exc
+
+def _streamed_table(members, obj):
+    """``_table_from_obj`` of ``members`` on ``obj``'s dims, or the fault
+    of the dims or the members, with ``members`` read to their end either
+    way, so that a later fault in the text comes first.  ``_set_from_obj``
+    raises a dims fault before it asks for the table."""
+    try:
+        return _table_from_obj(members, _dims(obj))
+    except (NlweError, KeyError, TypeError, ValueError) as exc:
         for _ in members:
             pass
-        return result
+        return exc
+
+
+def _streamed(fh):
+    """The set file object of ``fh`` as ``_Window.set_file`` reads it; or
+    None, with ``fh`` at its start, when ``fh`` cannot seek or the file is
+    in another layout."""
+    if fh.seekable():
+        try:
+            return _Window(fh).set_file()
+        except _NotNlweLayout:
+            fh.seek(0)
+    return None
 
 
 def _read_set(path: str, upb: bool):
-    """A basis or UPB file's set, read through a ``_WINDOW``-character
-    window: each member is interned into the table as it closes.  The
-    file's text and members are never held whole, unless "states" comes
-    before "dims" (which nlwe never writes): then its members are kept
-    until the object ends."""
-
-    def read(stream):
-        with open(path, "r", encoding="utf-8") as fh:
-            return _Window(fh).set_file(stream)
-
+    """A basis or UPB file's set: streamed through the window if the file
+    is in nlwe's layout (every file nlwe writes, and any ``sort_keys`` copy
+    of one), else read whole by ``loads`` and the tree readers."""
     try:
-        obj, streamed = read(True)
-        if streamed is not None and streamed[0] is not obj["dims"]:
-            # "dims" came again after the streamed "states": the last one counts
-            obj, streamed = read(False)
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = _streamed(fh)
+            if obj is None:
+                tree = loads(fh.read())
     except OSError as exc:
         raise MalformedJsonError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedJsonError(f"{path} is not UTF-8 text: {exc}") from exc
+    if obj is None:
+        return upb_from_obj(tree) if upb else basis_from_obj(tree)
 
     def table(dims):
-        if streamed is None:
-            return _table_from_obj(obj["states"], dims)
-        if isinstance(streamed[1], NlweError):
-            raise streamed[1]
-        return streamed[1]
+        if isinstance(obj["states"], Exception):
+            raise obj["states"]
+        return obj["states"]
 
     return _set_from_obj(obj, table, upb)
 
 
 def read_basis(path: str) -> tuple[ProductBasis, Circuit | None]:
     """The basis and embedded circuit (or None) of the basis file at
-    ``path``, as ``basis_from_obj`` of ``load_file`` gives them, read with
-    a ``_WINDOW``-character window and the id table."""
+    ``path``, as ``basis_from_obj`` of ``load_file`` gives them; a file in
+    nlwe's layout is read through a ``_WINDOW``-character window into the
+    id table (see ``_read_set``)."""
     return _read_set(path, upb=False)
 
 

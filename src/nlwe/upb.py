@@ -44,7 +44,7 @@ from . import linalg
 from .circuit import Circuit, images
 from .config import tolerance
 from .ensembles import canonical_circuit
-from .errors import ContractViolationError, PreconditionError
+from .errors import ConstructionError, ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport, count_text
 from .states import CB, DFT, Dense, LocalFactors, check_factor
@@ -95,7 +95,7 @@ def _require_canonical(circuit: Circuit) -> None:
     n = len(circuit.dims)
     try:
         reference = canonical_circuit(n, circuit.dims)
-    except Exception as exc:
+    except ConstructionError as exc:
         raise ContractViolationError(f"not a canonical circuit: {exc}") from exc
     if set(circuit.gates) != set(reference.gates):
         raise ContractViolationError(
@@ -112,9 +112,10 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
     the stopper state made of the excluded dual-basis ket on every party.
     The default excluded index is d_j - 1 on each party.  The set is the
     table of the inputs' images (``circuit.images``) plus the stopper row,
-    which takes the excluded ket's id at each party, or the next id.  Each
-    party's table of distinct factors is held to the dense budget before
-    any input row is built.
+    which takes the excluded ket's id at each party, or the next id.  The
+    m x n id table is held to the dense budget before any input row is
+    built, as the canonical circuit holds each party's d x d table of
+    distinct factors.
 
     The result always meets the minimal UPB size bound and is mutually
     orthogonal.  It is genuinely unextendible when every party is a qubit;
@@ -138,10 +139,9 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
                 f"excluded index {k} out of range for party dimension {dims[p]}"
             )
         excluded[p] = k
-    for d in dims:
-        # every party carries all d dual-basis kets: d - 1 from the gate
-        # that targets it, plus the stopper's excluded one
-        linalg.require_dense_budget(d, d, "the local factor table")
+    # one row per input plus the stopper's; each party's d x d table of
+    # distinct factors was held to the budget with the circuit
+    linalg.require_dense_budget(minimal_size(dims), n, "the UPB's id table")
     inputs = []
     for gate in circuit.gates:
         t = gate.target

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -826,6 +828,37 @@ class TestCliFlows:
         assert err.startswith("error:too-large:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["generate", "upb"])
+    @pytest.mark.parametrize("preset, code", [
+        ("canonical:n=1000000000,d=5", "construction-error"),  # d < n - 1
+        ("canonical:n=1000000,d=999999", "too-large"),  # a 999 999 x 999 999 table
+    ])
+    def test_oversized_canonical_preset_is_refused_before_any_gate(
+            self, command, preset, code, capsys, monkeypatch):
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate built before the checks")
+
+        monkeypatch.setattr("nlwe.ensembles.ControlDftGate", no_gates)
+        start = time.perf_counter()
+        assert main([command, "--preset", preset]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:{code}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_upb_id_table_beyond_the_dense_budget_is_refused(self, capsys, monkeypatch):
+        # 25 921 members of 162 parties: a 64.07 MiB id table (n = 161 fits)
+        def no_rows(*args):
+            raise AssertionError("input rows built before the budget check")
+
+        monkeypatch.setattr("nlwe.upb.images", no_rows)
+        assert main(["upb", "--preset", "canonical:n=162,d=161"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:too-large: the UPB's id table needs a 25921 x 162 ")
+        assert captured.err.count("\n") == 1
+
     def test_verify_unknown_check_name(self, tmp_path, capsys):
         path = tmp_path / "basis.json"
         main(["generate", "--preset", "oneway", "--out", str(path)])
@@ -1447,31 +1480,51 @@ class TestDensityFileMemory:
         assert peak <= 0.25 * len(text)
 
 
-def _read_outcome(read):
+def _read_outcome(read, messages=False):
     """What ``read()`` gives of a set: dims, distinct factors, ids and the
-    circuit or stopper index; or the class of the ``NlweError`` it raised."""
+    circuit or stopper index; or the class of the ``NlweError`` it raised,
+    with its message if ``messages``."""
     try:
         got = read()
     except NlweError as exc:
-        return type(exc)
+        return (type(exc), str(exc)) if messages else type(exc)
     table, extra = got if isinstance(got, tuple) else (got, got.stopper_index)
     return table.dims, _keys(table), table.ids.tolist(), extra
 
 
-def _assert_reads_alike(text, windows=(1, 2, 7, 64, serialize._WINDOW)):
+def _json_tree(text):
+    """``json.loads`` of ``text``; a fault in the text raises the
+    ``MalformedJsonError`` that the loaders make of json's."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedJsonError(f"invalid JSON: {exc}") from exc
+
+
+def _assert_reads_alike(text, windows=(1, 2, 7, 64, serialize._WINDOW), by=None):
     """``read_basis`` and ``read_upb`` of ``text`` at each window size give
-    what ``basis_from_obj`` and ``upb_from_obj`` give of ``json.loads``."""
-    tree = json.loads(text)
+    what ``basis_from_obj`` and ``upb_from_obj`` give of ``json.loads``.
+    With ``by="window"`` the tree reader is disabled (``serialize.loads``
+    fails), so the window must read the file; with ``by="tree"`` the tree
+    reader must read it, and error messages must be alike too."""
+    messages = by == "tree"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         for read, load in ((serialize.read_basis, serialize.basis_from_obj),
                            (serialize.read_upb, serialize.upb_from_obj)):
-            expected = _read_outcome(lambda: load(tree))
+            expected = _read_outcome(lambda: load(_json_tree(text)), messages)
             for window in windows:
-                with mock.patch.object(serialize, "_WINDOW", window):
-                    assert _read_outcome(lambda: read(path)) == expected, window
+                if by == "window":
+                    fail = AssertionError("the tree reader read a file in the streamed layout")
+                    loads = mock.patch.object(serialize, "loads", side_effect=fail)
+                else:
+                    loads = mock.patch.object(serialize, "loads", wraps=serialize.loads)
+                with mock.patch.object(serialize, "_WINDOW", window), loads as tree_reader:
+                    assert _read_outcome(lambda: read(path), messages) == expected, window
+                if by == "tree":
+                    assert tree_reader.called, window
 
 
 _ITEM_SEPS = [",", ", ", " ,\n", "\r\n,\t"]
@@ -1479,18 +1532,24 @@ _KEY_SEPS = [":", ": ", " :\n "]
 
 
 @st.composite
-def reencoded(draw, obj):
+def reencoded(draw, obj, streamed=False):
     """The text of the set file object ``obj`` with random indent,
     separators and key order (``states`` before ``dims`` included), and
     some keys also given earlier or later with another value, of which
-    ``json.loads`` keeps the last."""
+    ``json.loads`` keeps the last.  With ``streamed``, the text is in the
+    layout that the window reads: ``dims`` before ``states`` and no key
+    given twice, the other keys anywhere."""
     pairs = draw(st.permutations(list(obj.items())))
+    if streamed:
+        keys = [k for k, _ in pairs]
+        i, j = sorted((keys.index("dims"), keys.index("states")))
+        pairs[i], pairs[j] = ("dims", obj["dims"]), ("states", obj["states"])
     others = {
         "dims": st.lists(st.integers(1, 5), max_size=4) | st.just(obj["dims"]),
         "states": st.just(obj["states"][:1]) | st.just([]),
         "stopper_index": st.integers(0, 3),
     }
-    for key in draw(st.lists(st.sampled_from(sorted(others)), max_size=3)):
+    for key in [] if streamed else draw(st.lists(st.sampled_from(sorted(others)), max_size=3)):
         pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(others[key])))
     indent = draw(st.sampled_from([None, 0, 2, "\t"]))
     item_sep, key_sep = draw(st.sampled_from(_ITEM_SEPS)), draw(st.sampled_from(_KEY_SEPS))
@@ -1498,6 +1557,30 @@ def reencoded(draw, obj):
              for k, v in pairs]
     space = st.sampled_from(["", " ", "\n", "\r\n\t "])
     return draw(space) + "{" + draw(space) + item_sep.join(items) + draw(space) + "}" + draw(space)
+
+
+def _with_key(text, key, value):
+    """The set file ``text`` with ``key`` given once more, after its keys."""
+    return text.rstrip()[:-1].rstrip() + f",\n  {json.dumps(key)}: {json.dumps(value)}\n}}\n"
+
+
+def _piped(text, read):
+    """``read`` of the ``/dev/fd`` path of a pipe that a thread feeds with
+    ``text``, which must fit the pipe's buffer if ``read`` can fail before
+    it has read the whole pipe."""
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        feeder.join()
+        os.close(r)
 
 
 class TestSetReader:
@@ -1519,6 +1602,73 @@ class TestSetReader:
     @pytest.mark.parametrize("preset", ["shift", "canonical:n=4,d=3"])
     def test_preset_files_read_alike(self, kind, preset):
         _assert_reads_alike(_set_file_text(kind, preset))
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_tables(max_members=12), st.data())
+    def test_streamed_layout_is_read_by_the_window(self, table, data):
+        # "dims" before "states" and no key twice, with any spacing and the
+        # other keys anywhere: read at every window with no tree reader
+        basis = ProductBasis(table.dims, table.factors, table.ids)
+        circuit = data.draw(st.none() | circuits_on(table.dims))
+        obj = serialize.basis_to_obj(basis, circuit)
+        _assert_reads_alike(data.draw(reencoded(obj, streamed=True)), by="window")
+        upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
+                              stopper_index=data.draw(st.integers(0, len(table) - 1)))
+        _assert_reads_alike(data.draw(reencoded(serialize.upb_to_obj(upb), streamed=True)),
+                            by="window")
+
+    @pytest.mark.parametrize("kind", ["basis", "upb"])
+    def test_written_and_sort_keys_files_are_read_by_the_window(self, kind):
+        text = _set_file_text(kind, "canonical:n=4,d=3")
+        _assert_reads_alike(text, by="window")
+        _assert_reads_alike(json.dumps(json.loads(text), sort_keys=True), by="window")
+
+    @pytest.mark.parametrize("kind", ["basis", "upb"])
+    @pytest.mark.parametrize("case", ["states-first", "dims-again", "last-key-again",
+                                      "early-fault", "mid-fault", "end-fault", "array",
+                                      "number-array"])
+    def test_other_inputs_are_read_by_the_tree_reader(self, kind, case):
+        text = _set_file_text(kind, "shift")
+        obj = json.loads(text)
+        middle = len(text) // 2
+        last = list(obj)[-1]  # given again with another value (a circuit on other dims)
+        text = {
+            "states-first": lambda: json.dumps({"states": obj.pop("states"), **obj}),
+            "dims-again": lambda: _with_key(text, "dims", obj["dims"]),
+            "last-key-again": lambda: _with_key(
+                text, last, {"circuit": {"dims": [2], "gates": []}, "stopper_index": 0}[last]),
+            "early-fault": lambda: text.replace(":", "?", 1),
+            "mid-fault": lambda: text[:middle] + "?" + text[middle:],
+            "end-fault": lambda: text.rstrip()[:-1],
+            "array": lambda: "[" + text + "]",
+            "number-array": lambda: "[1, 2]",
+        }[case]()
+        _assert_reads_alike(text, windows=(7, serialize._WINDOW), by="tree")
+
+    @pytest.mark.parametrize("kind", ["basis", "upb"])
+    @pytest.mark.parametrize("again", [False, True])
+    def test_a_pipe_is_read_by_the_tree_reader(self, kind, again):
+        text = _set_file_text(kind, "shift")
+        if again:
+            text = _with_key(text, "dims", json.loads(text)["dims"])
+        read = serialize.read_basis if kind == "basis" else serialize.read_upb
+        with mock.patch.object(serialize, "loads", wraps=serialize.loads) as tree_reader:
+            got = _read_outcome(lambda: _piped(text, read))
+        assert tree_reader.called
+        load = serialize.basis_from_obj if kind == "basis" else serialize.upb_from_obj
+        assert got == _read_outcome(lambda: load(json.loads(text)))
+
+    def test_verify_of_a_pipe_with_dims_again(self, tmp_path, capsys):
+        # "dims" given again after "states": the file read it twice, a pipe
+        # cannot be read twice
+        text = _set_file_text("basis", "shift")
+        text = _with_key(text, "dims", json.loads(text)["dims"])
+        path = tmp_path / "basis.json"
+        path.write_text(text)
+        assert main(["verify", "--in", str(path)]) == 0
+        expected = capsys.readouterr()
+        assert _piped(text, lambda fd_path: main(["verify", "--in", fd_path])) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("member", [0, -1])
     @pytest.mark.parametrize("case", sorted(FACTOR_TEXTS))

@@ -15,8 +15,9 @@ from nlwe.ensembles import (
 )
 from nlwe import linalg
 from nlwe.boundent import be_state, state_rank
+from nlwe.circuit import Circuit, ControlDftGate
 from nlwe.config import MAX_TOLERANCE
-from nlwe.errors import ContractViolationError, PreconditionError
+from nlwe.errors import ContractViolationError, PreconditionError, TooLargeError
 from nlwe.linalg import dft_matrix, gram, span_dimension
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
 from nlwe.upb import (
@@ -105,6 +106,14 @@ class TestExtraction:
             (("DFT", 0), ("DFT", 0), ("DFT", 0)),
         }
         assert u.states[u.stopper_index].factors == (DFT(0), DFT(0), DFT(0))
+
+    def test_local_factor_table_beyond_the_dense_budget_is_too_large(self):
+        # a hand-built canonical circuit on three parties of dimension 10^7
+        n, d = 3, 10**7
+        gates = [ControlDftGate({s: (s + k) % n for s in range(n) if s != n - 1 - k},
+                                target=n - 1 - k) for k in range(n)]
+        with pytest.raises(TooLargeError, match="the local factor table"):
+            extract_upb(Circuit((d,) * n, gates))
 
     def test_four_qutrit_default_excluded_structure(self):
         u = extract_upb(four_qutrit_circuit())
