@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from .circuit import Circuit, ControlDftGate
-from .errors import ConstructionError, UnknownPresetError
+from .errors import ConstructionError, TooLargeError, UnknownPresetError
 from .linalg import require_dense_budget
 from .report import party_label
 from .states import ProductBasis, factor_descriptor
@@ -128,8 +128,11 @@ def preset_circuit(name: str) -> Circuit:
         return extended_circuit_fig4()
     m = _CANONICAL_RE.match(name)
     if m:
-        n = int(m.group(1))
-        dims = tuple(int(tok) for tok in m.group(2).split(",") if tok)
+        try:
+            n = int(m.group(1))
+            dims = tuple(int(tok) for tok in m.group(2).split(",") if tok)
+        except ValueError:  # more digits than the interpreter converts
+            raise TooLargeError("a preset number has too many digits") from None
         if len(dims) == 1:
             # one d for all n parties: checked once before it is repeated
             _check_canonical(n, dims, n)

@@ -23,24 +23,26 @@ holds one member's text at a time.  The pieces join (``basis_text``,
 ``basis_to_obj`` and ``upb_to_obj`` (which share one factor object per
 distinct factor).
 
-``read_basis`` and ``read_upb`` follow one rule.  A regular file in the
-layout nlwe writes (one JSON object, "dims" before "states", no key given
-twice) is read through a window of ``_WINDOW`` characters, scanned by
-json's own scanner one member at a time, each member interned into the
-table as soon as it closes, so neither the file's text nor a tree of its
-members is held whole.  Every other input (another layout, malformed JSON,
-a pipe) is read whole by the tree readers, ``basis_from_obj`` and
-``upb_from_obj`` of ``loads``, so its set or fault is theirs by
-construction.  Both paths give what the tree readers give: the same member
-builder (``_table_from_obj``) and the same tail (``_set_from_obj``) serve
-both, and a fault in a streamed member is raised only once the rest of the
-text has been read, so a later fault in the text still comes first.  The
-builder looks a member's row up whole
-when its factors are known keys; otherwise it checks every factor object's
-shape, kind and integer index, and each distinct factor's range,
-dimension, finiteness and norm once.  ``loads`` (the tree readers' and
-``lemma --kraus``'s) shares one dict among a file's equal symbolic factor
-objects.
+``read_basis`` and ``read_upb`` follow one rule: the window reads a
+fault-free file in nlwe's layout, and the tree reader reads everything
+else.  A regular file in the layout nlwe writes (one JSON object, "dims"
+before "states", no key given twice) is read through a window of
+``_WINDOW`` characters, scanned by json's own scanner one member at a
+time, each member interned into the table as soon as it closes, so
+neither the file's text nor a tree of its members is held whole.  At the
+first fault the window meets (JSON, layout, dims, or a member's factor,
+kind, index or length) the file is read again from its start, whole, by
+the tree readers ``basis_from_obj`` and ``upb_from_obj`` of ``loads``, as
+is every other input (another layout, a pipe), so a faulty file's fault
+is theirs by construction and costs its whole text and tree in memory.
+A file the window reads to its end goes through the tree readers' own
+tail (``_set_from_obj``: dims, the circuit or stopper index, then the set
+itself), so no fault is raised by other code.  The member builder
+(``_table_from_obj``) looks a member's row up whole when its factors are
+known keys; otherwise it checks every factor object's shape, kind and
+integer index, and each distinct factor's range, dimension, finiteness
+and norm once.  ``loads`` (the tree readers' and ``lemma --kraus``'s)
+shares one dict among a file's equal symbolic factor objects.
 
 ``density_pieces`` streams a density-matrix file from the array, one piece
 per matrix row, each one %-format of the row's float parts; the pieces
@@ -144,22 +146,24 @@ def dumps(obj) -> str:
 
 def _symbolic(obj):
     """The ``(kind, index)`` key of an object with exactly the keys ``kind``
-    (a str) and ``index`` (an int, not a bool), which ``_factor_key`` takes
-    as it is; any other object as it is.  ``loads`` shares one dict per
-    key, and ``read_basis`` scans each such factor object as its key."""
+    (``"cb"`` or ``"dft"``) and ``index`` (an int, not a bool), which is
+    its ``_factor_key``; any other object as it is.  ``loads`` shares one
+    dict per key, and ``read_basis`` scans each such factor object as its
+    key."""
     if len(obj) == 2:
         kind, index = obj.get("kind"), obj.get("index")
-        if type(kind) is str and type(index) is int:
+        if kind in ("cb", "dft") and type(index) is int:
             return kind, index
     return obj
 
 
 def loads(text: str):
     """The JSON value of ``text``, with one dict shared by every object
-    that has exactly the keys ``kind`` (a string) and ``index`` (an
-    integer) with equal values (``_symbolic``): a file's symbolic factor
-    objects, so a basis file holds a few factor objects, not one per
-    occurrence.  Like ``basis_to_obj``'s, the tree must not be mutated.
+    that has exactly the keys ``kind`` (``"cb"`` or ``"dft"``) and
+    ``index`` (an integer) with equal values (``_symbolic``): a file's
+    symbolic factor objects, so a basis file holds a few factor objects,
+    not one per occurrence.  Like ``basis_to_obj``'s, the tree must not be
+    mutated.
 
     Every other object is kept as parsed, and nothing is checked here: an
     object whose index is ``true`` or ``1.0`` is its own, since only JSON
@@ -242,13 +246,11 @@ def _factor_key(obj):
     """A factor object's interning key: a ("cb" | "dft", index) pair, the
     index a JSON integer (so ``true`` or ``1.0``, which hash like ``1``,
     never find the factor a ``1`` made), or a dense factor's entry bytes
-    (the bytes a ``Dense`` compares and hashes by).  A tuple is a
-    ``{"kind": <str>, "index": <int>}`` object as ``read_basis`` scans it
-    (JSON gives no tuples); one of a known kind is its own key."""
+    (the bytes a ``Dense`` compares and hashes by).  A tuple is a symbolic
+    factor object as ``read_basis`` scans it (``_symbolic``; JSON gives no
+    tuples), its own key."""
     if type(obj) is tuple:
-        if obj[0] in _SYMBOLIC:
-            return obj
-        obj = dict(zip(("kind", "index"), obj))
+        return obj
     kind = obj["kind"]
     if kind == "cb" or kind == "dft":
         index = obj["index"]
@@ -289,8 +291,8 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
         except (KeyError, TypeError) as exc:
             raise MalformedJsonError(f"bad state object: {exc}") from exc
         if not isinstance(factor_objs, list):
-            found = "dict" if type(factor_objs) is tuple else type(factor_objs).__name__
-            raise MalformedJsonError(f"a state's factors must be a list, got {found}")
+            raise MalformedJsonError(
+                f"a state's factors must be a list, got {type(factor_objs).__name__}")
         if len(factor_objs) == n:
             try:
                 row = list(map(dict.get, seen, factor_objs))
@@ -370,13 +372,14 @@ def basis_to_obj(basis: ProductBasis, circuit: Circuit | None = None) -> dict:
     return obj
 
 
-def _set_from_obj(obj, table, upb: bool):
+def _set_from_obj(obj, upb: bool, table=None):
     """The set of a basis file's (``upb`` false) or UPB file's top-level
-    object, the ``(factors, ids)`` of its members given by ``table(dims)``:
-    a basis and its embedded circuit, or None; or a ``Upb``."""
+    object: a basis and its embedded circuit, or None; or a ``Upb``.  Its
+    members' ``(factors, ids)`` are ``table`` as the window read them, or
+    else read from ``obj["states"]``."""
     try:
         dims = _dims(obj)
-        factors, ids = table(dims)
+        factors, ids = table or _table_from_obj(obj["states"], dims)
         if upb:
             stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
@@ -393,7 +396,7 @@ def _set_from_obj(obj, table, upb: bool):
 
 def basis_from_obj(obj) -> tuple[ProductBasis, Circuit | None]:
     """The basis and embedded circuit (or None) of a parsed basis file."""
-    return _set_from_obj(obj, lambda dims: _table_from_obj(obj["states"], dims), upb=False)
+    return _set_from_obj(obj, upb=False)
 
 
 def upb_to_obj(upb: Upb) -> dict:
@@ -463,7 +466,7 @@ def upb_text(upb: Upb) -> str:
 
 def upb_from_obj(obj) -> Upb:
     """The UPB of a parsed UPB file."""
-    return _set_from_obj(obj, lambda dims: _table_from_obj(obj["states"], dims), upb=True)
+    return _set_from_obj(obj, upb=True)
 
 
 # characters of a set file that ``read_basis`` reads at a time
@@ -481,8 +484,8 @@ _scan_member = json.JSONDecoder(object_hook=_symbolic).scan_once
 
 class _NotNlweLayout(Exception):
     """The set file is not in the layout that the window reads (one object,
-    "dims" before "states", no key twice, valid JSON): the tree reader
-    reads it instead."""
+    "dims" before "states", no key twice, valid JSON): like a fault in its
+    dims or members, this sends it to the tree reader."""
 
 
 class _Window:
@@ -567,7 +570,8 @@ class _Window:
 
     def set_file(self) -> dict:
         """The file's one top-level object, its "states" array read into
-        what ``_streamed_table`` gives on the "dims" before it."""
+        the ``(factors, ids)`` that ``_table_from_obj`` gives on the "dims"
+        before it; a fault in the dims or the members raises."""
         obj = {}
         c = self.expect("{")
         while c != "}":
@@ -578,7 +582,7 @@ class _Window:
             if key in obj or (key == "states" and "dims" not in obj):
                 raise _NotNlweLayout
             if key == "states":
-                obj[key] = _streamed_table(self.members(_scan_member), obj)
+                obj[key] = _table_from_obj(self.members(_scan_member), _dims(obj))
             else:
                 obj[key] = self.value(_scan_value)
             c = self.expect(",}")
@@ -587,66 +591,44 @@ class _Window:
         return obj
 
 
-def _streamed_table(members, obj):
-    """``_table_from_obj`` of ``members`` on ``obj``'s dims, or the fault
-    of the dims or the members, with ``members`` read to their end either
-    way, so that a later fault in the text comes first.  ``_set_from_obj``
-    raises a dims fault before it asks for the table."""
-    try:
-        return _table_from_obj(members, _dims(obj))
-    except (NlweError, KeyError, TypeError, ValueError) as exc:
-        for _ in members:
-            pass
-        return exc
-
-
-def _streamed(fh):
-    """The set file object of ``fh`` as ``_Window.set_file`` reads it; or
-    None, with ``fh`` at its start, when ``fh`` cannot seek or the file is
-    in another layout."""
-    if fh.seekable():
-        try:
-            return _Window(fh).set_file()
-        except _NotNlweLayout:
-            fh.seek(0)
-    return None
-
-
 def _read_set(path: str, upb: bool):
     """A basis or UPB file's set: streamed through the window if the file
     is in nlwe's layout (every file nlwe writes, and any ``sort_keys`` copy
-    of one), else read whole by ``loads`` and the tree readers."""
+    of one) and the window meets no fault in it; else read whole, from its
+    start, by ``loads`` and the tree readers, which give its set or its
+    fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = _streamed(fh)
-            if obj is None:
-                tree = loads(fh.read())
+            if fh.seekable():
+                # the faults: another layout, or what _set_from_obj reports
+                try:
+                    obj = _Window(fh).set_file()
+                except (_NotNlweLayout, NlweError, KeyError, TypeError, ValueError):
+                    fh.seek(0)
+                else:
+                    return _set_from_obj(obj, upb, obj.get("states"))
+            tree = loads(fh.read())
     except OSError as exc:
         raise MalformedJsonError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedJsonError(f"{path} is not UTF-8 text: {exc}") from exc
-    if obj is None:
-        return upb_from_obj(tree) if upb else basis_from_obj(tree)
-
-    def table(dims):
-        if isinstance(obj["states"], Exception):
-            raise obj["states"]
-        return obj["states"]
-
-    return _set_from_obj(obj, table, upb)
+    return upb_from_obj(tree) if upb else basis_from_obj(tree)
 
 
 def read_basis(path: str) -> tuple[ProductBasis, Circuit | None]:
     """The basis and embedded circuit (or None) of the basis file at
-    ``path``, as ``basis_from_obj`` of ``load_file`` gives them; a file in
-    nlwe's layout is read through a ``_WINDOW``-character window into the
-    id table (see ``_read_set``)."""
+    ``path``, or its fault, as ``basis_from_obj`` of ``load_file`` gives
+    them: a fault-free file in nlwe's layout is read through a
+    ``_WINDOW``-character window into the id table, and any other file
+    (one with a fault, too) is read whole by the tree reader (see
+    ``_read_set``)."""
     return _read_set(path, upb=False)
 
 
 def read_upb(path: str) -> Upb:
-    """The UPB of the UPB file at ``path``, as ``upb_from_obj`` of
-    ``load_file`` gives it, read as ``read_basis`` reads."""
+    """The UPB of the UPB file at ``path``, or its fault, as
+    ``upb_from_obj`` of ``load_file`` gives it, read as ``read_basis``
+    reads."""
     return _read_set(path, upb=True)
 
 
