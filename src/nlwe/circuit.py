@@ -235,21 +235,28 @@ def images(circuit: Circuit, inputs: np.ndarray) -> tuple[list, np.ndarray]:
     return factors, ids
 
 
+def require_basis_size(dims) -> int:
+    """prod(dims), the size of a basis on ``dims``; above
+    ``MAX_BASIS_STATES`` it is ``TooLargeError``."""
+    total = math.prod(dims)
+    if total > MAX_BASIS_STATES:
+        raise TooLargeError(
+            f"a basis of {count_text(total)} states exceeds the limit of {MAX_BASIS_STATES}"
+        )
+    return total
+
+
 def generate_basis(circuit: Circuit) -> ProductBasis:
     """Apply the circuit to every computational input in lexicographic order.
 
     For an exclusive circuit the result is a full orthogonal product basis
     of size prod(dims), built as one table (``images``) with no per-state
     object.  A basis of more than ``MAX_BASIS_STATES`` states is refused
-    with ``TooLargeError`` before any input is enumerated.  A circuit that
+    (``require_basis_size``) before any input is enumerated.  A circuit that
     is not exclusive raises ``ContractViolationError``: two gates with no
     conflicting shared control both fire on the input that holds each of
     their controls at its required value.
     """
-    total = math.prod(circuit.dims)
-    if total > MAX_BASIS_STATES:
-        raise TooLargeError(
-            f"a basis of {count_text(total)} states exceeds the limit of {MAX_BASIS_STATES}"
-        )
+    total = require_basis_size(circuit.dims)
     inputs = np.indices(circuit.dims).reshape(len(circuit.dims), total).T
     return ProductBasis(circuit.dims, *images(circuit, inputs))

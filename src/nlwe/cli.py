@@ -79,7 +79,7 @@ def _parse_excluded(spec: str | None, n_parties: int):
 
 
 def cmd_generate(args) -> int:
-    circuit = preset_circuit(args.preset)
+    circuit = preset_circuit(args.preset, basis=True)
     basis = generate_basis(circuit)
     _write_or_print(serialize.basis_pieces(basis, circuit), args.out)
     return 0

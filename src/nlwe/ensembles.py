@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit, ControlDftGate
+from .circuit import Circuit, ControlDftGate, require_basis_size
 from .errors import ConstructionError, TooLargeError, UnknownPresetError
 from .linalg import require_dense_budget
 from .report import party_label
@@ -114,11 +114,13 @@ def local_factor_census(basis: ProductBasis, party: int) -> dict[str, int]:
 _CANONICAL_RE = re.compile(r"^canonical:n=(\d+),d=([\d,]+)$")
 
 
-def preset_circuit(name: str) -> Circuit:
+def preset_circuit(name: str, basis: bool = False) -> Circuit:
     """Resolve a CLI preset name to its circuit.
 
     Accepted: ``oneway``, ``shift``, ``fig4``,
-    ``canonical:n=<n>,d=<d1,..,dn>``.
+    ``canonical:n=<n>,d=<d1,..,dn>``.  With ``basis``, a canonical preset
+    whose basis ``generate_basis`` would refuse as too large is refused
+    (``require_basis_size``) before any gate is built.
     """
     if name == "oneway":
         return Circuit((2, 2), [ControlDftGate({0: 1}, target=1)])
@@ -137,6 +139,9 @@ def preset_circuit(name: str) -> Circuit:
             # one d for all n parties: checked once before it is repeated
             _check_canonical(n, dims, n)
             dims = dims * n
+        if basis:  # the circuit's own faults first, then the basis's size
+            _check_canonical(n, dims, len(dims))
+            require_basis_size(dims)
         return canonical_circuit(n, dims)
     raise UnknownPresetError(
         f"no preset named {name!r}; expected oneway, shift, fig4, or "

@@ -27,9 +27,11 @@ distinct factor).
 fault-free file in nlwe's layout, and the tree reader reads everything
 else.  A regular file in the layout nlwe writes (one JSON object, "dims"
 before "states", no key given twice) is read through a window of
-``_WINDOW`` characters, scanned by json's own scanner one member at a
-time, each member interned into the table as soon as it closes, so
-neither the file's text nor a tree of its members is held whole.  At the
+``_WINDOW`` characters into the table, so neither the file's text nor a
+tree of its members is held whole.  A run of members in nlwe's own text
+(symbolic factors in the writer's indentation, ``_run_match``) is read
+by one regex match and one ``findall`` of its factor keys; json's own
+scanner reads every other member, one at a time, as it closes.  At the
 first fault the window meets (JSON, layout, dims, or a member's factor,
 kind, index or length) the file is read again from its start, whole, by
 the tree readers ``basis_from_obj`` and ``upb_from_obj`` of ``loads``, as
@@ -275,16 +277,50 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
     key seen for the first time at a party is then built into a factor
     (once per file for all parties), checked against that party's
     dimension (``states.check_factor``) and given the next id there.
-    Factor objects are not remembered by ``id``: a streamed member's
-    objects are freed once it is read, and their ids reused.
+    A ``_Run`` of ``read_basis`` (n text keys per member) is looked up
+    whole in a table of its own, each text key new at its party taking
+    the id of its ``(kind, index)`` key.  Factor objects are not
+    remembered by ``id``: a streamed member's objects are freed once it
+    is read, and their ids reused.
     """
     n = len(dims)
     made = {}
     seen = [{} for _ in dims]
+    texts = [{} for _ in dims]  # a run's text keys, apart: a JSON string may equal one
     distinct = [[] for _ in dims]
     ids = []
     m = 0
+
+    def intern(p, key):
+        k = seen[p].get(key)
+        if k is None:
+            factor = made.get(key)
+            if factor is None:
+                factor = made[key] = (
+                    Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
+                    else _SYMBOLIC[key[0]](key[1])
+                )
+            check_factor(factor, dims[p])
+            k = seen[p][key] = len(distinct[p])
+            distinct[p].append(factor)
+        return k
+
+    def intern_text(p, text):
+        k = texts[p].get(text)
+        if k is None:
+            kind, index = text.split(_KIND_TO_INDEX)
+            k = texts[p][text] = intern(p, (kind, int(index)))
+        return k
+
     for state in states:
+        if type(state) is _Run:
+            row = list(map(dict.get, itertools.cycle(texts), state))
+            if None in row:  # a key new at its party, or one made new earlier in the run
+                row = [intern_text(i % n, text) if k is None else k
+                       for i, (k, text) in enumerate(zip(row, state))]
+            ids += row
+            m += len(row) // n
+            continue
         m += 1
         try:
             factor_objs = state["factors"]
@@ -307,19 +343,7 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
             raise MalformedJsonError(f"bad factor object: {exc}") from exc
         if len(keys) != n:
             raise DimensionMismatchError(f"{len(keys)} factors for {n} parties")
-        for p, key in enumerate(keys):
-            k = seen[p].get(key)
-            if k is None:
-                factor = made.get(key)
-                if factor is None:
-                    factor = made[key] = (
-                        Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
-                        else _SYMBOLIC[key[0]](key[1])
-                    )
-                check_factor(factor, dims[p])
-                k = seen[p][key] = len(distinct[p])
-                distinct[p].append(factor)
-            ids.append(k)
+        ids += [intern(p, key) for p, key in enumerate(keys)]
     return distinct, np.array(ids, dtype=np.intp).reshape(m, n)
 
 
@@ -480,6 +504,28 @@ _COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 _scan_value = json.JSONDecoder().scan_once
 # scans a member, each symbolic factor object as its key
 _scan_member = json.JSONDecoder(object_hook=_symbolic).scan_once
+# a symbolic factor object as ``_set_pieces`` writes it, at indent depth 4:
+# no sign, leading zero, fraction or exponent, and 7 digits cover 2^22
+_RUN_FACTOR = (r'\{\n          "kind": "(?:cb|dft)",'
+               r'\n          "index": (?:0|[1-9][0-9]{0,6})\n        \}')
+_KIND_TO_INDEX = '",\n          "index": '
+# a run's factor keys in order: each factor's text from its kind to its index
+_run_keys = re.compile('"kind": "((?:cb|dft)%s[0-9]+)' % _KIND_TO_INDEX).findall
+
+
+def _run_match(n: int):
+    """The ``match`` of a run of members as ``_set_pieces`` writes them on
+    n parties with symbolic factors (a member at indent depth 2), each
+    followed by ",\n    " and the next member's "{"; it never matches with
+    no parties.  ``re`` keeps the compiled pattern for each n."""
+    member = (r'\{\n      "factors": \[\n        %s(?:,\n        %s){%d}\n      \]\n    \}'
+              % (_RUN_FACTOR, _RUN_FACTOR, n - 1))
+    return re.compile(r'(?:%s,\n    (?=\{))+' % member if n else "(?!)").match
+
+
+class _Run(list):
+    """The factor keys of a run of members, n per member in party order,
+    each the text that ``_run_keys`` gives; a type no JSON value has."""
 
 
 class _NotNlweLayout(Exception):
@@ -490,7 +536,8 @@ class _NotNlweLayout(Exception):
 
 class _Window:
     """A text file read ``_WINDOW`` or more characters at a time into
-    ``text``, of which ``text[pos:]`` is not yet consumed."""
+    ``text``, of which ``text[pos:]`` is not yet consumed.  A fault it
+    meets raises, and ``_read_set`` leaves the file to the tree reader."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -542,8 +589,13 @@ class _Window:
                     return value
             self.more()
 
-    def members(self, scan):
-        """The elements of the array whose "[" is at ``pos``, one at a time."""
+    def members(self, scan, run):
+        """The elements of the array whose "[" is at ``pos``, one at a time,
+        but each run of members that ``run`` matches as one ``_Run`` of
+        their factor keys.  A run is tried before each scan, so json's
+        scanner reads what is not in nlwe's own text and about one member
+        per window: the one a run stops at when the window's end cuts it,
+        read after ``more``."""
         self.expect("[")
         if self.char() == "]":
             self.pos += 1
@@ -552,18 +604,29 @@ class _Window:
             # the elements that end, with a comma after them, within the window
             text, pos = self.text, self.pos
             limit = len(text) - _MARGIN
+            cut = False
             try:
-                value, end = scan(text, pos)
-                while end <= limit:
-                    comma = _COMMA(text, end)
+                while True:
+                    match = run(text, pos, limit)
+                    if match:
+                        yield _Run(_run_keys(text, pos, match.end()))
+                        pos = match.end()
+                        # a member that does not close in the window is cut
+                        cut = not self.eof and text.find("\n    }", pos) < 0
+                        if cut:
+                            break
+                    value, end = scan(text, pos)
+                    comma = _COMMA(text, end) if end <= limit else None
                     if comma is None or comma.end() > limit:
                         break
                     yield value
                     pos = comma.end()
-                    value, end = scan(text, pos)
             except (StopIteration, ValueError, RecursionError):
                 pass  # scanned again by ``value``, which gives up on a fault
             self.pos = pos
+            if cut:
+                self.more()
+                continue
             yield self.value(scan)
             if self.expect(",]") == "]":
                 return
@@ -582,7 +645,9 @@ class _Window:
             if key in obj or (key == "states" and "dims" not in obj):
                 raise _NotNlweLayout
             if key == "states":
-                obj[key] = _table_from_obj(self.members(_scan_member), _dims(obj))
+                dims = _dims(obj)
+                obj[key] = _table_from_obj(self.members(_scan_member, _run_match(len(dims))),
+                                           dims)
             else:
                 obj[key] = self.value(_scan_value)
             c = self.expect(",}")

@@ -670,6 +670,28 @@ class TestCliFlows:
         assert captured.err.startswith("error:too-large: a basis of ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("preset", ["canonical:n=1500,d=1499", "canonical:n=12,d=11",
+                                        "canonical:n=3,d=102,103,104"])
+    def test_generate_refuses_an_oversized_basis_before_any_gate(self, preset, capsys,
+                                                                 monkeypatch):
+        # prod(dims) is known from the preset's dims alone
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate built before the basis size check")
+
+        monkeypatch.setattr("nlwe.ensembles.ControlDftGate", no_gates)
+        assert main(["generate", "--preset", preset]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:too-large: a basis of ")
+        assert captured.err.count("\n") == 1
+
+    def test_generate_of_a_faulty_oversized_preset_names_its_fault(self, capsys):
+        # d < n - 1 on 25 qubits: the construction error, as before the size check
+        assert main(["generate", "--preset", "canonical:n=25," + "d=" + ",".join(["2"] * 25)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:construction-error: ")
+        assert err.count("\n") == 1
+
     def test_total_dimension_beyond_int64(self, tmp_path, capsys):
         # 19^20 does not fit in an int64: generate refuses the basis, and
         # the 361-member extraction is still incomplete
@@ -1514,13 +1536,28 @@ def _json_tree(text):
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
 
 
+def _scanned_members():
+    """A stand-in for ``serialize._scan_member`` and the list of the
+    members it has read (each scan that returned)."""
+    read, scan_member = [], serialize._scan_member
+
+    def scan(text, pos):
+        value, end = scan_member(text, pos)
+        read.append(value)
+        return value, end
+
+    return scan, read
+
+
 def _assert_reads_alike(text, windows=(1, 2, 7, 64, serialize._WINDOW), by=None):
     """``read_basis`` and ``read_upb`` of ``text`` at each window size give
     what ``basis_from_obj`` and ``upb_from_obj`` give of ``json.loads``:
     the same set, or the same error class and message.  With
     ``by="window"`` the tree reader is disabled (``serialize.loads``
     fails), so the window must read the file; with ``by="tree"`` the tree
-    reader must read it."""
+    reader must read it.  ``by="run"`` is ``by="window"`` for text in
+    nlwe's own layout, of which json's scanner may read at most about one
+    member per window read (``_Window.more``): runs read the rest."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -1529,27 +1566,92 @@ def _assert_reads_alike(text, windows=(1, 2, 7, 64, serialize._WINDOW), by=None)
                            (serialize.read_upb, serialize.upb_from_obj)):
             expected = _read_outcome(lambda: load(_json_tree(text)))
             for window in windows:
-                if by == "window":
+                if by in ("window", "run"):
                     fail = AssertionError("the tree reader read a file in the streamed layout")
                     loads = mock.patch.object(serialize, "loads", side_effect=fail)
                 else:
                     loads = mock.patch.object(serialize, "loads", wraps=serialize.loads)
-                with mock.patch.object(serialize, "_WINDOW", window), loads as tree_reader:
+                scan, scanned = _scanned_members()
+                with mock.patch.object(serialize, "_WINDOW", window), loads as tree_reader, \
+                        mock.patch.object(serialize, "_scan_member", scan), \
+                        mock.patch.object(serialize._Window, "more", autospec=True,
+                                          side_effect=serialize._Window.more) as more:
                     assert _read_outcome(lambda: read(path)) == expected, window
                 if by == "tree":
                     assert tree_reader.called, window
+                if by == "run":
+                    assert len(scanned) <= more.call_count + 1, window
 
 
 def _reader_of(text):
-    """The ``by`` of the set file ``text`` in nlwe's layout: "tree" if its
-    dims or members hold a fault (the tree reader fails on them alone),
-    which the window meets, else "window"."""
-    obj = json.loads(text)
+    """The ``by`` of the set file ``text`` in nlwe's layout: "tree" if it
+    is not JSON or its dims or members hold a fault (the tree reader fails
+    on them alone), which the window meets, else "window"."""
     try:
+        obj = json.loads(text)
         serialize.basis_from_obj({"dims": obj["dims"], "states": obj["states"]})
-    except NlweError:
+    except (ValueError, NlweError):
         return "tree"
     return "window"
+
+
+def _with_index(text):
+    """A function of a factor object's text that writes ``text`` for its index."""
+    return lambda factor: re.sub(r'(?<="index": )[0-9]+', text, factor)
+
+
+def _dense_factor_text():
+    """A ``Dense`` factor object's text as nlwe writes it inside a member."""
+    obj = serialize.factor_to_obj(Dense(np.array([1.0, 0.0, 0.0, 0.0])))
+    return serialize.dumps(obj).rstrip("\n").replace("\n", "\n        ")
+
+
+def _drop_last_factor(member):
+    head, _, _ = member.rpartition(",\n        {")
+    return head + "\n      ]\n    }"
+
+
+def _repeat_last_factor(member):
+    head, sep, last = member.rpartition(",\n        {")
+    return head + sep + last.partition("\n      ]")[0] + sep + last
+
+
+# edits of a member of a written file on dims (4, 4, 4, 4, 4): (what the
+# edit applies to, the edit); a "factor" edit rewrites the member's first
+# factor object's text, as nlwe writes it
+RUN_MUTATIONS = {
+    "index-leading-zero": ("factor", lambda f: f.replace('"index": ', '"index": 0')),
+    "index-float": ("factor", lambda f: f.replace("\n        }", ".0\n        }")),
+    "index-minus-zero": ("factor", _with_index("-0")),
+    "index-eight-digits": ("factor", _with_index("10000000")),
+    "index-out-of-range": ("factor", _with_index("4")),
+    "kind-upper": ("factor", lambda f: re.sub('"(cb|dft)"', lambda m: m[0].upper(), f)),
+    "extra-space": ("factor", lambda f: f.replace('"index": ', '"index":  ')),
+    "tab": ("factor", lambda f: f.replace(' "index"', '\t"index"')),
+    "dense": ("factor", lambda f: _dense_factor_text()),
+    # a JSON string whose value is the text that runs key CB(0) by, which
+    # the first member holds at party 0
+    "string-of-a-run-key": ("factor", lambda f: json.dumps('cb",\n          "index": 0')),
+    "one-factor-less": ("member", _drop_last_factor),
+    "one-factor-more": ("member", _repeat_last_factor),
+}
+
+
+def _mutated_text(case):
+    """The written basis file of canonical (5,4) with its middle member
+    (of 1 024, about 190 kB into the file) edited by ``RUN_MUTATIONS[case]``."""
+    what, edit = RUN_MUTATIONS[case]
+    pieces = list(serialize.basis_pieces(generate_basis(preset_circuit("canonical:n=5,d=4"))))
+    middle = 1 + (len(pieces) - 2) // 2
+    member = pieces[middle]
+    if what == "member":
+        pieces[middle] = edit(member)
+    else:
+        start = member.index("[\n        ") + 10
+        end = member.index("\n        }", start) + 10
+        pieces[middle] = member[:start] + edit(member[start:end]) + member[end:]
+    assert pieces[middle] != member
+    return "".join(pieces)
 
 
 _ITEM_SEPS = [",", ", ", " ,\n", "\r\n,\t"]
@@ -1626,7 +1728,7 @@ class TestSetReader:
     @pytest.mark.parametrize("kind", ["basis", "upb"])
     @pytest.mark.parametrize("preset", ["shift", "canonical:n=4,d=3"])
     def test_preset_files_read_alike(self, kind, preset):
-        _assert_reads_alike(_set_file_text(kind, preset))
+        _assert_reads_alike(_set_file_text(kind, preset), by="run")
 
     @settings(max_examples=100, deadline=None)
     @given(product_tables(max_members=12), st.data())
@@ -1645,7 +1747,7 @@ class TestSetReader:
     @pytest.mark.parametrize("kind", ["basis", "upb"])
     def test_written_and_sort_keys_files_are_read_by_the_window(self, kind):
         text = _set_file_text(kind, "canonical:n=4,d=3")
-        _assert_reads_alike(text, by="window")
+        _assert_reads_alike(text, windows=(1, 2, 7, 64, 1024, serialize._WINDOW), by="run")
         _assert_reads_alike(json.dumps(json.loads(text), sort_keys=True), by="window")
 
     @pytest.mark.parametrize("kind", ["basis", "upb"])
@@ -1763,6 +1865,37 @@ class TestSetReader:
                 with pytest.raises(MalformedJsonError, match=re.escape(
                         f"stopper_index must be a JSON integer, got {json.loads(part)!r}")):
                     serialize.read_upb(str(path))
+
+    @pytest.mark.parametrize("case", sorted(RUN_MUTATIONS))
+    def test_an_edited_written_member_reads_alike(self, case):
+        # every deviation from nlwe's own text is read by json's scanner,
+        # or by the tree reader if it is a fault, though runs surround it
+        text = _mutated_text(case)
+        _assert_reads_alike(text, windows=(7, 64, 1024, serialize._WINDOW), by=_reader_of(text))
+
+    @pytest.mark.parametrize("cut", range(10))
+    def test_a_window_ending_in_a_runs_separator_reads_alike(self, cut):
+        # the first window ends after the third member's "}", within the
+        # ",\n    " after it, at the next "{" or just past it
+        text = _set_file_text("basis", "canonical:n=4,d=3")
+        end = 0
+        for _ in range(3):
+            end = text.index("\n    }", end) + 6
+        assert text[end:end + 7] == ",\n    {"
+        _assert_reads_alike(text, windows=(end + cut,), by="run")
+
+    def test_runs_read_the_written_big_basis(self, big_basis):
+        # at least 99 % of the (6,5) basis's 93 750 factors
+        counted, run_keys = [], serialize._run_keys
+
+        def keys(*args):
+            found = run_keys(*args)
+            counted.append(len(found))
+            return found
+
+        with mock.patch.object(serialize, "_run_keys", keys):
+            basis, _ = serialize.read_basis(str(big_basis))
+        assert sum(counted) >= 0.99 * basis.ids.size
 
     def test_read_basis_peaks_below_half_the_file_size(self, big_basis):
         # the (6,5) basis: the window, the id table and one member's objects
