@@ -28,23 +28,25 @@ fault-free file in nlwe's layout, and the tree reader reads everything
 else.  A regular file in the layout nlwe writes (one JSON object, "dims"
 before "states", no key given twice) is read through a window of
 ``_WINDOW`` characters into the table, so neither the file's text nor a
-tree of its members is held whole.  A run of members in nlwe's own text
-(symbolic factors in the writer's indentation, ``_run_match``) is read
-by one regex match and one ``findall`` of its factor keys; json's own
-scanner reads every other member, one at a time, as it closes.  At the
-first fault the window meets (JSON, layout, dims, or a member's factor,
-kind, index or length) the file is read again from its start, whole, by
-the tree readers ``basis_from_obj`` and ``upb_from_obj`` of ``loads``, as
-is every other input (another layout, a pipe), so a faulty file's fault
-is theirs by construction and costs its whole text and tree in memory.
-A file the window reads to its end goes through the tree readers' own
-tail (``_set_from_obj``: dims, the circuit or stopper index, then the set
-itself), so no fault is raised by other code.  The member builder
-(``_table_from_obj``) looks a member's row up whole when its factors are
-known keys; otherwise it checks every factor object's shape, kind and
-integer index, and each distinct factor's range, dimension, finiteness
-and norm once.  ``loads`` (the tree readers' and ``lemma --kraus``'s)
-shares one dict among a file's equal symbolic factor objects.
+tree of its members is held whole.  The window reads each member one of
+two ways: a run of members in nlwe's own text (symbolic factors in the
+writer's indentation, ``_run_match``) by one regex match and one
+``findall`` of its factor keys, and any other member by one scan of
+json's own scanner, as the plain JSON object the tree reader would
+hold.  At the first fault the window meets (JSON, layout, dims, or a
+member's factor, kind, index or length) the file is read again from its
+start, whole, by the tree readers ``basis_from_obj`` and
+``upb_from_obj`` of ``loads``, as is every other input (another layout,
+a pipe), so a faulty file's fault is theirs by construction and costs
+its whole text and tree in memory.  A file the window reads to its end
+goes through the tree readers' own tail (``_set_from_obj``: dims, the
+circuit or stopper index, then the set itself), so no fault is raised by
+other code.  The member builder (``_table_from_obj``) looks a run's keys
+up n at a time; of a member object it checks every factor object's
+shape, kind and integer index, and each distinct factor's range,
+dimension, finiteness and norm once.  ``loads`` (the tree readers' and
+``lemma --kraus``'s) shares one dict among a file's equal symbolic
+factor objects.
 
 ``density_pieces`` streams a density-matrix file from the array, one piece
 per matrix row, each one %-format of the row's float parts; the pieces
@@ -146,25 +148,12 @@ def dumps(obj) -> str:
     return _encode(obj, 0, set()) + "\n"
 
 
-def _symbolic(obj):
-    """The ``(kind, index)`` key of an object with exactly the keys ``kind``
-    (``"cb"`` or ``"dft"``) and ``index`` (an int, not a bool), which is
-    its ``_factor_key``; any other object as it is.  ``loads`` shares one
-    dict per key, and ``read_basis`` scans each such factor object as its
-    key."""
-    if len(obj) == 2:
-        kind, index = obj.get("kind"), obj.get("index")
-        if kind in ("cb", "dft") and type(index) is int:
-            return kind, index
-    return obj
-
-
 def loads(text: str):
     """The JSON value of ``text``, with one dict shared by every object
     that has exactly the keys ``kind`` (``"cb"`` or ``"dft"``) and
-    ``index`` (an integer) with equal values (``_symbolic``): a file's
-    symbolic factor objects, so a basis file holds a few factor objects,
-    not one per occurrence.  Like ``basis_to_obj``'s, the tree must not be
+    ``index`` (an int, not a bool) with equal values: a file's symbolic
+    factor objects, so a basis file holds a few factor objects, not one
+    per occurrence.  Like ``basis_to_obj``'s, the tree must not be
     mutated.
 
     Every other object is kept as parsed, and nothing is checked here: an
@@ -174,8 +163,11 @@ def loads(text: str):
     shared = {}
 
     def share(obj):
-        key = _symbolic(obj)
-        return obj if key is obj else shared.setdefault(key, obj)
+        if len(obj) == 2:
+            kind, index = obj.get("kind"), obj.get("index")
+            if kind in ("cb", "dft") and type(index) is int:
+                return shared.setdefault((kind, index), obj)
+        return obj
 
     try:
         return json.loads(text, object_hook=share)
@@ -248,11 +240,7 @@ def _factor_key(obj):
     """A factor object's interning key: a ("cb" | "dft", index) pair, the
     index a JSON integer (so ``true`` or ``1.0``, which hash like ``1``,
     never find the factor a ``1`` made), or a dense factor's entry bytes
-    (the bytes a ``Dense`` compares and hashes by).  A tuple is a symbolic
-    factor object as ``read_basis`` scans it (``_symbolic``; JSON gives no
-    tuples), its own key."""
-    if type(obj) is tuple:
-        return obj
+    (the bytes a ``Dense`` compares and hashes by)."""
     kind = obj["kind"]
     if kind == "cb" or kind == "dft":
         index = obj["index"]
@@ -269,24 +257,21 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
     iterable, counted as it is read) lists, for the caller to make a
     ``ProductBasis`` or ``Upb`` on ``dims``.
 
-    Each state's ``factors`` must be a list with one factor object per
-    party.  A row whose factor objects are all keys seen before at their
-    parties (the symbolic ``(kind, index)`` tuples of ``read_basis``) is
-    looked up whole.  Any other row reads every factor object's
-    ``_factor_key`` before its length is compared with the parties'; a
-    key seen for the first time at a party is then built into a factor
-    (once per file for all parties), checked against that party's
-    dimension (``states.check_factor``) and given the next id there.
-    A ``_Run`` of ``read_basis`` (n text keys per member) is looked up
-    whole in a table of its own, each text key new at its party taking
-    the id of its ``(kind, index)`` key.  Factor objects are not
-    remembered by ``id``: a streamed member's objects are freed once it
-    is read, and their ids reused.
+    A member is a JSON member object or a ``_Run`` of ``read_basis``.  A
+    member object's ``factors`` must be a list with one factor object per
+    party: every factor object's ``_factor_key`` is read before the
+    list's length is compared with the parties'.  A run gives n text keys
+    per member, looked up n at a time; a text key new at its party takes
+    the id of its ``(kind, index)`` key.  A key seen for the first time at
+    a party is built into a factor (once per file for all parties),
+    checked against that party's dimension (``states.check_factor``) and
+    given the next id there.  Factor objects are not remembered by
+    ``id``: a streamed member's objects are freed once it is read, and
+    their ids reused.
     """
     n = len(dims)
     made = {}
-    seen = [{} for _ in dims]
-    texts = [{} for _ in dims]  # a run's text keys, apart: a JSON string may equal one
+    seen = [{} for _ in dims]  # a party's keys: JSON gives no str key, a run only str ones
     distinct = [[] for _ in dims]
     ids = []
     m = 0
@@ -306,15 +291,15 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
         return k
 
     def intern_text(p, text):
-        k = texts[p].get(text)
+        k = seen[p].get(text)
         if k is None:
             kind, index = text.split(_KIND_TO_INDEX)
-            k = texts[p][text] = intern(p, (kind, int(index)))
+            k = seen[p][text] = intern(p, (kind, int(index)))
         return k
 
     for state in states:
         if type(state) is _Run:
-            row = list(map(dict.get, itertools.cycle(texts), state))
+            row = list(map(dict.get, itertools.cycle(seen), state))
             if None in row:  # a key new at its party, or one made new earlier in the run
                 row = [intern_text(i % n, text) if k is None else k
                        for i, (k, text) in enumerate(zip(row, state))]
@@ -329,14 +314,6 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
         if not isinstance(factor_objs, list):
             raise MalformedJsonError(
                 f"a state's factors must be a list, got {type(factor_objs).__name__}")
-        if len(factor_objs) == n:
-            try:
-                row = list(map(dict.get, seen, factor_objs))
-            except TypeError:  # a dict factor object, which is not hashable
-                row = None
-            if row is not None and None not in row:
-                ids += row
-                continue
         try:
             keys = [_factor_key(obj) for obj in factor_objs]
         except (KeyError, TypeError, ValueError) as exc:
@@ -500,10 +477,7 @@ _WINDOW = 1 << 16
 # ("1|2" as 1), and the scanner ends a number before a cut "." or "e+"
 _MARGIN = 3
 _SPACE = re.compile(r"[ \t\n\r]*").match
-_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 _scan_value = json.JSONDecoder().scan_once
-# scans a member, each symbolic factor object as its key
-_scan_member = json.JSONDecoder(object_hook=_symbolic).scan_once
 # a symbolic factor object as ``_set_pieces`` writes it, at indent depth 4:
 # no sign, leading zero, fraction or exponent, and 7 digits cover 2^22
 _RUN_FACTOR = (r'\{\n          "kind": "(?:cb|dft)",'
@@ -573,11 +547,11 @@ class _Window:
         self.char()
         return c
 
-    def value(self, scan):
-        """The value ``scan`` reads at ``pos``, which is not whitespace."""
+    def value(self):
+        """The JSON value at ``pos``, which is not whitespace."""
         while True:
             try:
-                value, end = scan(self.text, self.pos)
+                value, end = _scan_value(self.text, self.pos)
             except (StopIteration, json.JSONDecodeError):
                 if self.eof:
                     raise _NotNlweLayout from None
@@ -589,45 +563,26 @@ class _Window:
                     return value
             self.more()
 
-    def members(self, scan, run):
+    def members(self, run):
         """The elements of the array whose "[" is at ``pos``, one at a time,
-        but each run of members that ``run`` matches as one ``_Run`` of
-        their factor keys.  A run is tried before each scan, so json's
-        scanner reads what is not in nlwe's own text and about one member
-        per window: the one a run stops at when the window's end cuts it,
-        read after ``more``."""
+        but each run of members that ``run`` matches at ``pos`` as one
+        ``_Run`` of their factor keys, and every other element as json's
+        scanner reads it.  The member after a run is read on to when it
+        does not close in the window, so a run stops at a window's end at
+        most once per window and json reads about one member per window."""
         self.expect("[")
         if self.char() == "]":
             self.pos += 1
             return
         while True:
-            # the elements that end, with a comma after them, within the window
-            text, pos = self.text, self.pos
-            limit = len(text) - _MARGIN
-            cut = False
-            try:
-                while True:
-                    match = run(text, pos, limit)
-                    if match:
-                        yield _Run(_run_keys(text, pos, match.end()))
-                        pos = match.end()
-                        # a member that does not close in the window is cut
-                        cut = not self.eof and text.find("\n    }", pos) < 0
-                        if cut:
-                            break
-                    value, end = scan(text, pos)
-                    comma = _COMMA(text, end) if end <= limit else None
-                    if comma is None or comma.end() > limit:
-                        break
-                    yield value
-                    pos = comma.end()
-            except (StopIteration, ValueError, RecursionError):
-                pass  # scanned again by ``value``, which gives up on a fault
-            self.pos = pos
-            if cut:
-                self.more()
+            match = run(self.text, self.pos)
+            if match:
+                yield _Run(_run_keys(self.text, self.pos, match.end()))
+                self.pos = match.end()
+                if not self.eof and self.text.find("\n    }", self.pos) < 0:
+                    self.more()
                 continue
-            yield self.value(scan)
+            yield self.value()
             if self.expect(",]") == "]":
                 return
 
@@ -640,16 +595,15 @@ class _Window:
         while c != "}":
             if self.char() != '"':
                 raise _NotNlweLayout
-            key = self.value(_scan_value)
+            key = self.value()
             self.expect(":")
             if key in obj or (key == "states" and "dims" not in obj):
                 raise _NotNlweLayout
             if key == "states":
                 dims = _dims(obj)
-                obj[key] = _table_from_obj(self.members(_scan_member, _run_match(len(dims))),
-                                           dims)
+                obj[key] = _table_from_obj(self.members(_run_match(len(dims))), dims)
             else:
-                obj[key] = self.value(_scan_value)
+                obj[key] = self.value()
             c = self.expect(",}")
         if self.char():
             raise _NotNlweLayout

@@ -1537,13 +1537,15 @@ def _json_tree(text):
 
 
 def _scanned_members():
-    """A stand-in for ``serialize._scan_member`` and the list of the
-    members it has read (each scan that returned)."""
-    read, scan_member = [], serialize._scan_member
+    """A stand-in for ``serialize._scan_value`` and the list of the
+    members it has read (each scan that returned a member object; it also
+    scans the keys, dims, circuit and stopper index)."""
+    read, scan_value = [], serialize._scan_value
 
     def scan(text, pos):
-        value, end = scan_member(text, pos)
-        read.append(value)
+        value, end = scan_value(text, pos)
+        if isinstance(value, dict) and "factors" in value:
+            read.append(value)
         return value, end
 
     return scan, read
@@ -1573,7 +1575,7 @@ def _assert_reads_alike(text, windows=(1, 2, 7, 64, serialize._WINDOW), by=None)
                     loads = mock.patch.object(serialize, "loads", wraps=serialize.loads)
                 scan, scanned = _scanned_members()
                 with mock.patch.object(serialize, "_WINDOW", window), loads as tree_reader, \
-                        mock.patch.object(serialize, "_scan_member", scan), \
+                        mock.patch.object(serialize, "_scan_value", scan), \
                         mock.patch.object(serialize._Window, "more", autospec=True,
                                           side_effect=serialize._Window.more) as more:
                     assert _read_outcome(lambda: read(path)) == expected, window
@@ -1884,6 +1886,17 @@ class TestSetReader:
         assert text[end:end + 7] == ",\n    {"
         _assert_reads_alike(text, windows=(end + cut,), by="run")
 
+    def test_json_scans_the_member_after_the_last_run_once(self, tmp_path):
+        # the SHIFT basis file: runs read 7 of its 8 members, and json's
+        # scanner the last one, which is followed by "]" and not a comma
+        path = tmp_path / "basis.json"
+        path.write_text(_set_file_text("basis", "shift"))
+        scan, scanned = _scanned_members()
+        with mock.patch.object(serialize, "_scan_value", scan):
+            basis, _ = serialize.read_basis(str(path))
+        assert len(basis) == 8
+        assert len(scanned) == 1
+
     def test_runs_read_the_written_big_basis(self, big_basis):
         # at least 99 % of the (6,5) basis's 93 750 factors
         counted, run_keys = [], serialize._run_keys
@@ -1897,9 +1910,18 @@ class TestSetReader:
             basis, _ = serialize.read_basis(str(big_basis))
         assert sum(counted) >= 0.99 * basis.ids.size
 
-    def test_read_basis_peaks_below_half_the_file_size(self, big_basis):
-        # the (6,5) basis: the window, the id table and one member's objects
-        (basis, _), peak = _traced_peak(lambda: serialize.read_basis(str(big_basis)))
+    @pytest.mark.parametrize("layout", ["written", "sort-keys", "compact"])
+    def test_read_basis_peaks_below_half_the_file_size(self, big_basis, layout, tmp_path):
+        # the (6,5) basis as written, its sort_keys copy (circuit, dims,
+        # states) and a compact copy with "dims" first, which json's scanner
+        # reads member by member: the window, the id table and one member's
+        # objects, below half the written file
+        path = big_basis
+        if layout != "written":
+            obj = json.loads(big_basis.read_text())
+            path = tmp_path / "copy.json"
+            path.write_text(json.dumps(obj, sort_keys=layout == "sort-keys"))
+        (basis, _), peak = _traced_peak(lambda: serialize.read_basis(str(path)))
         assert len(basis) == 15625
         assert peak <= 0.5 * big_basis.stat().st_size
 
