@@ -221,14 +221,14 @@ def separability_completion(upb: Upb, singled_party: int) -> tuple[list, np.ndar
 def _cut_gram(d: int, kets, rests: np.ndarray) -> np.ndarray:
     """Gram matrix of the states kets[i] (x) rests[i], party of dimension d
     first: G = O[a][:, a] * (R* R^T) entry by entry, with O the local
-    overlap table of the distinct kets (``LocalFactors.overlaps``, an exact
-    0 between distinct kets of one basis), a each state's index into it and
-    R the stack of rest vectors."""
+    overlap table of the distinct kets (``LocalFactors.overlap_table``, an
+    exact 0 between distinct kets of one basis), a each state's index into
+    it and R the stack of rest vectors."""
     index = {ket: k for k, ket in enumerate(dict.fromkeys(kets))}
     a = np.array([index[ket] for ket in kets], dtype=np.intp)
     singled = LocalFactors((d,), [list(index)], a[:, None])
     g = rests.conj() @ rests.T
-    g *= singled.overlaps[0][np.ix_(a, a)]
+    g *= singled.overlap_table(0)[np.ix_(a, a)]
     return g
 
 

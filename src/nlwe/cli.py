@@ -31,13 +31,13 @@ from .boundent import (
     separability_report,
     state_rank,
 )
-from .circuit import check_commutation, generate_basis, validate_exclusivity
+from .circuit import check_commutation, generate_basis, require_basis_size, validate_exclusivity
 from .config import tolerance
 from .ensembles import local_factor_census, preset_circuit
 from .errors import NlweError, PreconditionError
 from .lemma import isotropy_dimension, lemma_check
 from .report import VerificationReport, party_label
-from .upb import extract_upb, is_unextendible
+from .upb import extract_upb, is_unextendible, require_upb_size
 
 VERIFY_CHECKS = ("orth", "product", "exclusivity", "commutation", "census")
 
@@ -79,7 +79,7 @@ def _parse_excluded(spec: str | None, n_parties: int):
 
 
 def cmd_generate(args) -> int:
-    circuit = preset_circuit(args.preset, basis=True)
+    circuit = preset_circuit(args.preset, size=require_basis_size)
     basis = generate_basis(circuit)
     _write_or_print(serialize.basis_pieces(basis, circuit), args.out)
     return 0
@@ -142,7 +142,7 @@ def cmd_upb(args) -> int:
         return 0 if report.passed else 1
     if not args.preset:
         raise PreconditionError("upb extraction needs --preset")
-    circuit = preset_circuit(args.preset)
+    circuit = preset_circuit(args.preset, size=require_upb_size)
     excluded = _parse_excluded(args.excluded_index, len(circuit.dims))
     upb = extract_upb(circuit, excluded)
     _write_or_print(serialize.upb_pieces(upb), args.out)

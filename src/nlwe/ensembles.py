@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit, ControlDftGate, require_basis_size
+from .circuit import Circuit, ControlDftGate
 from .errors import ConstructionError, TooLargeError, UnknownPresetError
 from .linalg import require_dense_budget
 from .report import party_label
@@ -39,22 +39,28 @@ def _check_canonical(n: int, dims, parties: int) -> None:
         require_dense_budget(d, d, "the local factor table")
 
 
-def canonical_circuit(n: int, dims) -> Circuit:
-    """The n-gate exclusive circuit on n parties with d_j >= n-1.
+def canonical_gates(n: int, dims) -> list[tuple]:
+    """The gates of the canonical circuit on n parties of dimensions
+    ``dims``, as (target, controls) pairs in order, controls ascending by
+    party as ``ControlDftGate`` keeps them: gate k targets party n-1-k and
+    requires (s+k) mod n at each other party s.
 
     Violating the dimension condition raises a construction error naming the
     offending party; a local dimension whose d x d table would not fit the
     dense budget is too large.
     """
     n = int(n)
+    _check_canonical(n, tuple(int(d) for d in dims), len(dims))
+    return [(n - 1 - k, tuple((s, (s + k) % n) for s in range(n) if s != n - 1 - k))
+            for k in range(n)]
+
+
+def canonical_circuit(n: int, dims) -> Circuit:
+    """The n-gate exclusive circuit on n parties with d_j >= n-1
+    (``canonical_gates``)."""
     dims = tuple(int(d) for d in dims)
-    _check_canonical(n, dims, len(dims))
-    gates = []
-    for k in range(n):
-        target = n - 1 - k
-        controls = {s: (s + k) % n for s in range(n) if s != target}
-        gates.append(ControlDftGate(controls, target=target))
-    return Circuit(dims, gates)
+    return Circuit(dims, [ControlDftGate(controls, target=target)
+                          for target, controls in canonical_gates(n, dims)])
 
 
 def shift_circuit() -> Circuit:
@@ -114,13 +120,14 @@ def local_factor_census(basis: ProductBasis, party: int) -> dict[str, int]:
 _CANONICAL_RE = re.compile(r"^canonical:n=(\d+),d=([\d,]+)$")
 
 
-def preset_circuit(name: str, basis: bool = False) -> Circuit:
+def preset_circuit(name: str, size=None) -> Circuit:
     """Resolve a CLI preset name to its circuit.
 
     Accepted: ``oneway``, ``shift``, ``fig4``,
-    ``canonical:n=<n>,d=<d1,..,dn>``.  With ``basis``, a canonical preset
-    whose basis ``generate_basis`` would refuse as too large is refused
-    (``require_basis_size``) before any gate is built.
+    ``canonical:n=<n>,d=<d1,..,dn>``.  ``size`` is a check of the dims
+    that the caller's set must pass (``circuit.require_basis_size``,
+    ``upb.require_upb_size``): a canonical preset that fails it is refused
+    before any gate is built.
     """
     if name == "oneway":
         return Circuit((2, 2), [ControlDftGate({0: 1}, target=1)])
@@ -139,9 +146,9 @@ def preset_circuit(name: str, basis: bool = False) -> Circuit:
             # one d for all n parties: checked once before it is repeated
             _check_canonical(n, dims, n)
             dims = dims * n
-        if basis:  # the circuit's own faults first, then the basis's size
+        if size:  # the circuit's own faults first, then the set's size
             _check_canonical(n, dims, len(dims))
-            require_basis_size(dims)
+            size(dims)
         return canonical_circuit(n, dims)
     raise UnknownPresetError(
         f"no preset named {name!r}; expected oneway, shift, fig4, or "

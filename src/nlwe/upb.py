@@ -17,7 +17,8 @@ it is found once per search and looked up at every later node.  A mask
 that holds only computational (CB) and dual-basis (DFT) kets has its rank
 counted, with no SVD, where a bound proves the count (``_certified``);
 every other mask is ranked by ``linalg.span_dimension``, which computes
-the singular values.
+the singular values of the party's rendered factors.  A party is rendered
+only for such a mask, so a set whose ranks are all counted renders nothing.
 
 That rank never falls when factors are added, so whether the remaining
 members can be placed depends only on the masks, not on the next member
@@ -27,9 +28,16 @@ completion failed and skips a subtree that arrives at one, within
 stays exact, only slower.  While the set has room, the work is bounded
 by the members times the reachable mask tuples, not by n^m.  The first
 successful assignment is the lexicographically least.  Its product
-witness, a one-row set of ``Dense`` factors, is each party's complement
-of the masked rows that the search ranked, checked against every member
-before it is reported.
+witness is a one-row set.  At a party whose assigned factors are all CB,
+all DFT or none, its factor is the lowest-index ket of that kind not
+assigned, exactly orthogonal to them; at any other party it is a
+``Dense`` factor, the first vector of the complement of the masked rows
+that the search ranked.  The witness is checked against every member
+before it is reported, each overlap a product of local overlaps decided
+from kind and index where both kets are symbolic.
+
+The orthogonality gate of ``Upb`` reads only ``LocalFactors.max_overlap``,
+which renders a party only when it holds a ``Dense`` factor.
 """
 
 from __future__ import annotations
@@ -43,11 +51,11 @@ import numpy as np
 from . import linalg
 from .circuit import Circuit, images
 from .config import tolerance
-from .ensembles import canonical_circuit
+from .ensembles import canonical_gates
 from .errors import ConstructionError, ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport, count_text
-from .states import CB, DFT, Dense, LocalFactors, check_factor
+from .states import CB, DFT, Dense, LocalFactors, check_factor, factor_dense
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -84,20 +92,28 @@ class Upb(LocalFactors):
             raise ContractViolationError(
                 f"a UPB must be incomplete: {m} states in dimension {total}"
             )
-        off = self.gram_extremes()[1]
+        off = self.max_overlap()
         if not off <= UPB_ORTHOGONALITY_TOL:
             raise ContractViolationError(
                 f"states are not mutually orthogonal (max overlap {off:.3e})"
             )
 
 
+def require_upb_size(dims) -> None:
+    """Refuse, as ``TooLargeError``, dims whose extraction's m x n id table
+    (m = ``minimal_size(dims)``) would not fit the dense budget."""
+    linalg.require_dense_budget(minimal_size(dims), len(dims), "the UPB's id table")
+
+
 def _require_canonical(circuit: Circuit) -> None:
+    """Require the circuit's gates to be the canonical ones on its dims,
+    compared as (target, controls) pairs with no second circuit built."""
     n = len(circuit.dims)
     try:
-        reference = canonical_circuit(n, circuit.dims)
+        reference = canonical_gates(n, circuit.dims)
     except ConstructionError as exc:
         raise ContractViolationError(f"not a canonical circuit: {exc}") from exc
-    if set(circuit.gates) != set(reference.gates):
+    if {(g.target, g.controls) for g in circuit.gates} != set(reference):
         raise ContractViolationError(
             "circuit gates differ from the canonical n-gate construction"
         )
@@ -141,7 +157,7 @@ def extract_upb(circuit: Circuit, excluded_dft_index=None) -> Upb:
         excluded[p] = k
     # one row per input plus the stopper's; each party's d x d table of
     # distinct factors was held to the budget with the circuit
-    linalg.require_dense_budget(minimal_size(dims), n, "the UPB's id table")
+    require_upb_size(dims)
     inputs = []
     for gate in circuit.gates:
         t = gate.target
@@ -239,32 +255,34 @@ def _counted_ids(kept, d: int) -> tuple[int, int]:
     return cb, dft
 
 
-def _mask_rank(mask: int, vectors: np.ndarray, counted: tuple[int, int], tol) -> int:
-    """Rank of the rows of ``vectors`` (one party's rendered distinct
-    factors) named by ``mask``: the number of singular values above tol.
-    ``counted`` is the party's (CB ids, DFT ids) from ``_counted_ids``.  A
-    mask of a CB and b DFT kets with a = 0 or b = 0 is orthonormal, rank
-    a + b; with both nonzero its rank is min(d, a + b) where ``_certified``
-    proves it.  Any other mask, and every mask with a ``Dense`` id, is
-    ranked by ``span_dimension``.  The search calls this once per
-    (party, mask) it has not seen."""
+def _mask_rank(mask: int, table: LocalFactors, p: int, counted: tuple[int, int], tol) -> int:
+    """Rank of party p's distinct factors in ``table`` named by ``mask``:
+    the number of singular values above tol of their renderings in id
+    order.  ``counted`` is the party's (CB ids, DFT ids) from
+    ``_counted_ids``.  A mask of a CB and b DFT kets with a = 0 or b = 0 is
+    orthonormal, rank a + b; with both nonzero its rank is min(d, a + b)
+    where ``_certified`` proves it.  Any other mask, and every mask with a
+    ``Dense`` id, is ranked by ``span_dimension`` on the party's rendered
+    factors (``LocalFactors.rendered``); no counted mask renders it.  The
+    search calls this once per (party, mask) it has not seen."""
     cb, dft = counted
     if not mask & ~(cb | dft):
         a = (mask & cb).bit_count()
         b = (mask & dft).bit_count()
         if not (a and b):
             return a + b
-        d = vectors.shape[1]
+        d = table.dims[p]
         if _certified(d, a, b, tol):
             return min(d, a + b)
-    return span_dimension([v for k, v in enumerate(vectors) if mask >> k & 1], tol)
+    return span_dimension([v for k, v in enumerate(table.rendered(p)) if mask >> k & 1], tol)
 
 
-def _search(factors: LocalFactors, tol):
+def _search(factors: LocalFactors, counted, tol):
     """Depth-first search over member->party assignments.
 
-    ``factors`` holds the members' interned local factors.  Each party
-    keeps the mask of the factor ids assigned to it, whose span stays below
+    ``factors`` holds the members' interned local factors, and
+    ``counted`` each party's ``_counted_ids``.  Each party keeps the mask
+    of the factor ids assigned to it, whose span stays below
     the local dimension; assigning member i to party j is pruned iff the
     rank of the mask with its id added reaches d_j.  Ranks are memoised per
     (party, mask) and come from ``_mask_rank``: the singular values above
@@ -305,7 +323,6 @@ def _search(factors: LocalFactors, tol):
     m = len(ids)
     n = len(dims)
     memo = [{} for _ in range(n)]
-    counted = [_counted_ids(kept, d) for kept, d in zip(factors.factors, dims)]
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
     saved = []  # the mask each placement replaced, restored on backtrack
@@ -332,7 +349,7 @@ def _search(factors: LocalFactors, tol):
         grown = masks[j] | 1 << ids[i][j]
         rank = memo[j].get(grown)
         if rank is None:
-            rank = memo[j][grown] = _mask_rank(grown, factors.vectors[j], counted[j], tol)
+            rank = memo[j][grown] = _mask_rank(grown, factors, j, counted[j], tol)
         if rank >= dims[j]:
             # party j would be fully spanned: no product state can be
             # orthogonal there, so every completion of this branch fails
@@ -351,30 +368,75 @@ def _search(factors: LocalFactors, tol):
         j = 0
 
 
-def _witness_state(members: LocalFactors, witness, tol) -> LocalFactors:
+def _free_ket(kind, taken, d: int):
+    """The lowest-index ket of ``kind`` (``CB`` or ``DFT``) on a
+    d-dimensional party that is not in ``taken``, or None."""
+    return next((kind(i) for i in range(d) if kind(i) not in taken), None)
+
+
+def _witness_factor(members: LocalFactors, j: int, assigned, counted, tol):
+    """Party j's witness factor, orthogonal to its ``assigned`` distinct
+    factors (ids in ascending order), or None when there is no direction.
+
+    Where ``_counted_ids`` accepted the party (its symbolic factors are
+    distinct and in range) and the assigned factors are all CB, all DFT or
+    none, it is the lowest-index ket of that kind not assigned
+    (``_free_ket``; ``CB(0)`` when none is), exactly orthogonal to each.
+    Any other party gets the first vector of the complement of the
+    assigned rows, i.e. of the rows whose rank the search found below d_j,
+    as a ``Dense`` factor."""
+    d = members.dims[j]
+    cb, dft = counted
+    if cb | dft:
+        for bits, kind in ((cb, CB), (dft, DFT)):
+            if all(bits >> k & 1 for k in assigned):
+                return _free_ket(kind, {members.factors[j][k] for k in assigned}, d)
+    comp = orthogonal_complement_basis(members.rendered(j)[assigned], d, tol)
+    return Dense(comp[0]) if comp else None
+
+
+def _local_overlaps(members: LocalFactors, j: int, factor) -> list:
+    """|<f|factor>| for each of party j's distinct factors f in id order:
+    the kinds rule (1, 0 or 1/sqrt(d)) where both kets are symbolic, and
+    from the renderings where a ``Dense`` factor takes part."""
+    d = members.dims[j]
+    kept = members.factors[j]
+    symbolic = isinstance(factor, (CB, DFT))
+    rule = [symbolic and isinstance(f, (CB, DFT)) for f in kept]
+    numeric = None
+    if not all(rule):
+        numeric = np.abs(members.rendered(j).conj() @ factor_dense(factor, d)).tolist()
+    scale = 1 / math.sqrt(d)
+    return [
+        (1.0 if f == factor else 0.0 if type(f) is type(factor) else scale) if by_rule
+        else numeric[k]
+        for k, (f, by_rule) in enumerate(zip(kept, rule))
+    ]
+
+
+def _witness_state(members: LocalFactors, witness, counted, tol) -> LocalFactors:
     """Orthogonal product witness for a successful assignment, as a one-row
-    set of ``Dense`` factors: at party j, the first vector of the
-    complement of the distinct factors that the assignment gives party j,
-    in id order, i.e. of the rows whose rank the search found below d_j.
-    It is checked on its own: each factor must be a unit vector
-    (``check_factor``), and each member's overlap with it, the product of
-    the local overlaps at the member's ids, must be at most ``tol``."""
+    set: at party j, ``_witness_factor`` of the distinct factors that the
+    assignment gives party j (``counted`` holds each party's
+    ``_counted_ids``).  It is checked on its own: each factor must be a
+    unit vector (``check_factor``), and each member's overlap with it, the
+    product of the local overlaps at the member's ids
+    (``_local_overlaps``), must be at most ``tol``."""
     ids = members.ids
     parties = np.array(witness, dtype=np.intp)
     factors = []
     overlaps = np.ones(len(members))
-    for j, (d, vectors) in enumerate(zip(members.dims, members.vectors)):
+    for j, d in enumerate(members.dims):
         assigned = sorted(set(ids[parties == j, j].tolist()))
-        comp = orthogonal_complement_basis(vectors[assigned], d, tol)
-        if not comp:
+        factor = _witness_factor(members, j, assigned, counted[j], tol)
+        if factor is None:
             raise ContractViolationError(
                 f"witness assignment {witness} leaves party {j} no orthogonal "
                 f"direction at tolerance {tol:g}"
             )
-        factor = Dense(comp[0])
         check_factor(factor, d)
         factors.append([factor])
-        overlaps *= np.abs(vectors.conj() @ factor.entries)[ids[:, j]]
+        overlaps *= np.array(_local_overlaps(members, j, factor))[ids[:, j]]
     for i, overlap in enumerate(overlaps.tolist()):
         if not overlap <= tol:
             raise ContractViolationError(
@@ -392,10 +454,11 @@ def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
 
     When extendible, the result carries the lexicographically least
     successful assignment and an orthogonal product witness built from the
-    per-party complements of the assigned distinct factors; the witness is
-    checked against every member before it is returned.  The tolerance
-    (``config.tolerance``) must be below 1/sqrt(d) for the largest local
-    dimension d, else ``PreconditionError``.
+    per-party free kets or complements of the assigned distinct factors
+    (``_witness_factor``); the witness is checked against every member
+    before it is returned.  The tolerance (``config.tolerance``) must be
+    below 1/sqrt(d) for the largest local dimension d, else
+    ``PreconditionError``.
     """
     dims = members.dims
     tol = tolerance()
@@ -408,7 +471,8 @@ def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
             f"tolerance {tol:g} must be below 1/sqrt({d_max}) on a "
             f"{d_max}-dimensional party"
         )
-    witness, covered, nodes = _search(members, tol)
+    counted = [_counted_ids(kept, d) for kept, d in zip(members.factors, dims)]
+    witness, covered, nodes = _search(members, counted, tol)
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
@@ -416,7 +480,7 @@ def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
         witness_assignment=witness,
     )
     if witness is not None:
-        result.witness_state = _witness_state(members, witness, tol)
+        result.witness_state = _witness_state(members, witness, counted, tol)
     return result
 
 

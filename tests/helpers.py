@@ -249,7 +249,7 @@ def member_search(factors, tol=1e-9):
         grown = masks[j] | 1 << ids[i][j]
         rank = memo[j].get(grown)
         if rank is None:
-            picked = [v for k, v in enumerate(factors.vectors[j]) if grown >> k & 1]
+            picked = [v for k, v in enumerate(factors.rendered(j)) if grown >> k & 1]
             rank = memo[j][grown] = span_dimension(picked, tol)
         if rank >= dims[j]:
             # party j would be fully spanned: no product state can be

@@ -76,7 +76,7 @@ class TestOverlapTableZeros:
     @given(one_party_factors())
     def test_table_is_the_dense_overlap_with_exact_zeros(self, case):
         d, factors = case
-        table = LocalFactors((d,), [factors], np.zeros((1, 1), dtype=np.intp)).overlaps[0]
+        table = LocalFactors((d,), [factors], np.zeros((1, 1), dtype=np.intp)).overlap_table(0)
         rendered = np.array([
             ket(f.index, d) if isinstance(f, CB) else dft_col(f.index, d) if isinstance(f, DFT)
             else f.entries
@@ -138,7 +138,7 @@ class TestGramAgainstDense:
         table = LocalFactors.from_states(
             [ProductState((DFT(k),), (3,)) for k in range(3)] + [ProductState((CB(0),), (3,))],
             (3,),
-        ).overlaps[0]
+        ).overlap_table(0)
         off_diagonal = ~np.eye(4, dtype=bool)
         assert np.all(table[:3, :3][off_diagonal[:3, :3]] == 0.0)
         assert np.allclose(np.abs(table[3, :3]), 1 / np.sqrt(3))
@@ -152,6 +152,64 @@ class TestGramAgainstDense:
         table = LocalFactors.from_states([ProductState((), ())] * m, ())
         assert table.gram_extremes() == (0.0, off)
         assert np.array_equal(table.dense(), np.ones((m, 1)))
+
+
+@st.composite
+def orthogonal_symbolic_rows(draw):
+    """(rows, dims): an orthogonal set of CB and DFT product states on 1-4
+    parties of dimension 2-4.  At each party a subtree takes one kind and
+    distinct indices of it, and every index heads its own subtree on the
+    parties after it, so members of one subtree meet the kets of another
+    kind at later parties (overlap 1/sqrt(d) there) and stay orthogonal
+    through the party where their subtrees split."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+
+    def rows_from(p):
+        if p == len(dims):
+            return [()]
+        kind = draw(st.sampled_from((CB, DFT)))
+        indices = draw(st.lists(st.integers(0, dims[p] - 1), min_size=1, max_size=2, unique=True))
+        return [(kind(i),) + rest for i in indices for rest in rows_from(p + 1)]
+
+    return rows_from(0), dims
+
+
+class TestKindsRule:
+    """``gram_extremes`` decides symbolic overlaps from kind and index, and
+    renders only the parties that hold a ``Dense`` factor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_tables(max_members=12), st.data())
+    def test_extremes_match_the_dense_gram(self, table, data):
+        repeats = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=3))
+        basis = ProductBasis(table.dims, table.factors, np.vstack([table.ids, table.ids[repeats]]))
+        diag, off, _ = dense_gram_extremes(basis)
+        extremes = basis.gram_extremes()
+        assert abs(extremes[0] - diag) <= 1e-12
+        assert abs(extremes[1] - off) <= 1e-12
+        assert basis.max_overlap() == extremes[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(orthogonal_symbolic_rows())
+    def test_orthogonal_symbolic_sets_have_an_exact_zero(self, case):
+        rows, dims = case
+        table = LocalFactors.from_states([ProductState(r, dims) for r in rows], dims)
+        assert table.max_overlap() == 0.0
+        assert not vars(table).get("_rendered")  # nothing rendered for it
+        basis = ProductBasis(table.dims, table.factors, table.ids)
+        diag, off, _ = dense_gram_extremes(basis)
+        assert off <= 1e-15
+        assert basis.gram_extremes()[1] == 0.0
+        assert abs(basis.gram_extremes()[0] - diag) <= 1e-12
+
+    def test_a_party_with_one_ket_under_two_ids(self):
+        # a hand-built table: CB(0) under ids 0 and 2 is one ket, so the
+        # first and last members are equal and overlap by 1
+        table = LocalFactors((2, 2), [[CB(0), CB(1), CB(0)], [DFT(0), DFT(1)]],
+                             np.array([[0, 0], [1, 0], [2, 0]], dtype=np.intp))
+        assert table.max_overlap() == 1.0
+        diag, off = table.gram_extremes()
+        assert diag <= 1e-15 and off == 1.0
 
 
 class TestCanonicalBases:
@@ -197,7 +255,7 @@ class TestDenseRendering:
         table = LocalFactors.from_states([ProductState((CB(0), CB(0)), (2100, 2100))], (2100, 2100))
         with pytest.raises(TooLargeError, match="the rendered members"):
             table.dense()
-        assert "vectors" not in vars(table)
+        assert not vars(table).get("_rendered")
         assert table.dense([1]).shape == (1, 2100)
 
     @pytest.mark.parametrize("d", range(1, 41))

@@ -685,6 +685,31 @@ class TestCliFlows:
         assert captured.err.startswith("error:too-large: a basis of ")
         assert captured.err.count("\n") == 1
 
+    def test_upb_refuses_an_oversized_id_table_before_any_gate(self, capsys, monkeypatch):
+        # 2 247 001 members of 1 500 parties: minimal_size(dims) x n is
+        # known from the preset's dims alone
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate built before the id table's size check")
+
+        monkeypatch.setattr("nlwe.ensembles.ControlDftGate", no_gates)
+        start = time.perf_counter()
+        assert main(["upb", "--preset", "canonical:n=1500,d=1499"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:too-large: the UPB's id table needs a 2247001 x 1500 ")
+        assert captured.err.count("\n") == 1
+
+    def test_upb_builds_the_canonical_circuit_once(self, tmp_path, monkeypatch):
+        # the extraction compares the circuit with the canonical gates as
+        # (target, controls) pairs, with no second circuit
+        built = []
+        monkeypatch.setattr("nlwe.ensembles.ControlDftGate",
+                            lambda controls, target: built.append(target) or ControlDftGate(
+                                controls, target=target))
+        assert main(["upb", "--preset", "canonical:n=5,d=4", "--out", str(tmp_path / "u.json")]) == 0
+        assert built == [4, 3, 2, 1, 0]
+
     def test_generate_of_a_faulty_oversized_preset_names_its_fault(self, capsys):
         # d < n - 1 on 25 qubits: the construction error, as before the size check
         assert main(["generate", "--preset", "canonical:n=25," + "d=" + ",".join(["2"] * 25)]) == 2

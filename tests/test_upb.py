@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from nlwe.ensembles import (
     preset_circuit,
     shift_circuit,
 )
-from nlwe import linalg
+from nlwe import linalg, serialize, states
 from nlwe.boundent import be_state, state_rank
 from nlwe.circuit import Circuit, ControlDftGate
 from nlwe.config import MAX_TOLERANCE
@@ -79,11 +80,29 @@ def shift_cubed():
 
 
 def assert_witness(res, table):
-    """The witness is a unit product state orthogonal to every member."""
+    """The witness is a unit product state orthogonal to every member, each
+    rendered whole (``LocalFactors.dense``)."""
     (w,) = res.witness_state.dense()
     assert abs(np.vdot(w, w) - 1) <= 1e-9
-    for s in table.states:
-        assert abs(np.vdot(s.dense(), w)) <= 1e-9
+    for member in table.dense():
+        assert abs(np.vdot(member, w)) <= 1e-9
+
+
+def tiles():
+    """Tiles on two qutrits (Bennett et al., PRL 82, 5385 (1999)): four
+    members with the dense factors (|0> - |1>)/sqrt(2) and (|1> - |2>)/sqrt(2),
+    and the stopper F|0> (x) F|0>.  It is unextendible."""
+    a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
+    b = Dense(np.array([0.0, 1.0, -1.0]) / np.sqrt(2))
+    rows = [(CB(0), a), (a, CB(2)), (CB(2), b), (b, CB(0)), (DFT(0), DFT(0))]
+    return LocalFactors.from_states([ProductState(r, (3, 3)) for r in rows], (3, 3))
+
+
+def mixed_witness_set():
+    """Tiles without its first member: the witness assignment (0, 0, 1, 1)
+    gives party 0 a dense factor and |2>, and party 1 |0> and F|0>, so both
+    witness factors come from the SVD complement."""
+    return without(tiles(), 0)
 
 
 class TestMinimalSize:
@@ -381,6 +400,7 @@ class TestCertifiedRanks:
     @pytest.mark.parametrize("d", range(2, 8))
     def test_count_agrees_with_span_dimension_on_every_subset(self, d):
         kept = [CB(k) for k in range(d)] + [DFT(k) for k in range(d)]
+        table = LocalFactors((d,), [kept], np.zeros((1, 1), dtype=np.intp))
         vectors = np.array([factor_dense(f, d) for f in kept])
         counted = _counted_ids(kept, d)
         assert counted == ((1 << d) - 1, ((1 << d) - 1) << d)
@@ -396,7 +416,7 @@ class TestCertifiedRanks:
                     continue
                 rank = min(d, a + b)
                 assert span_dimension(rows, tol) == rank, (d, mask, tol)
-                assert _mask_rank(mask, vectors, counted, tol) == rank
+                assert _mask_rank(mask, table, 0, counted, tol) == rank
                 certified[tol] += bool(a and b)
         assert all(certified.values())
 
@@ -428,6 +448,75 @@ class TestCertifiedRanks:
         assert res.witness_assignment == witness == (0, 0, 1)
         assert res.assignments_covered == covered
         assert res.nodes_visited == nodes
+        # party 0's witness factor comes from the complement, not a free index
+        assert isinstance(res.witness_state.factors[0][0], Dense)
+        assert res.witness_state.factors[1] == [CB(0)]
+        assert_witness(res, table)
+
+
+class TestWitnessProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(product_tables(max_members=8))
+    def test_every_extendible_verdict_has_a_checked_witness(self, table):
+        res = extendibility_search(table)
+        if res.extendible:
+            assert_witness(res, table)
+
+
+class TestSymbolicFactorsAreNotRendered:
+    """The orthogonality gate, the search and the witness decide CB/DFT
+    overlaps from kind and index: a symbolic factor is rendered only at a
+    party that holds a ``Dense`` factor, or for a rank no count proves."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """The CB/DFT factors rendered, and for each party rendered whether
+        it holds a ``Dense`` factor."""
+        seen = {"symbolic": [], "dense_party": []}
+        render, rendered_party = states.factor_dense, LocalFactors.rendered
+
+        def counted_render(factor, dim):
+            if isinstance(factor, (CB, DFT)):
+                seen["symbolic"].append(factor)
+            return render(factor, dim)
+
+        def watched_party(table, p):
+            seen["dense_party"].append(any(isinstance(f, Dense) for f in table.factors[p]))
+            return rendered_party(table, p)
+
+        monkeypatch.setattr("nlwe.states.factor_dense", counted_render)
+        monkeypatch.setattr("nlwe.upb.factor_dense", counted_render)
+        monkeypatch.setattr(LocalFactors, "rendered", watched_party)
+        return seen
+
+    @staticmethod
+    def read_and_decide(table, path):
+        upb = Upb(table.dims, table.factors, table.ids, stopper_index=len(table) - 1)
+        path.write_text(json.dumps(serialize.upb_to_obj(upb)))
+        return is_unextendible(serialize.read_upb(str(path)))
+
+    @pytest.mark.parametrize("preset", ["shift", "canonical:n=6,d=5"])
+    def test_extraction_gate_renders_nothing(self, preset, rendered):
+        extract_upb(preset_circuit(preset))
+        assert rendered == {"symbolic": [], "dense_party": []}
+
+    def test_all_symbolic_product_is_decided_unrendered(self, rendered, tmp_path):
+        # SHIFT (x) {F|0>, ..., F|3>}: every mask rank is counted or certified
+        basis = LocalFactors.from_states([ProductState((DFT(k),), (4,)) for k in range(4)], (4,))
+        assert self.read_and_decide(product_set(shift_upb(), basis), tmp_path / "u.json").passed
+        assert rendered == {"symbolic": [], "dense_party": []}
+
+    def test_tiles_product_renders_its_dense_parties_only(self, rendered, tmp_path):
+        basis = LocalFactors.from_states([ProductState((CB(k),), (3,)) for k in range(3)], (3,))
+        assert self.read_and_decide(product_set(tiles(), basis), tmp_path / "u.json").passed
+        assert rendered["dense_party"] and all(rendered["dense_party"])
+
+    def test_witness_renders_its_dense_parties_only(self, rendered):
+        # Tiles without its second member: the witness is CB(1) at party 0
+        # (given |0> and |2>), checked from the dense factors there
+        res = extendibility_search(without(tiles(), 1))
+        assert res.witness_state.factors[0] == [CB(1)]
+        assert rendered["dense_party"] and all(rendered["dense_party"])
 
 
 class TestFailureSet:
@@ -439,7 +528,8 @@ class TestFailureSet:
     def test_starved_set_decides_the_same(self, case, room):
         states, dims = case
         table = LocalFactors.from_states(states, dims)
-        table.vectors  # built under the real budget, before it is starved
+        for p in range(len(table.dims)):
+            table.rendered(p)  # built under the real budget, before it is starved
         unbounded = extendibility_search(table)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "DENSE_BYTES_BUDGET", room * _state_bytes(table))
@@ -510,14 +600,27 @@ class TestOneToleranceSource:
 
 
 class TestWitnessCheck:
-    def test_witness_is_a_one_row_set_of_dense_factors(self):
+    @pytest.mark.parametrize("case", ["shift-first-three", "tiles-without-1", "tiles-without-0"])
+    def test_witness_is_symbolic_at_one_kind_parties_and_dense_elsewhere(self, case):
         u = shift_upb()
-        res = extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+        table, expected = {
+            # one assigned ket per party: CB(0), DFT(1) and CB(1)
+            "shift-first-three": (LocalFactors.from_states(u.states[:3], u.dims),
+                                  [CB(1), DFT(0), CB(0)]),
+            # party 0 is given |0> and |2> (it also holds dense factors),
+            # party 1 |0> and F|0>
+            "tiles-without-1": (without(tiles(), 1), [CB(1), Dense]),
+            "tiles-without-0": (mixed_witness_set(), [Dense, Dense]),
+        }[case]
+        res = extendibility_search(table)
         w = res.witness_state
         assert isinstance(w, LocalFactors) and len(w) == 1
-        assert w.dims == u.dims
-        assert all(len(kept) == 1 and isinstance(kept[0], Dense) for kept in w.factors)
-        assert w.dense().shape == (1, 8)
+        assert w.dims == table.dims
+        assert all(len(kept) == 1 for kept in w.factors)
+        for (factor,), want in zip(w.factors, expected):
+            assert isinstance(factor, Dense) if want is Dense else factor == want
+        assert w.dense().shape == (1, math.prod(table.dims))
+        assert_witness(res, table)
 
     def test_non_unit_witness_factor_is_contract_violation(self, monkeypatch):
         # a complement vector 1e-9 too long stays orthogonal to the members
@@ -527,16 +630,16 @@ class TestWitnessCheck:
             "nlwe.upb.orthogonal_complement_basis",
             lambda vecs, d, tol: [v * (1 + 1e-9) for v in complement(vecs, d, tol)],
         )
-        u = shift_upb()
         with pytest.raises(ContractViolationError, match="norm"):
-            extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+            extendibility_search(mixed_witness_set())
 
     def test_empty_complement_is_contract_violation(self, monkeypatch):
         # a search that thinks every party has room reaches the all-party-0
-        # assignment, whose four factors span party 0 completely
-        monkeypatch.setattr("nlwe.upb._mask_rank", lambda mask, vectors, counted, tol: 1)
+        # assignment, whose four factors (a dense one, |2>, another dense
+        # one and F|0>) span party 0 completely
+        monkeypatch.setattr("nlwe.upb._mask_rank", lambda mask, table, p, counted, tol: 1)
         with pytest.raises(ContractViolationError, match="no orthogonal direction"):
-            extendibility_search(shift_upb())
+            extendibility_search(mixed_witness_set())
 
     def test_tolerance_must_stay_below_the_sweep_residual(self, monkeypatch):
         # party 0's two factors span the plane orthogonal to (1,1,1)/sqrt(3),
@@ -556,12 +659,20 @@ class TestWitnessCheck:
         np.testing.assert_allclose(np.abs(w[:, 0]), np.full(3, 1 / np.sqrt(3)), atol=1e-12)
 
     def test_overlapping_witness_is_contract_violation(self, monkeypatch):
-        # the members |0,1,->, |1,-,0> and |-,0,1> each overlap |---> by 1/2
+        # the witness F|1> (x) F|1> overlaps the member (|0> - |1>)/sqrt(2) (x) |2>
         monkeypatch.setattr(
             "nlwe.upb.orthogonal_complement_basis", lambda vecs, d, tol: [dft_matrix(d)[:, 1]]
         )
+        with pytest.raises(ContractViolationError, match="overlaps member 0 "):
+            extendibility_search(mixed_witness_set())
+
+    def test_free_index_that_overlaps_a_member_is_contract_violation(self, monkeypatch):
+        # each party takes back the ket it was given: the witness
+        # |0> (x) F|1> (x) |1> overlaps the member |0, 1, F1> by 1/2
+        monkeypatch.setattr("nlwe.upb._free_ket",
+                            lambda kind, taken, d: min(taken, key=lambda f: f.index))
         u = shift_upb()
-        with pytest.raises(ContractViolationError, match="overlaps member"):
+        with pytest.raises(ContractViolationError, match="overlaps member 0 by 5.000e-01"):
             extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
 
     def test_witness_ranks_the_distinct_factors_the_search_ranked(self):
