@@ -15,7 +15,6 @@ from .circuit import (
     Circuit,
     ControlDftGate,
     check_commutation,
-    gate_unitary,
     generate_basis,
     validate_exclusivity,
 )
@@ -37,15 +36,13 @@ from .lemma import (
 )
 from .linalg import (
     dft_matrix,
-    gram,
     hermitian_eigenvalues,
-    jacobi_eigh,
     orthogonal_complement_basis,
     partial_transpose,
     span_dimension,
 )
 from .report import Check, VerificationReport
-from .states import CB, DFT, Dense, ProductBasis, ProductState
+from .states import CB, DFT, Dense, ProductBasis
 from .upb import (
     ExtendibilityResult,
     Upb,

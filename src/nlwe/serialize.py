@@ -18,10 +18,9 @@ per-factor work is done once per distinct factor.  ``basis_pieces`` and
 ``upb_pieces`` stream a file from the table, one text piece per member
 between a head and a tail: each distinct factor's text is encoded once
 per party and each member's text is one join of those texts, so a writer
-holds one member's text at a time.  The pieces join (``basis_text``,
-``upb_text``) byte for byte to the text that ``dumps`` gives for
-``basis_to_obj`` and ``upb_to_obj`` (which share one factor object per
-distinct factor).
+holds one member's text at a time.  The pieces join byte for byte to
+the text that ``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj``
+(which share one factor object per distinct factor).
 
 ``read_basis`` and ``read_upb`` follow one rule: the window reads a
 fault-free file in nlwe's layout, and the tree reader reads everything
@@ -50,7 +49,7 @@ factor objects.
 
 ``density_pieces`` streams a density-matrix file from the array, one piece
 per matrix row, each one %-format of the row's float parts; the pieces
-join (``density_text``) byte for byte to ``dumps`` of ``density_to_obj``,
+join byte for byte to ``dumps`` of ``density_to_obj``,
 which stays the writer's reference.
 """
 
@@ -285,6 +284,9 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
                     Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
                     else _SYMBOLIC[key[0]](key[1])
                 )
+            # the table checks its factors again; this check raises inside
+            # the window's member loop, so a faulty member sends the file
+            # to the tree reader
             check_factor(factor, dims[p])
             k = seen[p][key] = len(distinct[p])
             distinct[p].append(factor)
@@ -453,16 +455,6 @@ def basis_pieces(basis: ProductBasis, circuit: Circuit | None = None):
 def upb_pieces(upb: Upb):
     """The UPB file's text in pieces; they join to ``dumps(upb_to_obj(upb))``."""
     return _set_pieces(upb, {"stopper_index": upb.stopper_index})
-
-
-def basis_text(basis: ProductBasis, circuit: Circuit | None = None) -> str:
-    """The basis file's text: ``dumps(basis_to_obj(basis, circuit))``."""
-    return "".join(basis_pieces(basis, circuit))
-
-
-def upb_text(upb: Upb) -> str:
-    """The UPB file's text: ``dumps(upb_to_obj(upb))``."""
-    return "".join(upb_pieces(upb))
 
 
 def upb_from_obj(obj) -> Upb:
@@ -685,11 +677,6 @@ def density_pieces(matrix: np.ndarray, dims):
     texts = ((rest if r else first) % tuple(p.tolist()) for r, p in enumerate(parts))
     pieces = (t.replace(" -0,\n", " -0.0,\n").replace(" -0\n", " -0.0\n") for t in texts)
     return itertools.chain((head,), pieces, ("\n  ]" + tail,))
-
-
-def density_text(matrix: np.ndarray, dims) -> str:
-    """The density-matrix file's text: ``dumps(density_to_obj(matrix, dims))``."""
-    return "".join(density_pieces(matrix, dims))
 
 
 def density_from_obj(obj) -> tuple[np.ndarray, tuple]:

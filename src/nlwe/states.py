@@ -23,9 +23,12 @@ when one local overlap does (Bennett et al., PRL 82, 5385 (1999)).
 
 Two CB or DFT kets of one party overlap by 1 (the same ket), exactly 0
 (another ket of the same basis) or 1/sqrt(d) (kets of the two bases) in
-modulus, whatever their indices.  So the orthogonality gate
-(``LocalFactors.max_overlap``) decides symbolic overlaps from kind and
-index and renders a party only when it holds a ``Dense`` factor; a set of
+modulus, whatever their indices.  That holds for distinct kets with
+indices in range, so a table is checked for exactly that, and classified
+by kind, once at construction (``LocalFactors``).  The orthogonality gate
+(``LocalFactors.max_overlap``), ``overlap_table``, ``local_overlaps`` and
+the extendibility search (``upb``) read that one classification: the gate
+renders a party only when it holds a ``Dense`` factor, so a set of
 symbolic factors is checked with no number rendered.  Each party is
 rendered at most once per set (``LocalFactors.rendered``).
 """
@@ -81,6 +84,10 @@ class Dense:
 
 
 Factor = CB | DFT | Dense
+
+# a factor's kind, one byte per id in ``LocalFactors.kinds``
+KIND_CB, KIND_DFT, KIND_DENSE = 0, 1, 2
+_KIND_OF = {CB: KIND_CB, DFT: KIND_DFT, Dense: KIND_DENSE}
 
 
 def factor_dense(factor: Factor, dim: int) -> np.ndarray:
@@ -165,22 +172,59 @@ class LocalFactors:
     ``factors[p]`` lists party p's distinct factors in first-seen order
     (equal factors are one factor: the same symbolic ket, or dense factors
     with bit-identical entries) and ``ids[i, p]`` is the index there of
-    member i's factor.  The factors are taken as checked (``check_factor``):
-    the builders (``from_states``, ``circuit.images`` and the file loader)
-    check each distinct factor once, or make only valid ones, and pass
-    ``dims`` as a tuple of ints.  ``rendered(p)`` stacks party p's
-    distinct factors' renderings in id order, built on first use;
-    ``overlap_table(p)`` is their complex <f_a|f_b>, written as an exact 0
-    when f_a and f_b are distinct kets of one basis (computational or DFT);
-    ``states`` is the members as ``ProductState`` objects, the dense
-    references' view, built on first use.  ``max_overlap`` and
-    ``gram_extremes`` read the Gram matrix's extremes from a walk over the
-    members' trie of shared id prefixes (``_trie``).
+    member i's factor.  ``dims`` is a tuple of ints.  Construction checks
+    the table once: one factor list per party and an m x n integer
+    ``ids`` (else ``DimensionMismatchError``); every id names one of its
+    party's factors, no party lists one factor under two ids, and every
+    factor passes ``check_factor`` at its party's dimension (else
+    ``ContractViolationError``).  So two CB or DFT ids of one party are two
+    distinct kets with indices in range, which the kinds rule needs.  The
+    same pass classifies each party's factors: ``kinds[p]`` holds one byte
+    per id, its factor's kind (``KIND_CB``, ``KIND_DFT`` or ``KIND_DENSE``),
+    and ``masks[p]`` is the party's (CB ids, DFT ids) as bitmasks.
+
+    ``rendered(p)`` stacks party p's distinct factors' renderings in id
+    order, built on first use; ``overlap_table(p)`` is their complex
+    <f_a|f_b>, written as an exact 0 when f_a and f_b are distinct kets of
+    one basis (computational or DFT); ``states`` is the members as
+    ``ProductState`` objects, the dense references' view, built on first
+    use.  ``max_overlap`` reads the Gram matrix's off-diagonal maximum from
+    a walk over the members' trie of shared id prefixes (``_trie``).
     """
 
     dims: tuple
     factors: list
     ids: np.ndarray
+
+    def __post_init__(self):
+        ids = self.ids
+        n = len(self.dims)
+        if len(self.factors) != n:
+            raise DimensionMismatchError(f"{len(self.factors)} factor lists for {n} parties")
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"
+                and ids.ndim == 2 and ids.shape[1] == n):
+            raise DimensionMismatchError(f"ids must be an m x {n} integer array")
+        low, high = (ids.min(axis=0).tolist(), ids.max(axis=0).tolist()) if len(ids) else ((), ())
+        for p, (kept, lo, hi) in enumerate(zip(self.factors, low, high)):
+            if lo < 0 or hi >= len(kept):
+                raise ContractViolationError(
+                    f"id {lo if lo < 0 else hi} at party {p} names none of its "
+                    f"{len(kept)} factors"
+                )
+        kinds, masks = [], []
+        for p, (kept, d) in enumerate(zip(self.factors, self.dims)):
+            kind = bytearray()
+            bits = [0, 0, 0]  # the ids of each kind, as bitmasks
+            for k, f in enumerate(kept):
+                check_factor(f, d)
+                kind.append(_KIND_OF[type(f)])
+                bits[kind[k]] |= 1 << k
+            if len(set(kept)) < len(kept):
+                raise ContractViolationError(f"party {p} lists one factor under two ids")
+            kinds.append(bytes(kind))
+            masks.append((bits[KIND_CB], bits[KIND_DFT]))
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_states(cls, states, dims, **fields):
@@ -243,14 +287,13 @@ class LocalFactors:
         DFT basis.  Held to the dense budget (only distinct dense factors can
         make it large).  The orthogonality walk reads it only at parties that
         hold a ``Dense`` factor; ``gram_extremes`` reads its diagonal."""
-        kept = self.factors[p]
         vectors = self.rendered(p)
-        require_dense_budget(len(kept), len(kept), "the local overlap table")
+        require_dense_budget(len(vectors), len(vectors), "the local overlap table")
         table = vectors.conj() @ vectors.T
-        kind = np.array([_KIND.get(type(f), -1) for f in kept])
-        index = np.array([getattr(f, "index", -1) for f in kept])
-        one_basis = (kind[:, None] == kind[None, :]) & (kind[:, None] >= 0)
-        table[one_basis & (index[:, None] != index[None, :])] = 0.0
+        kind = np.frombuffer(self.kinds[p], dtype=np.uint8)
+        one_basis = (kind[:, None] == kind) & (kind != KIND_DENSE)
+        np.fill_diagonal(one_basis, False)
+        table[one_basis] = 0.0
         return table
 
     def _trie(self) -> tuple:
@@ -294,34 +337,31 @@ class LocalFactors:
                 stack.append((h, lo[child], [(rows[lo[child]][h], child)]))
         return rows, lo, hi, depth, kids
 
-    def max_overlap(self) -> float:
-        """max_{i != j} |G_ij| for the Gram matrix G_ij = <psi_i|psi_j>
-        (``_walk``).  Only parties that hold a ``Dense`` factor are
-        rendered: a set of symbolic factors renders nothing."""
-        return self._walk(None)[1]
-
     def gram_extremes(self) -> tuple[float, float]:
         """(max_i |G_ii - 1|, max_{i != j} |G_ij|) for the Gram matrix
-        G_ij = <psi_i|psi_j> (``_walk``).  The first takes each distinct
-        factor's float self-overlap, the diagonal of its party's
-        ``overlap_table``, so it keeps the rounding of the rendered kets
-        (a DFT ket's <f|f> is 1 to within an ulp or two); every party is
-        rendered for it."""
-        return self._walk([np.diagonal(self.overlap_table(p)).tolist()
-                           for p in range(len(self.dims))])
+        G_ij = <psi_i|psi_j>.  G_ii is the product, in party order, of the
+        member's factors' float self-overlaps, the diagonals of the parties'
+        ``overlap_table``s, so it keeps the rounding of the rendered kets (a
+        DFT ket's <f|f> is 1 to within an ulp or two); every party is
+        rendered for it.  The second is ``max_overlap``, taken first, so
+        that the walk and the members' G_ii are not held at once."""
+        off = self.max_overlap()
+        own = [1.0] * len(self)  # each member's G_ii over the parties so far
+        for p, col in enumerate(self.ids.T.tolist()):
+            selfs = np.diagonal(self.overlap_table(p)).tolist()
+            own = [g * selfs[k] for g, k in zip(own, col)]
+        return max((abs(g - 1.0) for g in own), default=0.0), off
 
-    def _walk(self, selfs) -> tuple[float, float]:
-        """(max_i |G_ii - 1|, max_{i != j} |G_ij|), the first 0.0 unless
-        ``selfs[p]`` lists party p's complex self-overlaps by id.
+    def max_overlap(self) -> float:
+        """max_{i != j} |G_ij| for the Gram matrix G_ij = <psi_i|psi_j>.
 
         |G_ij| is the product over the parties of |<f|g>| for member i's
         factor f and member j's factor g there.  For two symbolic kets that
-        is the kinds rule: 1 for the same (kind, index), an exact 0 for
-        another index of the same kind, and 1/sqrt(d) for kets of the other
-        basis.  A party that holds a ``Dense`` factor (or, in a hand-built
-        table, one ket under two ids) reads a real table of
-        |``overlap_table``| instead.  G_ii is the product of the member's
-        ``selfs`` in party order.
+        is the kinds rule: 1 for the same id, an exact 0 for another id of
+        the same kind, and 1/sqrt(d) for kets of the other basis.  A party
+        that holds a ``Dense`` factor reads a real table of
+        |``overlap_table``| instead; a set of symbolic factors renders
+        nothing.
 
         Pairs of members are walked party by party over ``_trie``: a pair of
         subtrees is dropped at the first party whose overlap is an exact 0,
@@ -333,15 +373,12 @@ class LocalFactors:
         """
         m, n = self.ids.shape
         if m == 0:
-            return 0.0, 0.0
+            return 0.0
         rows, lo, hi, depth, kids = self._trie()
-        tables = [None] * n  # |overlap_table(p)| as lists, where the rule is not enough
-        kinds = []  # per party, each id's _KIND (-1 for a Dense factor)
-        for p, kept in enumerate(self.factors):
-            kinds.append([_KIND.get(type(f), -1) for f in kept])
-            if -1 in kinds[p] or len(set(kept)) < len(kept):
-                # a Dense factor, or one ket under two ids (a hand-built table)
-                tables[p] = np.abs(self.overlap_table(p)).tolist()
+        kinds = self.kinds
+        # |overlap_table(p)| as lists, where the rule is not enough
+        tables = [np.abs(self.overlap_table(p)).tolist() if KIND_DENSE in kinds[p] else None
+                  for p in range(n)]
         scales = [1 / math.sqrt(d) for d in self.dims]
 
         def overlap(p, f, g):
@@ -350,12 +387,11 @@ class LocalFactors:
                 return tables[p][f][g]
             return 1.0 if f == g else 0.0 if kinds[p][f] == kinds[p][g] else scales[p]
 
-        diag = off = 0.0
+        off = 0.0
         root = len(lo) - 1
-        # (node a, node b, party p, |G| below p, and for a = b G_ii below p)
-        stack = [(root, root, 0, 1.0, 1.0)]
+        stack = [(root, root, 0, 1.0)]  # (node a, node b, party p, |G| below p)
         while stack:
-            a, b, p, value, own = stack.pop()
+            a, b, p, value = stack.pop()
             if a == b:
                 # the node with itself: its rows agree down to depth[a]
                 q = depth[a]
@@ -363,11 +399,7 @@ class LocalFactors:
                 for r in range(p, q):
                     if tables[r] is not None:
                         value *= tables[r][row[r]][row[r]]
-                    if selfs:
-                        own *= selfs[r][row[r]]
                 if q == n:
-                    if selfs:
-                        diag = max(diag, abs(own - 1.0))
                     if hi[a] - lo[a] > 1:
                         off = max(off, value)
                     continue
@@ -375,19 +407,19 @@ class LocalFactors:
                 table = tables[q]
                 if table is None:
                     kind, s = kinds[q], scales[q]
-                    dft = [w for g, w in kids[a] if kind[g]]
+                    dft = [w for g, w in kids[a] if kind[g] == KIND_DFT]
                     for f, u in kids[a]:
-                        stack.append((u, u, q + 1, value, own * selfs[q][f] if selfs else own))
-                        if dft and not kind[f]:
+                        stack.append((u, u, q + 1, value))
+                        if dft and kind[f] == KIND_CB:
                             for w in dft:
-                                stack.append((u, w, q + 1, value * s, own))
+                                stack.append((u, w, q + 1, value * s))
                     continue
                 for x, (f, u) in enumerate(kids[a]):
                     line = table[f]
-                    stack.append((u, u, q + 1, value * line[f], own * selfs[q][f] if selfs else own))
+                    stack.append((u, u, q + 1, value * line[f]))
                     for g, w in kids[a][x + 1:]:
                         if line[g]:
-                            stack.append((u, w, q + 1, value * line[g], own))
+                            stack.append((u, w, q + 1, value * line[g]))
                 continue
             while p < n and depth[a] > p and depth[b] > p:
                 # neither subtree splits at p: one factor each
@@ -404,11 +436,25 @@ class LocalFactors:
                     for g, w in kids[b] if depth[b] == p else [(rows[lo[b]][p], b)]:
                         t = overlap(p, f, g)
                         if t:
-                            stack.append((u, w, p + 1, value * t, own))
-        return diag, off
+                            stack.append((u, w, p + 1, value * t))
+        return off
 
-
-_KIND = {CB: 0, DFT: 1}
+    def local_overlaps(self, p: int, factor) -> list:
+        """|<f|factor>| for each of party p's distinct factors f in id
+        order, ``factor`` a checked factor of party p's dimension: the kinds
+        rule (1, 0 or 1/sqrt(d)) where both kets are symbolic, and from the
+        renderings where a ``Dense`` factor takes part."""
+        d, kind = self.dims[p], self.kinds[p]
+        own = _KIND_OF[type(factor)]
+        numeric = []
+        if own == KIND_DENSE or KIND_DENSE in kind:
+            numeric = np.abs(self.rendered(p).conj() @ factor_dense(factor, d)).tolist()
+        scale = 1 / math.sqrt(d)
+        return [
+            numeric[k] if KIND_DENSE in (own, c)
+            else 1.0 if f == factor else 0.0 if c == own else scale
+            for k, (f, c) in enumerate(zip(self.factors[p], kind))
+        ]
 
 
 class ProductBasis(LocalFactors):

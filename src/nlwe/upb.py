@@ -14,11 +14,13 @@ entries are bit-identical), so a party's assigned factors are an integer
 mask over a handful of ids.  The span rank of each (party, mask) pair is
 the number of singular values above tol of the masked factors in id order;
 it is found once per search and looked up at every later node.  A mask
-that holds only computational (CB) and dual-basis (DFT) kets has its rank
-counted, with no SVD, where a bound proves the count (``_certified``);
-every other mask is ranked by ``linalg.span_dimension``, which computes
-the singular values of the party's rendered factors.  A party is rendered
-only for such a mask, so a set whose ranks are all counted renders nothing.
+that holds only computational (CB) and dual-basis (DFT) kets (the table's
+``masks``, which its construction checked to be distinct kets with
+indices in range) has its rank counted, with no SVD, where a bound proves
+the count (``_certified``); every other mask is ranked by
+``linalg.span_dimension``, which computes the singular values of the
+party's rendered factors.  A party is rendered only for such a mask, so
+a set whose ranks are all counted renders nothing.
 
 That rank never falls when factors are added, so whether the remaining
 members can be placed depends only on the masks, not on the next member
@@ -33,11 +35,14 @@ all DFT or none, its factor is the lowest-index ket of that kind not
 assigned, exactly orthogonal to them; at any other party it is a
 ``Dense`` factor, the first vector of the complement of the masked rows
 that the search ranked.  The witness is checked against every member
-before it is reported, each overlap a product of local overlaps decided
-from kind and index where both kets are symbolic.
+before it is reported, each overlap a product of the table's local
+overlaps (``LocalFactors.local_overlaps``).
 
-The orthogonality gate of ``Upb`` reads only ``LocalFactors.max_overlap``,
-which renders a party only when it holds a ``Dense`` factor.
+``Upb`` runs the table's check first; its orthogonality gate reads only
+``LocalFactors.max_overlap``, which renders a party only when it holds a
+``Dense`` factor.  The kinds rule lives in ``states`` alone: this module
+adds a rank bound (``_certified``) and the free ket of a kind
+(``_free_ket``).
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .ensembles import canonical_gates
 from .errors import ConstructionError, ContractViolationError, PreconditionError
 from .linalg import orthogonal_complement_basis, span_dimension
 from .report import VerificationReport, count_text
-from .states import CB, DFT, Dense, LocalFactors, check_factor, factor_dense
+from .states import CB, DFT, Dense, LocalFactors
 
 UPB_ORTHOGONALITY_TOL = 1e-10
 
@@ -69,16 +74,17 @@ def minimal_size(dims) -> int:
 class Upb(LocalFactors):
     """Stopper-completed orthogonal product set meeting the minimal UPB size.
 
-    Construction enforces mutual orthogonality (checked from the local
-    overlaps), the size bound sum(d_j - 1) + 1 <= m < D, and a valid
-    stopper position.  Whether the set is actually unextendible is a
-    property to verify with ``is_unextendible``, not an invariant of the
-    container.
+    Construction runs the table's check (``LocalFactors``), then enforces
+    mutual orthogonality (checked from the local overlaps), the size bound
+    sum(d_j - 1) + 1 <= m < D, and a valid stopper position.  Whether the
+    set is actually unextendible is a property to verify with
+    ``is_unextendible``, not an invariant of the container.
     """
 
     stopper_index: int
 
     def __post_init__(self):
+        super().__post_init__()
         dims = self.dims
         m = len(self)
         total = math.prod(dims)
@@ -235,37 +241,17 @@ def _certified(d: int, a: int, b: int, tol: float) -> bool:
     return a * b < d * (1 - tol * tol - _CERTIFIED_MARGIN) ** 2
 
 
-def _counted_ids(kept, d: int) -> tuple[int, int]:
-    """(CB ids, DFT ids) of one party's distinct factors as bitmasks, so a
-    mask holding only those ids can have its rank counted; (0, 0), which
-    sends every mask to ``span_dimension``, unless the party's symbolic
-    factors are distinct and have indices in range (a hand-built table may
-    hold ``CB(0)`` under two ids, or ``DFT(d)``, which renders as F|0>)."""
-    cb = dft = 0
-    symbolic = set()
-    for k, f in enumerate(kept):
-        if isinstance(f, (CB, DFT)):
-            if f in symbolic or not 0 <= f.index < d:
-                return 0, 0
-            symbolic.add(f)
-            if isinstance(f, CB):
-                cb |= 1 << k
-            else:
-                dft |= 1 << k
-    return cb, dft
-
-
-def _mask_rank(mask: int, table: LocalFactors, p: int, counted: tuple[int, int], tol) -> int:
+def _mask_rank(mask: int, table: LocalFactors, p: int, tol) -> int:
     """Rank of party p's distinct factors in ``table`` named by ``mask``:
     the number of singular values above tol of their renderings in id
-    order.  ``counted`` is the party's (CB ids, DFT ids) from
-    ``_counted_ids``.  A mask of a CB and b DFT kets with a = 0 or b = 0 is
-    orthonormal, rank a + b; with both nonzero its rank is min(d, a + b)
-    where ``_certified`` proves it.  Any other mask, and every mask with a
+    order.  A mask of a CB and b DFT kets (``table.masks[p]``, distinct
+    kets with indices in range) with a = 0 or b = 0 is orthonormal, rank
+    a + b; with both nonzero its rank is min(d, a + b) where
+    ``_certified`` proves it.  Any other mask, and every mask with a
     ``Dense`` id, is ranked by ``span_dimension`` on the party's rendered
     factors (``LocalFactors.rendered``); no counted mask renders it.  The
     search calls this once per (party, mask) it has not seen."""
-    cb, dft = counted
+    cb, dft = table.masks[p]
     if not mask & ~(cb | dft):
         a = (mask & cb).bit_count()
         b = (mask & dft).bit_count()
@@ -277,12 +263,11 @@ def _mask_rank(mask: int, table: LocalFactors, p: int, counted: tuple[int, int],
     return span_dimension([v for k, v in enumerate(table.rendered(p)) if mask >> k & 1], tol)
 
 
-def _search(factors: LocalFactors, counted, tol):
+def _search(factors: LocalFactors, tol):
     """Depth-first search over member->party assignments.
 
-    ``factors`` holds the members' interned local factors, and
-    ``counted`` each party's ``_counted_ids``.  Each party keeps the mask
-    of the factor ids assigned to it, whose span stays below
+    ``factors`` holds the members' interned local factors.  Each party
+    keeps the mask of the factor ids assigned to it, whose span stays below
     the local dimension; assigning member i to party j is pruned iff the
     rank of the mask with its id added reaches d_j.  Ranks are memoised per
     (party, mask) and come from ``_mask_rank``: the singular values above
@@ -349,7 +334,7 @@ def _search(factors: LocalFactors, counted, tol):
         grown = masks[j] | 1 << ids[i][j]
         rank = memo[j].get(grown)
         if rank is None:
-            rank = memo[j][grown] = _mask_rank(grown, factors, j, counted[j], tol)
+            rank = memo[j][grown] = _mask_rank(grown, factors, j, tol)
         if rank >= dims[j]:
             # party j would be fully spanned: no product state can be
             # orthogonal there, so every completion of this branch fails
@@ -374,76 +359,55 @@ def _free_ket(kind, taken, d: int):
     return next((kind(i) for i in range(d) if kind(i) not in taken), None)
 
 
-def _witness_factor(members: LocalFactors, j: int, assigned, counted, tol):
+def _witness_factor(members: LocalFactors, j: int, assigned, tol):
     """Party j's witness factor, orthogonal to its ``assigned`` distinct
     factors (ids in ascending order), or None when there is no direction.
 
-    Where ``_counted_ids`` accepted the party (its symbolic factors are
-    distinct and in range) and the assigned factors are all CB, all DFT or
-    none, it is the lowest-index ket of that kind not assigned
-    (``_free_ket``; ``CB(0)`` when none is), exactly orthogonal to each.
-    Any other party gets the first vector of the complement of the
+    Where the assigned factors are all CB, all DFT or none (read from
+    ``members.masks[j]``), it is the lowest-index ket of that kind not
+    assigned (``_free_ket``; ``CB(0)`` when none is), exactly orthogonal to
+    each.  Any other party gets the first vector of the complement of the
     assigned rows, i.e. of the rows whose rank the search found below d_j,
     as a ``Dense`` factor."""
     d = members.dims[j]
-    cb, dft = counted
-    if cb | dft:
-        for bits, kind in ((cb, CB), (dft, DFT)):
-            if all(bits >> k & 1 for k in assigned):
-                return _free_ket(kind, {members.factors[j][k] for k in assigned}, d)
+    for bits, kind in zip(members.masks[j], (CB, DFT)):
+        if all(bits >> k & 1 for k in assigned):
+            return _free_ket(kind, {members.factors[j][k] for k in assigned}, d)
     comp = orthogonal_complement_basis(members.rendered(j)[assigned], d, tol)
     return Dense(comp[0]) if comp else None
 
 
-def _local_overlaps(members: LocalFactors, j: int, factor) -> list:
-    """|<f|factor>| for each of party j's distinct factors f in id order:
-    the kinds rule (1, 0 or 1/sqrt(d)) where both kets are symbolic, and
-    from the renderings where a ``Dense`` factor takes part."""
-    d = members.dims[j]
-    kept = members.factors[j]
-    symbolic = isinstance(factor, (CB, DFT))
-    rule = [symbolic and isinstance(f, (CB, DFT)) for f in kept]
-    numeric = None
-    if not all(rule):
-        numeric = np.abs(members.rendered(j).conj() @ factor_dense(factor, d)).tolist()
-    scale = 1 / math.sqrt(d)
-    return [
-        (1.0 if f == factor else 0.0 if type(f) is type(factor) else scale) if by_rule
-        else numeric[k]
-        for k, (f, by_rule) in enumerate(zip(kept, rule))
-    ]
-
-
-def _witness_state(members: LocalFactors, witness, counted, tol) -> LocalFactors:
+def _witness_state(members: LocalFactors, witness, tol) -> LocalFactors:
     """Orthogonal product witness for a successful assignment, as a one-row
     set: at party j, ``_witness_factor`` of the distinct factors that the
-    assignment gives party j (``counted`` holds each party's
-    ``_counted_ids``).  It is checked on its own: each factor must be a
-    unit vector (``check_factor``), and each member's overlap with it, the
-    product of the local overlaps at the member's ids
-    (``_local_overlaps``), must be at most ``tol``."""
+    assignment gives party j.  It is checked on its own: the set's
+    construction requires each factor to be a unit vector
+    (``check_factor``), and each member's overlap with it, the product of
+    the local overlaps at the member's ids (``LocalFactors.local_overlaps``),
+    must be at most ``tol``."""
     ids = members.ids
     parties = np.array(witness, dtype=np.intp)
     factors = []
-    overlaps = np.ones(len(members))
-    for j, d in enumerate(members.dims):
+    for j in range(len(members.dims)):
         assigned = sorted(set(ids[parties == j, j].tolist()))
-        factor = _witness_factor(members, j, assigned, counted[j], tol)
+        factor = _witness_factor(members, j, assigned, tol)
         if factor is None:
             raise ContractViolationError(
                 f"witness assignment {witness} leaves party {j} no orthogonal "
                 f"direction at tolerance {tol:g}"
             )
-        check_factor(factor, d)
         factors.append([factor])
-        overlaps *= np.array(_local_overlaps(members, j, factor))[ids[:, j]]
+    state = LocalFactors(members.dims, factors, np.zeros((1, len(factors)), dtype=np.intp))
+    overlaps = np.ones(len(members))
+    for j, (factor,) in enumerate(factors):
+        overlaps *= np.array(members.local_overlaps(j, factor))[ids[:, j]]
     for i, overlap in enumerate(overlaps.tolist()):
         if not overlap <= tol:
             raise ContractViolationError(
                 f"witness for assignment {witness} overlaps member {i} "
                 f"by {overlap:.3e}, above tolerance {tol:g}"
             )
-    return LocalFactors(members.dims, factors, np.zeros((1, len(factors)), dtype=np.intp))
+    return state
 
 
 def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
@@ -471,8 +435,7 @@ def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
             f"tolerance {tol:g} must be below 1/sqrt({d_max}) on a "
             f"{d_max}-dimensional party"
         )
-    counted = [_counted_ids(kept, d) for kept, d in zip(members.factors, dims)]
-    witness, covered, nodes = _search(members, counted, tol)
+    witness, covered, nodes = _search(members, tol)
     result = ExtendibilityResult(
         extendible=witness is not None,
         assignments_covered=covered,
@@ -480,7 +443,7 @@ def extendibility_search(members: LocalFactors) -> ExtendibilityResult:
         witness_assignment=witness,
     )
     if witness is not None:
-        result.witness_state = _witness_state(members, witness, counted, tol)
+        result.witness_state = _witness_state(members, witness, tol)
     return result
 
 

@@ -426,7 +426,7 @@ class Float17Encoder(json.JSONEncoder):
     """The standard library's pure-Python encoder with floats formatted to
     17 significant digits, and -0.0 as ``-0.0`` so that JSON reads back a
     float with its sign: the reference that ``serialize.dumps``,
-    ``basis_text`` and ``upb_text`` must match byte for byte (it was the
+    ``basis_pieces`` and ``upb_pieces`` must match byte for byte (it was the
     program's encoder before ``dumps``)."""
 
     def iterencode(self, o, _one_shot=False):

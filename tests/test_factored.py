@@ -23,7 +23,7 @@ from nlwe.circuit import (
     validate_exclusivity,
 )
 from nlwe.config import tolerance
-from nlwe.errors import TooLargeError
+from nlwe.errors import ContractViolationError, TooLargeError
 from nlwe.ensembles import local_factor_census, preset_circuit
 from nlwe.linalg import dft_matrix
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_dense
@@ -202,14 +202,12 @@ class TestKindsRule:
         assert basis.gram_extremes()[1] == 0.0
         assert abs(basis.gram_extremes()[0] - diag) <= 1e-12
 
-    def test_a_party_with_one_ket_under_two_ids(self):
-        # a hand-built table: CB(0) under ids 0 and 2 is one ket, so the
-        # first and last members are equal and overlap by 1
-        table = LocalFactors((2, 2), [[CB(0), CB(1), CB(0)], [DFT(0), DFT(1)]],
-                             np.array([[0, 0], [1, 0], [2, 0]], dtype=np.intp))
-        assert table.max_overlap() == 1.0
-        diag, off = table.gram_extremes()
-        assert diag <= 1e-15 and off == 1.0
+    def test_a_party_with_one_ket_under_two_ids_is_refused(self):
+        # CB(0) under ids 0 and 2 would be one ket, whose two members the
+        # kinds rule would call orthogonal: the table refuses the party
+        with pytest.raises(ContractViolationError, match="one factor under two ids"):
+            LocalFactors((2, 2), [[CB(0), CB(1), CB(0)], [DFT(0), DFT(1)]],
+                         np.array([[0, 0], [1, 0], [2, 0]], dtype=np.intp))
 
 
 class TestCanonicalBases:

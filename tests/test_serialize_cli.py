@@ -27,6 +27,19 @@ from nlwe.upb import extract_upb
 from helpers import circuits_on, product_tables, reference_dumps
 
 
+# the writers' whole texts: their pieces joined
+def basis_text(basis, circuit=None):
+    return "".join(serialize.basis_pieces(basis, circuit))
+
+
+def upb_text(upb):
+    return "".join(serialize.upb_pieces(upb))
+
+
+def density_text(matrix, dims):
+    return "".join(serialize.density_pieces(matrix, dims))
+
+
 class TestSerialization:
     def test_basis_round_trip(self):
         circuit = shift_circuit()
@@ -40,7 +53,7 @@ class TestSerialization:
     def test_dense_factor_round_trip_exact(self):
         v = np.array([1 / np.sqrt(3), 1j / np.sqrt(3), -1 / np.sqrt(3)])
         basis = ProductBasis.from_states([ProductState((Dense(v), CB(1)), (3, 2))], (3, 2))
-        back, _ = serialize.basis_from_obj(serialize.loads(serialize.basis_text(basis)))
+        back, _ = serialize.basis_from_obj(serialize.loads(basis_text(basis)))
         assert np.array_equal(back.factors[0][0].entries, v)
 
     def test_seventeen_digit_floats(self):
@@ -177,7 +190,7 @@ def density_cases(draw):
 
 
 class TestDensityWriter:
-    """``serialize.density_text`` writes ``dumps(density_to_obj(...))``."""
+    """``serialize.density_pieces`` join to ``dumps(density_to_obj(...))``."""
 
     @settings(max_examples=200, deadline=None)
     @given(density_cases())
@@ -186,7 +199,7 @@ class TestDensityWriter:
     @example((np.array([[complex(1.0, 1e-05)]]), [1]))
     def test_matches_the_reference_writer(self, case):
         matrix, dims = case
-        text = serialize.density_text(matrix, dims)
+        text = density_text(matrix, dims)
         assert text == serialize.dumps(serialize.density_to_obj(matrix, dims))
         assert text == reference_dumps(serialize.density_to_obj(matrix, dims))
         pieces = list(serialize.density_pieces(matrix, dims))
@@ -201,13 +214,11 @@ class TestDensityWriter:
         with pytest.raises(ValueError):
             serialize.dumps(serialize.density_to_obj(matrix, [2]))
         with pytest.raises(ValueError, match="non-finite"):
-            serialize.density_text(matrix, [2])
-        with pytest.raises(ValueError, match="non-finite"):
             serialize.density_pieces(matrix, [2])
 
 
 class TestSetWriter:
-    """``basis_text`` and ``upb_text`` write from the id table the text that
+    """``basis_pieces`` and ``upb_pieces`` write from the id table the text that
     ``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj``, and the loader
     reads it back into the same table."""
 
@@ -216,7 +227,7 @@ class TestSetWriter:
     def test_matches_the_reference_and_round_trips(self, table, data):
         circuit = data.draw(st.none() | circuits_on(table.dims))
         basis = ProductBasis(table.dims, table.factors, table.ids)
-        text = serialize.basis_text(basis, circuit)
+        text = basis_text(basis, circuit)
         assert text == reference_dumps(serialize.basis_to_obj(basis, circuit))
         loaded, loaded_circuit = serialize.basis_from_obj(serialize.loads(text))
         assert np.array_equal(loaded.ids, table.ids)
@@ -231,7 +242,7 @@ class TestSetWriter:
         stopper = data.draw(st.integers(0, len(table) - 1))
         upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
                               stopper_index=stopper)
-        text = serialize.upb_text(upb)
+        text = upb_text(upb)
         assert text == reference_dumps(serialize.upb_to_obj(upb))
         obj = serialize.loads(text)
         assert obj["stopper_index"] == stopper
@@ -249,7 +260,7 @@ class TestSetWriter:
         assert len(table.factors[0]) == 2
         upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
                               stopper_index=0)
-        text = serialize.upb_text(upb)
+        text = upb_text(upb)
         assert "-0.0" in text
         assert text == reference_dumps(serialize.upb_to_obj(upb))
         loaded, _ = serialize.basis_from_obj(serialize.loads(text))
@@ -259,13 +270,13 @@ class TestSetWriter:
     @pytest.mark.parametrize("dims, m", [((), 1), ((2, 3), 0)])
     def test_no_parties_or_no_members(self, dims, m):
         basis = ProductBasis(dims, [[] for _ in dims], np.zeros((m, len(dims)), dtype=np.intp))
-        text = serialize.basis_text(basis)
+        text = basis_text(basis)
         assert text == reference_dumps(serialize.basis_to_obj(basis))
         assert serialize.basis_from_obj(serialize.loads(text))[0].ids.shape == (m, len(dims))
 
 
 # sha256 of the files written by the reference encoder
-# (``helpers.reference_dumps``), which ``basis_text`` and ``upb_text``
+# (``helpers.reference_dumps``), which ``basis_pieces`` and ``upb_pieces``
 # match; the file tests also re-encode each object with it
 GENERATE_SHA256 = {
     "oneway": "c0bd9db76389213242fbe7071896ea4afa89361391826d1a637d35364fa71776",
@@ -826,8 +837,8 @@ class TestCliFlows:
         # parties named one by one; party 1 keeps the default index d - 1
         assert main(["upb", "--preset", "shift", "--excluded-index", "0=1,2=0"]) == 0
         out = capsys.readouterr().out
-        assert out == serialize.upb_text(extract_upb(shift_circuit(), {0: 1, 2: 0}))
-        assert out != serialize.upb_text(extract_upb(shift_circuit()))
+        assert out == upb_text(extract_upb(shift_circuit(), {0: 1, 2: 0}))
+        assert out != upb_text(extract_upb(shift_circuit()))
 
     def test_canonical_preset_with_too_few_dimensions(self, capsys):
         assert main(["generate", "--preset", "canonical:n=3,d=2,2"]) == 2
@@ -1369,8 +1380,8 @@ def _assert_same_load(text):
 def _set_file_text(kind, preset):
     circuit = preset_circuit(preset)
     if kind == "basis":
-        return serialize.basis_text(generate_basis(circuit), circuit)
-    return serialize.upb_text(extract_upb(circuit))
+        return basis_text(generate_basis(circuit), circuit)
+    return upb_text(extract_upb(circuit))
 
 
 # factor object texts that plain JSON and the shared tree must treat alike:
@@ -1407,10 +1418,10 @@ class TestSharedLoader:
     @given(product_tables(), st.data())
     def test_random_sets_load_alike(self, table, data):
         basis = ProductBasis(table.dims, table.factors, table.ids)
-        _assert_same_load(serialize.basis_text(basis, data.draw(st.none() | circuits_on(table.dims))))
+        _assert_same_load(basis_text(basis, data.draw(st.none() | circuits_on(table.dims))))
         upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
                               stopper_index=data.draw(st.integers(0, len(table) - 1)))
-        _assert_same_load(serialize.upb_text(upb))
+        _assert_same_load(upb_text(upb))
 
     @pytest.mark.parametrize("kind", ["basis", "upb"])
     @pytest.mark.parametrize("member", [0, -1])
@@ -1536,7 +1547,7 @@ class TestDensityFileMemory:
         _, peak = _traced_peak(
             lambda: _write_or_print(serialize.density_pieces(rho, [16, 16]), str(path)))
         text = path.read_text()
-        assert text == serialize.density_text(rho, [16, 16])
+        assert text == density_text(rho, [16, 16])
         assert peak <= 0.25 * len(text)
 
 
@@ -1874,7 +1885,7 @@ class TestSetReader:
         upb = SimpleNamespace(dims=(4, 4), factors=[[CB(i) for i in range(4)]] * 2,
                               ids=np.array([(a, b) for a in range(4) for b in range(4)][:15]),
                               stopper_index=12)
-        text = serialize.upb_text(upb)
+        text = upb_text(upb)
         path = tmp_path / "upb.json"
         path.write_text(text)
         with mock.patch.object(serialize, "_WINDOW", text.index("12\n") + cut):

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from nlwe import serialize
 from nlwe.circuit import generate_basis, validate_exclusivity
 from nlwe.ensembles import local_factor_census, preset_circuit, shift_circuit
-from nlwe.errors import ContractViolationError
+from nlwe.errors import ContractViolationError, DimensionMismatchError, NlweError
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_descriptor
 from nlwe.upb import Upb, extract_upb
 
-from helpers import control_dft_circuits, product_rows, reference_interning
+from helpers import control_dft_circuits, product_rows, product_tables, reference_interning
 
 PRESETS = [
     "oneway", "shift", "fig4", "canonical:n=4,d=3", "canonical:n=4,d=3,4,3,3",
@@ -185,6 +185,62 @@ class TestFactorIdentity:
         assert [[id(f) for f in kept] for kept in table.factors] == [
             [id(f) for f in kept] for kept in factors
         ]
+
+
+def ids(rows):
+    return np.array(rows, dtype=np.intp)
+
+
+class TestTableCheck:
+    """A table is checked once, at construction: each id names one of its
+    party's factors, which are distinct and valid there, or the table is
+    refused with one ``NlweError`` before any verdict."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        # DFT(2) is F|0> on a qubit, so members 0 and 1 would be one state
+        # that the orthogonality gate passed
+        (lambda: Upb((2, 2), [[DFT(0), DFT(2), CB(1)], [CB(0), CB(1)]],
+                     ids([[0, 0], [1, 0], [2, 1]]), 2),
+         ContractViolationError, "symbolic index 2 out of range"),
+        # id -2 would name CB(0) again, a Gram deviation of 0.0 for two equal members
+        (lambda: ProductBasis((2,), [[CB(0), CB(1)]], ids([[0], [-2]])),
+         ContractViolationError, "id -2 at party 0 names none of its 2 factors"),
+        # an id past the list would be a bare IndexError
+        (lambda: ProductBasis((2,), [[CB(0), CB(1)]], ids([[0], [2]])),
+         ContractViolationError, "id 2 at party 0 names none of its 2 factors"),
+        (lambda: LocalFactors((2, 2), [[CB(0)]], ids([[0, 0]])),
+         DimensionMismatchError, "1 factor lists for 2 parties"),
+        (lambda: LocalFactors((2,), [[CB(0)]], np.zeros((1, 1))),
+         DimensionMismatchError, "integer array"),
+        (lambda: LocalFactors((2,), [[CB(0)]], ids([0])),
+         DimensionMismatchError, "integer array"),
+    ], ids=["upb-dft-out-of-range", "negative-id", "id-past-the-list",
+            "factor-lists", "float-ids", "flat-ids"])
+    def test_hand_built_table_is_refused(self, build, error, message):
+        with pytest.raises(NlweError, match=message) as caught:
+            build()
+        assert type(caught.value) is error
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_tables(max_members=8), st.data())
+    def test_a_repeated_factor_or_an_id_out_of_range_is_refused(self, table, data):
+        rebuilt = LocalFactors(table.dims, table.factors, table.ids)
+        for kept, kinds, masks in zip(rebuilt.factors, rebuilt.kinds, rebuilt.masks):
+            assert kinds == bytes({CB: 0, DFT: 1, Dense: 2}[type(f)] for f in kept)
+            assert masks == tuple(sum(1 << k for k, f in enumerate(kept) if isinstance(f, c))
+                                  for c in (CB, DFT))
+        p = data.draw(st.integers(0, len(table.dims) - 1))
+        kept = table.factors[p]
+        factors = [list(f) for f in table.factors]
+        factors[p].insert(data.draw(st.integers(0, len(kept))),
+                          data.draw(st.sampled_from(kept)))
+        with pytest.raises(ContractViolationError, match="one factor under two ids"):
+            LocalFactors(table.dims, factors, table.ids)
+        moved = table.ids.copy()
+        moved[data.draw(st.integers(0, len(table) - 1)), p] = data.draw(
+            st.integers(-len(kept) - 2, -1) | st.integers(len(kept), len(kept) + 2))
+        with pytest.raises(ContractViolationError, match=f"at party {p} names none"):
+            LocalFactors(table.dims, table.factors, moved)
 
 
 def fired_factors(circuit, cb_input):

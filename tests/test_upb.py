@@ -24,7 +24,6 @@ from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
 from nlwe.upb import (
     Upb,
     _certified,
-    _counted_ids,
     _mask_rank,
     _state_bytes,
     extendibility_search,
@@ -393,16 +392,16 @@ class TestSearchProperties:
 
 
 class TestCertifiedRanks:
-    """A mask of computational and dual-basis kets gets its rank by counting
-    (``_mask_rank``) only where the count is proven, so the search decides
-    as the SVD reference does."""
+    """A mask of computational and dual-basis kets (the table's ``masks``)
+    gets its rank by counting (``_mask_rank``) only where the count is
+    proven, so the search decides as the SVD reference does."""
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_count_agrees_with_span_dimension_on_every_subset(self, d):
         kept = [CB(k) for k in range(d)] + [DFT(k) for k in range(d)]
         table = LocalFactors((d,), [kept], np.zeros((1, 1), dtype=np.intp))
         vectors = np.array([factor_dense(f, d) for f in kept])
-        counted = _counted_ids(kept, d)
+        counted = table.masks[0]
         assert counted == ((1 << d) - 1, ((1 << d) - 1) << d)
         bound = min(1 / math.sqrt(d), MAX_TOLERANCE)
         tols = [1e-9, 0.1, 0.3, float(np.nextafter(bound, 0))]
@@ -416,7 +415,7 @@ class TestCertifiedRanks:
                     continue
                 rank = min(d, a + b)
                 assert span_dimension(rows, tol) == rank, (d, mask, tol)
-                assert _mask_rank(mask, table, 0, counted, tol) == rank
+                assert _mask_rank(mask, table, 0, tol) == rank
                 certified[tol] += bool(a and b)
         assert all(certified.values())
 
@@ -434,24 +433,17 @@ class TestCertifiedRanks:
         assert res.assignments_covered == covered
         assert res.nodes_visited <= nodes
 
-    @pytest.mark.parametrize("kept", [[CB(0), CB(1), CB(0)], [DFT(0), DFT(1), DFT(2)]],
-                             ids=["CB(0) twice", "DFT(d)"])
-    def test_a_party_with_equal_symbolic_kets_keeps_the_svd(self, kept):
-        # ids 0 and 2 of party 0 render as one ket (DFT(2) is F|0> on a
-        # qubit): the first two members fit party 0, whose rank is 1, not
-        # the 2 a count would give
-        assert _counted_ids(kept, 2) == (0, 0)
-        table = LocalFactors((2, 2), [kept, [CB(0), CB(1)]],
-                             np.array([[0, 0], [2, 1], [1, 1]], dtype=np.intp))
-        res = extendibility_search(table)
-        witness, covered, nodes = member_search(table)
-        assert res.witness_assignment == witness == (0, 0, 1)
-        assert res.assignments_covered == covered
-        assert res.nodes_visited == nodes
-        # party 0's witness factor comes from the complement, not a free index
-        assert isinstance(res.witness_state.factors[0][0], Dense)
-        assert res.witness_state.factors[1] == [CB(0)]
-        assert_witness(res, table)
+    @pytest.mark.parametrize("kept, message", [
+        ([CB(0), CB(1), CB(0)], "one factor under two ids"),
+        ([DFT(0), DFT(1), DFT(2)], "symbolic index 2 out of range"),
+    ], ids=["CB(0) twice", "DFT(d)"])
+    def test_a_party_with_equal_symbolic_kets_is_refused(self, kept, message):
+        # ids 0 and 2 of party 0 would be one ket (DFT(2) is F|0> on a
+        # qubit), so a count of party 0's ranks would be wrong: the table
+        # refuses the party before any search
+        with pytest.raises(ContractViolationError, match=message):
+            LocalFactors((2, 2), [kept, [CB(0), CB(1)]],
+                         np.array([[0, 0], [2, 1], [1, 1]], dtype=np.intp))
 
 
 class TestWitnessProperties:
@@ -485,7 +477,6 @@ class TestSymbolicFactorsAreNotRendered:
             return rendered_party(table, p)
 
         monkeypatch.setattr("nlwe.states.factor_dense", counted_render)
-        monkeypatch.setattr("nlwe.upb.factor_dense", counted_render)
         monkeypatch.setattr(LocalFactors, "rendered", watched_party)
         return seen
 
@@ -637,7 +628,7 @@ class TestWitnessCheck:
         # a search that thinks every party has room reaches the all-party-0
         # assignment, whose four factors (a dense one, |2>, another dense
         # one and F|0>) span party 0 completely
-        monkeypatch.setattr("nlwe.upb._mask_rank", lambda mask, table, p, counted, tol: 1)
+        monkeypatch.setattr("nlwe.upb._mask_rank", lambda mask, table, p, tol: 1)
         with pytest.raises(ContractViolationError, match="no orthogonal direction"):
             extendibility_search(mixed_witness_set())
 
