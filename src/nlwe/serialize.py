@@ -11,42 +11,30 @@ decimal strings; anything else is malformed, not truncated.  A dims
 entry below 1 is an invalid dimension, and one whose factor would not
 fit the dense budget is too large.
 
-A basis or UPB file lists every member's factors, but a set is one
-``states.LocalFactors`` table (a ``ProductBasis`` or ``Upb``) with a few
-distinct factors per party (at most 2d for a control-DFT basis), so the
-per-factor work is done once per distinct factor.  ``basis_pieces`` and
-``upb_pieces`` stream a file from the table, one text piece per member
-between a head and a tail: each distinct factor's text is encoded once
-per party and each member's text is one join of those texts, so a writer
-holds one member's text at a time.  The pieces join byte for byte to
-the text that ``dumps`` gives for ``basis_to_obj`` and ``upb_to_obj``
-(which share one factor object per distinct factor).
+A set (``states.LocalFactors``: a ``ProductBasis`` or ``Upb``) has a few
+distinct factors per party, and both directions of its file use one
+table of member text.  Split on ``_SEP`` (``"kind": "``), a written
+member is its opening ``_FIRST`` and one piece per factor: the factor
+object's text after its kind's key, then the text up to the next
+``_SEP`` (``_piece``, from the encoder).  ``basis_pieces`` and
+``upb_pieces`` write a head, blocks of about ``_WINDOW`` characters of
+members (one join of the pieces their ids name) and a tail, which join
+byte for byte to ``dumps`` of ``basis_to_obj``/``upb_to_obj``.
 
 ``read_basis`` and ``read_upb`` follow one rule: the window reads a
-fault-free file in nlwe's layout, and the tree reader reads everything
-else.  A regular file in the layout nlwe writes (one JSON object, "dims"
-before "states", no key given twice) is read through a window of
-``_WINDOW`` characters into the table, so neither the file's text nor a
-tree of its members is held whole.  The window reads each member one of
-two ways: a run of members in nlwe's own text (symbolic factors in the
-writer's indentation, ``_run_match``) by one regex match and one
-``findall`` of its factor keys, and any other member by one scan of
-json's own scanner, as the plain JSON object the tree reader would
-hold.  At the first fault the window meets (JSON, layout, dims, or a
-member's factor, kind, index or length) the file is read again from its
-start, whole, by the tree readers ``basis_from_obj`` and
-``upb_from_obj`` of ``loads``, as is every other input (another layout,
-a pipe), so a faulty file's fault is theirs by construction and costs
-its whole text and tree in memory.  A file the window reads to its end
-goes through the tree readers' own tail (``_set_from_obj``: dims, the
-circuit or stopper index, then the set itself), so no fault is raised by
-other code.  The member builder (``_table_from_obj``) looks a run's keys
-up n at a time; of a member object it checks every factor object's
-shape, kind and integer index, and each distinct factor's range,
-dimension, finiteness and norm once.  ``loads`` (the tree readers' and
-``lemma --kraus``'s) shares one dict among a file's equal symbolic
-factor objects.
-
+fault-free file in nlwe's layout (one JSON object, "dims" before
+"states", no key given twice) ``_WINDOW`` characters at a time into the
+table, and the tree reader reads everything else.  The window splits a
+run of members in nlwe's own text into pieces, each mapped to its id by
+one dict per party and accepted only if it equals the writer's piece
+for the CB or DFT factor it names there (``_piece_key``), and reads any
+other member with json's scanner, as the plain object the tree reader
+would hold.  At the first fault it meets (JSON, layout, dims, or a
+member's factor, kind, index or length) the file is read again, whole,
+by ``loads`` and the tree readers ``basis_from_obj`` and
+``upb_from_obj``, as is every other input (another layout, a pipe), so
+a file's fault is theirs by construction.  A file the window reads to
+its end goes through the tree readers' own tail (``_set_from_obj``).
 ``density_pieces`` streams a density-matrix file from the array, one piece
 per matrix row, each one %-format of the row's float parts; the pieces
 join byte for byte to ``dumps`` of ``density_to_obj``,
@@ -55,6 +43,7 @@ which stays the writer's reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -62,21 +51,9 @@ import re
 import numpy as np
 
 from .circuit import Circuit, ControlDftGate
-from .errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    MalformedJsonError,
-    NlweError,
-)
+from .errors import DimensionMismatchError, InvalidDimensionError, MalformedJsonError, NlweError
 from .linalg import require_dense_budget
-from .states import (
-    CB,
-    DFT,
-    Dense,
-    LocalFactors,
-    ProductBasis,
-    check_factor,
-)
+from .states import CB, DFT, Dense, LocalFactors, ProductBasis, check_factor
 from .upb import Upb
 
 
@@ -137,13 +114,10 @@ def _encode(value, depth: int, open_ids: set) -> str:
 
 
 def dumps(obj) -> str:
-    """JSON text of ``obj`` with a 2-space indent, ASCII-escaped strings and
-    floats in 17 significant digits, plus a final newline; a non-finite
-    float raises ``ValueError``.
-
-    Values are dicts, lists, tuples, strings, ints, floats (numpy floats
-    included), booleans and None.
-    """
+    """JSON text of ``obj`` (dicts, lists, tuples, strings, ints, floats,
+    numpy floats included, booleans and None) with a 2-space indent,
+    ASCII-escaped strings and floats in 17 significant digits, plus a final
+    newline; a non-finite float raises ``ValueError``."""
     return _encode(obj, 0, set()) + "\n"
 
 
@@ -151,14 +125,10 @@ def loads(text: str):
     """The JSON value of ``text``, with one dict shared by every object
     that has exactly the keys ``kind`` (``"cb"`` or ``"dft"``) and
     ``index`` (an int, not a bool) with equal values: a file's symbolic
-    factor objects, so a basis file holds a few factor objects, not one
-    per occurrence.  Like ``basis_to_obj``'s, the tree must not be
-    mutated.
-
-    Every other object is kept as parsed, and nothing is checked here: an
-    object whose index is ``true`` or ``1.0`` is its own, since only JSON
-    integers are keys, and the loaders find its faults as for plain
-    ``json.loads``."""
+    factor objects.  Like ``basis_to_obj``'s, the tree must not be mutated.
+    Every other object is kept as parsed and nothing is checked: one whose
+    index is ``true`` or ``1.0`` is its own, and the loaders find its faults
+    as for plain ``json.loads``."""
     shared = {}
 
     def share(obj):
@@ -251,64 +221,49 @@ def _factor_key(obj):
     raise MalformedJsonError(f"unknown factor kind {kind!r}")
 
 
-def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
-    """The ``factors`` and ``ids`` of the set whose members ``states`` (any
-    iterable, counted as it is read) lists, for the caller to make a
-    ``ProductBasis`` or ``Upb`` on ``dims``.
+class _Table:
+    """A set's distinct factors and ids as its members are read on ``dims``:
+    ``add`` reads a member object (each of ``states``), every factor
+    object's ``_factor_key`` before the length of its list is compared with
+    the parties', and the window adds a run's ids itself (``piece``).  A key
+    new at a party is built into a factor once per file, checked against
+    the party's dimension and given the next id there."""
 
-    A member is a JSON member object or a ``_Run`` of ``read_basis``.  A
-    member object's ``factors`` must be a list with one factor object per
-    party: every factor object's ``_factor_key`` is read before the
-    list's length is compared with the parties'.  A run gives n text keys
-    per member, looked up n at a time; a text key new at its party takes
-    the id of its ``(kind, index)`` key.  A key seen for the first time at
-    a party is built into a factor (once per file for all parties),
-    checked against that party's dimension (``states.check_factor``) and
-    given the next id there.  Factor objects are not remembered by
-    ``id``: a streamed member's objects are freed once it is read, and
-    their ids reused.
-    """
-    n = len(dims)
-    made = {}
-    seen = [{} for _ in dims]  # a party's keys: JSON gives no str key, a run only str ones
-    distinct = [[] for _ in dims]
-    ids = []
-    m = 0
+    def __init__(self, dims, states=()):
+        self.dims = dims
+        self.made = {}
+        self.seen = [{} for _ in dims]  # party p's _factor_keys and pieces: their ids
+        self.distinct = [[] for _ in dims]
+        self.ids = []
+        self.m = 0
+        for state in states:
+            self.add(state)
 
-    def intern(p, key):
-        k = seen[p].get(key)
+    def intern(self, p, key) -> int:
+        k = self.seen[p].get(key)
         if k is None:
-            factor = made.get(key)
+            factor = self.made.get(key)
             if factor is None:
-                factor = made[key] = (
+                factor = self.made[key] = (
                     Dense(np.frombuffer(key, dtype=complex)) if isinstance(key, bytes)
-                    else _SYMBOLIC[key[0]](key[1])
-                )
-            # the table checks its factors again; this check raises inside
-            # the window's member loop, so a faulty member sends the file
-            # to the tree reader
-            check_factor(factor, dims[p])
-            k = seen[p][key] = len(distinct[p])
-            distinct[p].append(factor)
+                    else _SYMBOLIC[key[0]](key[1]))
+            # checked again by the table; here a faulty member raises in the window
+            check_factor(factor, self.dims[p])
+            k = self.seen[p][key] = len(self.distinct[p])
+            self.distinct[p].append(factor)
         return k
 
-    def intern_text(p, text):
-        k = seen[p].get(text)
+    def piece(self, p, piece: str):
+        """The id of a run's piece at party p, or None if no CB or DFT factor's."""
+        k = self.seen[p].get(piece)
         if k is None:
-            kind, index = text.split(_KIND_TO_INDEX)
-            k = seen[p][text] = intern(p, (kind, int(index)))
+            key = _piece_key(piece, p == len(self.dims) - 1)
+            if key is not None:
+                k = self.seen[p][piece] = self.intern(p, key)
         return k
 
-    for state in states:
-        if type(state) is _Run:
-            row = list(map(dict.get, itertools.cycle(seen), state))
-            if None in row:  # a key new at its party, or one made new earlier in the run
-                row = [intern_text(i % n, text) if k is None else k
-                       for i, (k, text) in enumerate(zip(row, state))]
-            ids += row
-            m += len(row) // n
-            continue
-        m += 1
+    def add(self, state) -> None:
+        self.m += 1
         try:
             factor_objs = state["factors"]
         except (KeyError, TypeError) as exc:
@@ -320,10 +275,12 @@ def _table_from_obj(states, dims) -> tuple[list, np.ndarray]:
             keys = [_factor_key(obj) for obj in factor_objs]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJsonError(f"bad factor object: {exc}") from exc
-        if len(keys) != n:
-            raise DimensionMismatchError(f"{len(keys)} factors for {n} parties")
-        ids += [intern(p, key) for p, key in enumerate(keys)]
-    return distinct, np.array(ids, dtype=np.intp).reshape(m, n)
+        if len(keys) != len(self.dims):
+            raise DimensionMismatchError(f"{len(keys)} factors for {len(self.dims)} parties")
+        self.ids += [self.intern(p, key) for p, key in enumerate(keys)]
+
+    def result(self) -> tuple[list, np.ndarray]:
+        return self.distinct, np.array(self.ids, dtype=np.intp).reshape(self.m, len(self.dims))
 
 
 def _table_to_obj(table: LocalFactors) -> list:
@@ -382,7 +339,7 @@ def _set_from_obj(obj, upb: bool, table=None):
     else read from ``obj["states"]``."""
     try:
         dims = _dims(obj)
-        factors, ids = table or _table_from_obj(obj["states"], dims)
+        factors, ids = table or _Table(dims, obj["states"]).result()
         if upb:
             stopper = _int(obj["stopper_index"], "stopper_index")
     except (KeyError, TypeError, ValueError) as exc:
@@ -412,43 +369,80 @@ def upb_to_obj(upb: Upb) -> dict:
     }
 
 
+# a member as _set_pieces writes it (indent depth 2, factor objects at 4)
+# is _FIRST, its "{" up to its first factor's kind, and one piece per factor
+_SEP = '"kind": "'
+_MEMBER_OPEN, _MEMBER_CLOSE = _container_text(
+    ['"factors": ' + _container_text(["\0"], 3)], 2, "{}").split("\0")
+_FACTOR_OPEN = _container_text(["\0"], 4, "{}").partition("\0")[0]
+_FIRST = _MEMBER_OPEN + _FACTOR_OPEN + _SEP
+# a factor object's text is followed, up to the next _SEP, by the next
+# factor's opening, or at party n - 1 by the member's close and the next's
+_LINKS = (",\n" + "  " * 4 + _FACTOR_OPEN,
+          _MEMBER_CLOSE + ",\n    " + _MEMBER_OPEN + _FACTOR_OPEN)
+# a piece's index has at most this many digits (2^22 needs 7)
+_DIGITS = 7
+
+
+def _piece(obj: dict, last: bool) -> str:
+    """The piece of the factor object ``obj`` at a party (the last one if
+    ``last``): its text at indent depth 4 after its _SEP, and the link on."""
+    return _encode(obj, 4, set()).partition(_SEP)[2] + _LINKS[last]
+
+
+# by kind and last party, the text around a CB or DFT piece's index (the
+# first "0" of index 0's); by last party, the longest piece and its _SEP
+_AROUND_INDEX = {(kind, last): tuple(_piece({"kind": kind, "index": 0}, last).split("0", 1))
+                 for kind in _SYMBOLIC for last in (False, True)}
+_LONGEST = [len(_piece({"kind": "dft", "index": 10**_DIGITS - 1}, last)) + len(_SEP)
+            for last in (False, True)]
+
+
+def _piece_key(piece: str, last: bool):
+    """The ``(kind, index)`` of the CB or DFT factor whose piece at a party (the
+    last if ``last``) is ``piece``, or None: parsed, then checked by equality."""
+    kind = piece.partition('"')[0]
+    digits = piece.partition(": ")[2].partition("\n")[0]
+    if kind in _SYMBOLIC and digits.isdecimal() and len(digits) <= _DIGITS:
+        before, after = _AROUND_INDEX[kind, last]
+        if piece == before + str(int(digits)) + after:
+            return kind, int(digits)
+    return None
+
+
 def _set_pieces(table: LocalFactors, tail: dict):
     """The text of ``{"dims": ..., "states": [...], **tail}`` for a basis or
-    UPB file, byte for byte ``dumps`` of ``basis_to_obj``/``upb_to_obj``,
-    as pieces: the head, one piece per member, then the tail.  It is
-    written from the table: each party's distinct factors are encoded
-    once, at the depth where factor objects sit, and each member's text is
-    one join of its factors' texts inside a fixed frame."""
-    # indent depths: the file 0, "states" 1, a member 2, its "factors" 3,
-    # a factor object 4
-    texts = [[_encode(factor_to_obj(f), 4, set()) for f in kept] for kept in table.factors]
-    columns = [[t[k] for k in col] for t, col in zip(texts, table.ids.T.tolist())]
-    if columns:
-        frame = _container_text(['"factors": ' + _container_text(["\0"], 3)], 2, "{}")
-        before, _, after = frame.partition("\0")
-        sep = ",\n" + "  " * 4
-        members = (before + sep.join(row) + after for row in zip(*columns))
-    else:
-        members = [_container_text(['"factors": []'], 2, "{}")] * len(table.ids)
+    UPB file, byte for byte ``dumps`` of ``basis_to_obj``/``upb_to_obj``, as
+    the head (with the first ``_FIRST``), blocks of whole members of about
+    ``_WINDOW`` characters, each one join of cells (a piece and its _SEP)."""
+    head = '{\n  "dims": ' + _encode(list(table.dims), 1, set()) + ',\n  "states": '
     # the frame that _container_text(items, 0, "{}") puts around the items
     # "dims", "states" and the tail's, with the members at depth 2
-    head = '{\n  "dims": ' + _encode(list(table.dims), 1, set()) + ',\n  "states": '
     end = "".join(",\n  " + _key_text(k) + ": " + _encode(v, 1, set())
                   for k, v in tail.items()) + "\n}\n"
-    if not len(table.ids):
+    m, n = table.ids.shape
+    if not m:
         yield head + "[]" + end
         return
-    yield head + "["
-    lead = "\n    "
-    for member in members:
-        yield lead + member
-        lead = ",\n    "
+    if n:  # a factor's cell is the same text at every party below n - 1
+        cell = functools.cache(lambda f, last: _piece(factor_to_obj(f), last) + _SEP)
+        cells = [[cell(f, p == n - 1) for f in kept] for p, kept in enumerate(table.factors)]
+        ids, first = table.ids, _FIRST
+    else:  # a member with no factor is one cell
+        cells = [[_container_text(['"factors": []'], 2, "{}") + ",\n    "]]
+        ids, first = np.zeros((m, 1), dtype=np.intp), ""
+    yield head + "[\n    " + first
+    size = max(1, _WINDOW // sum(max(map(len, kept)) for kept in cells))  # members per block
+    for i in range(0, m, size):
+        block = "".join(map(list.__getitem__, itertools.cycle(cells),
+                            ids[i:i + size].ravel().tolist()))
+        yield block if i + size < m else block[:-len(",\n    " + first)]
     yield "\n  ]" + end
 
 
 def basis_pieces(basis: ProductBasis, circuit: Circuit | None = None):
-    """The basis file's text in pieces, one per member between a head and
-    a tail; they join to ``dumps(basis_to_obj(basis, circuit))``."""
+    """The basis file's text in pieces, blocks of members between a head
+    and a tail; they join to ``dumps(basis_to_obj(basis, circuit))``."""
     return _set_pieces(basis, {} if circuit is None else {"circuit": circuit_to_obj(circuit)})
 
 
@@ -470,34 +464,11 @@ _WINDOW = 1 << 16
 _MARGIN = 3
 _SPACE = re.compile(r"[ \t\n\r]*").match
 _scan_value = json.JSONDecoder().scan_once
-# a symbolic factor object as ``_set_pieces`` writes it, at indent depth 4:
-# no sign, leading zero, fraction or exponent, and 7 digits cover 2^22
-_RUN_FACTOR = (r'\{\n          "kind": "(?:cb|dft)",'
-               r'\n          "index": (?:0|[1-9][0-9]{0,6})\n        \}')
-_KIND_TO_INDEX = '",\n          "index": '
-# a run's factor keys in order: each factor's text from its kind to its index
-_run_keys = re.compile('"kind": "((?:cb|dft)%s[0-9]+)' % _KIND_TO_INDEX).findall
-
-
-def _run_match(n: int):
-    """The ``match`` of a run of members as ``_set_pieces`` writes them on
-    n parties with symbolic factors (a member at indent depth 2), each
-    followed by ",\n    " and the next member's "{"; it never matches with
-    no parties.  ``re`` keeps the compiled pattern for each n."""
-    member = (r'\{\n      "factors": \[\n        %s(?:,\n        %s){%d}\n      \]\n    \}'
-              % (_RUN_FACTOR, _RUN_FACTOR, n - 1))
-    return re.compile(r'(?:%s,\n    (?=\{))+' % member if n else "(?!)").match
-
-
-class _Run(list):
-    """The factor keys of a run of members, n per member in party order,
-    each the text that ``_run_keys`` gives; a type no JSON value has."""
 
 
 class _NotNlweLayout(Exception):
-    """The set file is not in the layout that the window reads (one object,
-    "dims" before "states", no key twice, valid JSON): like a fault in its
-    dims or members, this sends it to the tree reader."""
+    """The set file is not in the layout the window reads (one object, "dims"
+    before "states", no key twice, valid JSON): it goes to the tree reader."""
 
 
 class _Window:
@@ -555,33 +526,62 @@ class _Window:
                     return value
             self.more()
 
-    def members(self, run):
-        """The elements of the array whose "[" is at ``pos``, one at a time,
-        but each run of members that ``run`` matches at ``pos`` as one
-        ``_Run`` of their factor keys, and every other element as json's
-        scanner reads it.  The member after a run is read on to when it
-        does not close in the window, so a run stops at a window's end at
-        most once per window and json reads about one member per window."""
+    def members(self, table: _Table) -> None:
+        """Read the elements of the array whose "[" is at ``pos`` into ``table``:
+        runs of nlwe's own members by ``run``, any other by json's scanner."""
         self.expect("[")
         if self.char() == "]":
             self.pos += 1
             return
         while True:
-            match = run(self.text, self.pos)
-            if match:
-                yield _Run(_run_keys(self.text, self.pos, match.end()))
-                self.pos = match.end()
-                if not self.eof and self.text.find("\n    }", self.pos) < 0:
-                    self.more()
-                continue
-            yield self.value()
+            self.run(table)
+            table.add(self.value())
             if self.expect(",]") == "]":
                 return
 
+    def run(self, table: _Table) -> None:
+        """Read the members from ``pos`` on that are in nlwe's own text into
+        ``table``, up to the first that does not open with ``_FIRST``, holds
+        a piece ``table.piece`` refuses or ends the array.  Chunks start at a
+        member's first piece: the first holds any valid member (``span``),
+        so a member that does not read costs about one member, and each
+        after one read whole is twice as long, up to ``_WINDOW``."""
+        n = len(table.dims)
+        size = span = (n - 1) * _LONGEST[False] + _LONGEST[True]
+        while n:
+            while len(self.text) - self.pos < len(_FIRST) + span and not self.eof:
+                self.more()
+            if not self.text.startswith(_FIRST, self.pos):
+                return
+            start = self.pos + len(_FIRST)
+            pieces = self.pieces(start, start + size)
+            row = list(map(dict.get, itertools.cycle(table.seen), pieces))
+            whole = len(pieces) - len(pieces) % n  # the pieces of whole members
+            ended = not whole
+            i = 0
+            while not ended:  # a piece new at its party
+                try:
+                    i = row.index(None, i)
+                except ValueError:
+                    break
+                row[i] = table.piece(i % n, pieces[i])
+                if row[i] is None:
+                    whole, ended = i - i % n, True
+            table.ids += row[:whole]
+            table.m += whole // n
+            self.pos += sum(map(len, pieces[:whole])) + whole * len(_SEP)
+            if ended:
+                return
+            size = max(span, min(2 * size, _WINDOW))
+
+    def pieces(self, start: int, stop: int) -> list:
+        """The pieces that a _SEP ends in ``text[start:stop]``, which starts at one."""
+        return self.text[start:stop].split(_SEP)[:-1]
+
     def set_file(self) -> dict:
-        """The file's one top-level object, its "states" array read into
-        the ``(factors, ids)`` that ``_table_from_obj`` gives on the "dims"
-        before it; a fault in the dims or the members raises."""
+        """The file's one top-level object, its "states" array read into the
+        ``_Table.result`` on the "dims" before it; a fault in the dims or the
+        members raises."""
         obj = {}
         c = self.expect("{")
         while c != "}":
@@ -592,8 +592,9 @@ class _Window:
             if key in obj or (key == "states" and "dims" not in obj):
                 raise _NotNlweLayout
             if key == "states":
-                dims = _dims(obj)
-                obj[key] = _table_from_obj(self.members(_run_match(len(dims))), dims)
+                table = _Table(_dims(obj))
+                self.members(table)
+                obj[key] = table.result()
             else:
                 obj[key] = self.value()
             c = self.expect(",}")
@@ -603,11 +604,10 @@ class _Window:
 
 
 def _read_set(path: str, upb: bool):
-    """A basis or UPB file's set: streamed through the window if the file
-    is in nlwe's layout (every file nlwe writes, and any ``sort_keys`` copy
-    of one) and the window meets no fault in it; else read whole, from its
-    start, by ``loads`` and the tree readers, which give its set or its
-    fault."""
+    """A basis or UPB file's set: streamed through the window if the file is
+    in nlwe's layout (any ``sort_keys`` copy, too) and the window meets no
+    fault in it; else read whole by ``loads`` and the tree readers, which
+    give its set or its fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.seekable():
@@ -629,17 +629,13 @@ def _read_set(path: str, upb: bool):
 def read_basis(path: str) -> tuple[ProductBasis, Circuit | None]:
     """The basis and embedded circuit (or None) of the basis file at
     ``path``, or its fault, as ``basis_from_obj`` of ``load_file`` gives
-    them: a fault-free file in nlwe's layout is read through a
-    ``_WINDOW``-character window into the id table, and any other file
-    (one with a fault, too) is read whole by the tree reader (see
-    ``_read_set``)."""
+    them (see ``_read_set``)."""
     return _read_set(path, upb=False)
 
 
 def read_upb(path: str) -> Upb:
     """The UPB of the UPB file at ``path``, or its fault, as
-    ``upb_from_obj`` of ``load_file`` gives it, read as ``read_basis``
-    reads."""
+    ``upb_from_obj`` of ``load_file`` gives it (see ``_read_set``)."""
     return _read_set(path, upb=True)
 
 

@@ -204,13 +204,17 @@ class LocalFactors:
         if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"
                 and ids.ndim == 2 and ids.shape[1] == n):
             raise DimensionMismatchError(f"ids must be an m x {n} integer array")
-        low, high = (ids.min(axis=0).tolist(), ids.max(axis=0).tolist()) if len(ids) else ((), ())
-        for p, (kept, lo, hi) in enumerate(zip(self.factors, low, high)):
-            if lo < 0 or hi >= len(kept):
-                raise ContractViolationError(
-                    f"id {lo if lo < 0 else hi} at party {p} names none of its "
-                    f"{len(kept)} factors"
-                )
+        # whole-table reductions, with no table-sized temporary: numpy reduces
+        # a narrow table along axis 0 slowly, so each party's range is taken
+        # only when some id is negative or reaches the shortest factor list
+        if ids.size and (ids.min() < 0 or ids.max() >= min(map(len, self.factors))):
+            for p, (kept, lo, hi) in enumerate(zip(self.factors, ids.min(axis=0).tolist(),
+                                                   ids.max(axis=0).tolist())):
+                if lo < 0 or hi >= len(kept):
+                    raise ContractViolationError(
+                        f"id {lo if lo < 0 else hi} at party {p} names none of its "
+                        f"{len(kept)} factors"
+                    )
         kinds, masks = [], []
         for p, (kept, d) in enumerate(zip(self.factors, self.dims)):
             kind = bytearray()

@@ -1451,23 +1451,35 @@ class TestSharedLoader:
         assert type(other["index"]) is not int
 
 
+def _assert_member_blocks(pieces, window, m):
+    """The blocks between the head and the tail hold the ``m`` members,
+    each one member or at most ``window`` characters of them; a member's
+    text closes with its one "\\n    }"."""
+    blocks = pieces[1:-1]
+    counts = [block.count("\n    }") for block in blocks]
+    assert sum(counts) == m
+    assert all(count == 1 or len(block) <= window for block, count in zip(blocks, counts))
+
+
 class TestStreamedWriter:
-    """``basis_pieces`` and ``upb_pieces`` give the file as a head, one
-    piece per member and a tail, which join to the reference text."""
+    """``basis_pieces`` and ``upb_pieces`` give the file as a head, blocks
+    of whole members and a tail, which join to the reference text."""
 
     @settings(max_examples=100, deadline=None)
     @given(product_tables(), st.data())
     def test_pieces_join_to_the_reference(self, table, data):
+        window = data.draw(st.sampled_from([1, 300, 2000, serialize._WINDOW]))
         circuit = data.draw(st.none() | circuits_on(table.dims))
         basis = ProductBasis(table.dims, table.factors, table.ids)
-        pieces = list(serialize.basis_pieces(basis, circuit))
-        assert len(pieces) == len(table) + 2
-        assert "".join(pieces) == reference_dumps(serialize.basis_to_obj(basis, circuit))
         upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
                               stopper_index=data.draw(st.integers(0, len(table) - 1)))
-        pieces = list(serialize.upb_pieces(upb))
-        assert len(pieces) == len(table) + 2
-        assert "".join(pieces) == reference_dumps(serialize.upb_to_obj(upb))
+        with mock.patch.object(serialize, "_WINDOW", window):
+            for pieces, obj in ((serialize.basis_pieces(basis, circuit),
+                                 serialize.basis_to_obj(basis, circuit)),
+                                (serialize.upb_pieces(upb), serialize.upb_to_obj(upb))):
+                pieces = list(pieces)
+                assert "".join(pieces) == reference_dumps(obj)
+                _assert_member_blocks(pieces, window, len(table))
 
     @pytest.mark.parametrize("with_circuit", [False, True])
     @pytest.mark.parametrize("dims, m", [((), 0), ((), 2), ((2, 3), 0)])
@@ -1475,10 +1487,19 @@ class TestStreamedWriter:
         basis = ProductBasis(dims, [[] for _ in dims], np.zeros((m, len(dims)), dtype=np.intp))
         circuit = Circuit(dims, []) if with_circuit else None
         pieces = list(serialize.basis_pieces(basis, circuit))
-        assert len(pieces) == (m + 2 if m else 1)
+        assert len(pieces) == (3 if m else 1)
         assert "".join(pieces) == reference_dumps(serialize.basis_to_obj(basis, circuit))
+        if m:
+            _assert_member_blocks(pieces, serialize._WINDOW, m)
         upb = SimpleNamespace(dims=dims, factors=basis.factors, ids=basis.ids, stopper_index=0)
         assert "".join(serialize.upb_pieces(upb)) == reference_dumps(serialize.upb_to_obj(upb))
+
+    def test_blocks_of_the_big_basis_hold_about_a_window(self):
+        # 1 024 members, about 190 kB: its bytes are pinned in GENERATE_SHA256
+        basis = generate_basis(preset_circuit("canonical:n=5,d=4"))
+        pieces = list(serialize.basis_pieces(basis))
+        _assert_member_blocks(pieces, serialize._WINDOW, len(basis))
+        assert len(pieces) > 3
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--preset", "shift"],
@@ -1679,17 +1700,21 @@ def _mutated_text(case):
     """The written basis file of canonical (5,4) with its middle member
     (of 1 024, about 190 kB into the file) edited by ``RUN_MUTATIONS[case]``."""
     what, edit = RUN_MUTATIONS[case]
-    pieces = list(serialize.basis_pieces(generate_basis(preset_circuit("canonical:n=5,d=4"))))
-    middle = 1 + (len(pieces) - 2) // 2
-    member = pieces[middle]
+    text = basis_text(generate_basis(preset_circuit("canonical:n=5,d=4")))
+    # each member opens with "\n    {" after the "[" or the comma before it
+    starts = [m.start() + 1 for m in re.finditer(r"\n    \{", text)]
+    assert len(starts) == 1024
+    start = starts[len(starts) // 2]
+    end = text.index("\n    }", start) + 6
+    member = text[start:end]
     if what == "member":
-        pieces[middle] = edit(member)
+        edited = edit(member)
     else:
-        start = member.index("[\n        ") + 10
-        end = member.index("\n        }", start) + 10
-        pieces[middle] = member[:start] + edit(member[start:end]) + member[end:]
-    assert pieces[middle] != member
-    return "".join(pieces)
+        first = member.index("[\n        ") + 10
+        last = member.index("\n        }", first) + 10
+        edited = member[:first] + edit(member[first:last]) + member[last:]
+    assert edited != member
+    return text[:start] + edited + text[end:]
 
 
 _ITEM_SEPS = [",", ", ", " ,\n", "\r\n,\t"]
@@ -1934,17 +1959,13 @@ class TestSetReader:
         assert len(scanned) == 1
 
     def test_runs_read_the_written_big_basis(self, big_basis):
-        # at least 99 % of the (6,5) basis's 93 750 factors
-        counted, run_keys = [], serialize._run_keys
-
-        def keys(*args):
-            found = run_keys(*args)
-            counted.append(len(found))
-            return found
-
-        with mock.patch.object(serialize, "_run_keys", keys):
+        # at least 99 % of the (6,5) basis's 93 750 factors: every factor
+        # that json's scanner does not read
+        scan, scanned = _scanned_members()
+        with mock.patch.object(serialize, "_scan_value", scan):
             basis, _ = serialize.read_basis(str(big_basis))
-        assert sum(counted) >= 0.99 * basis.ids.size
+        by_json = sum(len(member["factors"]) for member in scanned)
+        assert basis.ids.size - by_json >= 0.99 * basis.ids.size
 
     @pytest.mark.parametrize("layout", ["written", "sort-keys", "compact"])
     def test_read_basis_peaks_below_half_the_file_size(self, big_basis, layout, tmp_path):
@@ -1960,6 +1981,79 @@ class TestSetReader:
         (basis, _), peak = _traced_peak(lambda: serialize.read_basis(str(path)))
         assert len(basis) == 15625
         assert peak <= 0.5 * big_basis.stat().st_size
+
+
+class TestRunPieces:
+    """A run's one check: a piece is read only where it equals the
+    writer's own piece for the CB or DFT factor it names at its party, and
+    a member that does not read costs the window about one member."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["cb", "dft"]), st.integers(0, 10**7 - 1), st.booleans(), st.data())
+    def test_written_pieces_read_and_edited_ones_do_not(self, kind, index, last, data):
+        piece = serialize._piece({"kind": kind, "index": index}, last)
+        key = serialize._piece_key
+        assert key(piece, last) == (kind, index)
+        assert key(piece, not last) is None  # moved to another party position
+        other = {"cb": "dft", "dft": "cb"}[kind]
+        assert key(other + piece[len(kind):], last) == (other, index)
+        at = piece.index('"index": ') + 9
+        digits = str(index)
+        assert piece[at:at + len(digits) + 1] == digits + "\n"
+
+        def edited(text, start=at, stop=at):
+            return piece[:start] + text + piece[stop:]
+
+        for text in ["0", "-", "+", " "]:  # a leading zero, a sign, a space
+            assert key(edited(text), last) is None
+        # one digit more: past the seventh (or after a lone 0), the piece is refused
+        longer = key(edited(digits + "0", stop=at + len(digits)), last)
+        assert longer == (None if len(digits) == 7 or not index else (kind, 10 * index))
+        assert key(serialize._piece({"kind": kind, "index": 10**7 + index}, last), last) is None
+        # a space anywhere
+        j = data.draw(st.integers(0, len(piece)))
+        assert key(piece[:j] + " " + piece[j:], last) is None
+        # a digit changed: read as the index it now names, unless it now has a leading zero
+        j = data.draw(st.integers(0, len(digits) - 1))
+        digit = data.draw(st.sampled_from("0123456789").filter(lambda c: c != digits[j]))
+        changed = digits[:j] + digit + digits[j + 1:]
+        expected = None if changed[0] == "0" and len(changed) > 1 else (kind, int(changed))
+        assert key(edited(changed, stop=at + len(digits)), last) == expected
+        # any one character replaced: read only as the factor that json
+        # reads of the edited factor object
+        j = data.draw(st.integers(0, len(piece) - 1))
+        char = data.draw(st.sampled_from('0123456789 -+.e"{},:\n\tabcdfkn'))
+        text = piece[:j] + char + piece[j + 1:]
+        got = key(text, last)
+        if got is not None:
+            obj = json.loads("{" + serialize._SEP + text[:text.index("}") + 1])
+            assert (obj["kind"], obj["index"]) == got
+            assert text == serialize._piece(obj, last)
+
+    def test_a_member_that_does_not_read_costs_about_one_member(self, tmp_path):
+        # 2 000 members on (2, 2), every other one with a Dense factor:
+        # each run reads one member and stops at the next, and json's
+        # scanner reads that one, so the window splits little more than
+        # the file once
+        dense = Dense(np.array([0.6, 0.8]))
+        table = ProductBasis((2, 2), [[dense, CB(0)], [CB(0), CB(1)]],
+                             np.array([[0, 0], [1, 1]] * 1000, dtype=np.intp))
+        text = basis_text(table)
+        path = tmp_path / "basis.json"
+        path.write_text(text)
+        split = []
+
+        def pieces(window, start, stop):
+            split.append(min(stop, len(window.text)) - start)
+            return window.text[start:stop].split(serialize._SEP)[:-1]
+
+        scan, scanned = _scanned_members()
+        with mock.patch.object(serialize._Window, "pieces", autospec=True, side_effect=pieces), \
+                mock.patch.object(serialize, "_scan_value", scan):
+            basis, _ = serialize.read_basis(str(path))
+        assert basis.ids.tolist() == table.ids.tolist()
+        assert len(scanned) == 1001  # the members with a Dense factor, and the last
+        assert sum(split) <= 2 * len(text)
 
 
 DEPTH = 100_000
