@@ -14,33 +14,47 @@ the singled party is a computational or dual-basis ket (see
 Gram deviation.  Its Gram matrix is formed from arrays (``_cut_gram``): the
 singled party's local overlap table times the Gram matrix of the D rest
 vectors, entry by entry.  Members are rendered from the UPB's id table
-(``LocalFactors.dense``): whole for the mixture and the annihilation
-check, at the other parties for the completion's rest vectors.
+(``LocalFactors.dense``): whole for the exported mixture, at the other
+parties for the completion's rest vectors.
 
-Each matrix is diagonalised once: ``DensityMatrix`` keeps the spectrum of
-rho that its positivity gate computed, ``state_rank`` reads it, and
-``ppt_report`` diagonalises each partial transpose.
+The state's rows are certified from the set's Gram extremes, with no
+spectrum and no D x D array (``DensityMatrix``).  For m members in
+dimension D, rho = (I - P)/(D - m) with P the sum of the members'
+projectors.  Take delta_d = max_i |G_ii - 1| and delta_o =
+max_{i != j} |G_ij| for the members' Gram matrix G
+(``LocalFactors.gram_extremes``, one walk over the members' trie) and
+eps = delta_d + (m - 1) delta_o, Gershgorin's bound on |lambda - 1| for
+every eigenvalue lambda of G.  P has G's nonzero eigenvalues, so rho has
+m eigenvalues (1 - lambda)/(D - m), each within ``spread`` = eps/(D - m)
+of 0, and D - m eigenvalues 1/(D - m), on the complement of the members'
+span.  Transposing the parties of a cut S maps each member's projector to
+the projector onto the member with its S factors conjugated, whose Gram
+matrix has G's entry moduli (Bennett et al.), so one eps bounds every
+cut: the partial transpose's least eigenvalue is at least -``spread``.
+Likewise |tr rho - 1| = |sum_i G_ii - m|/(D - m) <= m delta_d/(D - m),
+and <psi_k|rho|psi_k> = (G_kk - sum_i |G_ik|^2)/(D - m) is at most
+(delta_d (1 + delta_d) + (m - 1) delta_o^2)/(D - m) in modulus.  A row
+whose bound misses its tolerance fails as "not certified by the Gram
+bound", with the bound; it never passes or fails on its own.  The D x D
+mixture is formed only for export (``DensityMatrix.matrix``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import EIGENVALUE_SIGN_TOL, tolerance
 from .errors import ContractViolationError, UnsupportedShapeError
-from .linalg import (
-    hermitian_eigenvalues,
-    orthogonal_complement_basis,
-    partial_transpose,
-    require_dense_budget,
-)
+from .linalg import orthogonal_complement_basis, require_dense_budget
 from .report import VerificationReport, cut_label, party_label
 from .states import CB, DFT, LocalFactors
 from .upb import Upb, extendibility_search
 
+TRACE_TOL = 1e-10
 RANK_EIGENVALUE_THRESHOLD = 1e-8
 MEMBER_ANNIHILATION_TOL = 1e-12
 COMPLETION_GRAM_TOL = 1e-9
@@ -48,47 +62,63 @@ COMPLETION_GRAM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix tagged with the
-    tensor-factor dimensions.  Positivity is checked down to -1e-10; the
-    ascending spectrum computed for that check is kept as ``eigenvalues``.
-    A NaN or infinite entry is rejected first."""
+    """The uniform mixture (I - P)/(D - m) on the complement of the m
+    members of a product set, held as the set and its Gram extremes:
+    ``diagonal`` = max_i |G_ii - 1| and ``offdiagonal`` = max_{i != j}
+    |G_ij| (``LocalFactors.gram_extremes``).  A set of D or more members
+    has no complement (``ContractViolationError``).  ``matrix`` forms the
+    D x D array on first use, for export only."""
 
-    matrix: np.ndarray
-    dims: tuple
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    members: LocalFactors
+    diagonal: float = field(init=False)
+    offdiagonal: float = field(init=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
-        total = math.prod(dims)
-        if mat.shape != (total, total):
+        m, total = len(self.members), math.prod(self.dims)
+        if not m < total:
             raise ContractViolationError(
-                f"matrix shape {mat.shape} does not match dims {dims}"
+                f"{m} members leave no complement in dimension {total}"
             )
-        if not np.all(np.isfinite(mat)):
-            raise ContractViolationError("matrix has a non-finite entry")
-        herm = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if not herm <= 1e-12:
-            raise ContractViolationError(f"matrix not Hermitian within 1e-12 ({herm:.3e})")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= 1e-10:
-            raise ContractViolationError(f"trace {tr} deviates from 1 beyond 1e-10")
-        evals = hermitian_eigenvalues(mat)
-        object.__setattr__(self, "eigenvalues", evals)
-        low = float(evals[0])
-        if not low >= -EIGENVALUE_SIGN_TOL:
-            raise ContractViolationError(
-                f"matrix has a negative eigenvalue ({low:.3e})"
-            )
+        diagonal, offdiagonal = self.members.gram_extremes()
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "offdiagonal", offdiagonal)
+
+    @property
+    def dims(self) -> tuple:
+        return self.members.dims
+
+    @property
+    def rest(self) -> int:
+        """D - m, the complement's dimension."""
+        return math.prod(self.dims) - len(self.members)
+
+    @property
+    def spread(self) -> float:
+        """eps/(D - m): every eigenvalue of rho, and of each partial
+        transpose, other than its D - m eigenvalues 1/(D - m) lies within
+        this of 0."""
+        return (self.diagonal + (len(self.members) - 1) * self.offdiagonal) / self.rest
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The D x D mixture, made Hermitian, from the members' rendering
+        (``LocalFactors.dense``); held to the dense budget."""
+        total = math.prod(self.dims)
+        require_dense_budget(total, total, "the complement mixture")
+        proj = np.zeros((total, total), dtype=complex)
+        for v in self.members.dense():
+            proj += np.outer(v, v.conj())
+        rho = (np.eye(total, dtype=complex) - proj) / self.rest
+        return (rho + rho.conj().T) / 2
 
 
 def be_state(upb: Upb) -> DensityMatrix:
     """Uniform mixture on the complement of a UPB.
 
     The input must actually be unextendible, otherwise the entanglement
-    conclusion would not follow and a contract error is raised.
+    conclusion would not follow and a contract error is raised.  A set
+    whose exported D x D mixture would exceed the dense budget is refused
+    first, before the search.
     """
     total = math.prod(upb.dims)
     require_dense_budget(total, total, "the complement mixture")
@@ -97,23 +127,51 @@ def be_state(upb: Upb) -> DensityMatrix:
         raise ContractViolationError(
             "input set is extendible; the complement mixture need not be entangled"
         )
-    m = len(upb)
-    proj = np.zeros((total, total), dtype=complex)
-    for v in upb.dense():
-        proj += np.outer(v, v.conj())
-    rho = (np.eye(total, dtype=complex) - proj) / (total - m)
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, upb.dims)
+    return DensityMatrix(upb)
 
 
-def state_rank(rho: DensityMatrix) -> int:
-    """Number of eigenvalues above ``RANK_EIGENVALUE_THRESHOLD``."""
-    return int(np.sum(rho.eigenvalues > RANK_EIGENVALUE_THRESHOLD))
+def state_rank(rho: DensityMatrix) -> int | None:
+    """The number of eigenvalues above ``RANK_EIGENVALUE_THRESHOLD``, D - m,
+    where the Gram bound proves it (``spread`` below the threshold, and
+    1/(D - m) above it); None where it does not."""
+    if rho.spread < RANK_EIGENVALUE_THRESHOLD < 1 / rho.rest:
+        return rho.rest
+    return None
 
 
-def member_annihilation(rho: DensityMatrix, upb: Upb) -> float:
-    """max_i <psi_i| rho |psi_i> over the UPB members (should vanish)."""
-    return max((abs(complex(v.conj() @ rho.matrix @ v)) for v in upb.dense()), default=0.0)
+def member_annihilation(rho: DensityMatrix) -> float:
+    """Bound on max_i |<psi_i| rho |psi_i>| over the members (it should
+    vanish): (delta_d (1 + delta_d) + (m - 1) delta_o^2)/(D - m)."""
+    m = len(rho.members)
+    return (rho.diagonal * (1 + rho.diagonal) + (m - 1) * rho.offdiagonal**2) / rho.rest
+
+
+def _bounded(report: VerificationReport, name: str, certified: bool, bound: float,
+             detail: str, residual: float | None) -> None:
+    """One row certified by a Gram bound: ``detail`` when it is, and
+    otherwise a failing row that names the bound."""
+    if not certified:
+        detail = f"not certified by the Gram bound, bound {bound:.3e}"
+    report.add(name, certified, residual=residual, detail=detail)
+
+
+def state_report(rho: DensityMatrix) -> VerificationReport:
+    """The trace, rank and annihilation rows, each from the Gram bound:
+    |tr rho - 1| <= m delta_d/(D - m) within ``TRACE_TOL``, the rank D - m
+    (``state_rank``) and ``member_annihilation`` within
+    ``MEMBER_ANNIHILATION_TOL``."""
+    report = VerificationReport()
+    trace = len(rho.members) * rho.diagonal / rho.rest
+    _bounded(report, "trace", trace <= TRACE_TOL, trace,
+             "Gram bound on the deviation of trace from 1", trace)
+    rank = state_rank(rho)
+    _bounded(report, "rank", rank is not None, rho.spread,
+             f"complement rank from the Gram bound (expected {rho.rest})",
+             None if rank is None else float(rank))
+    annihilation = member_annihilation(rho)
+    _bounded(report, "annihilation", annihilation <= MEMBER_ANNIHILATION_TOL, annihilation,
+             "Gram bound on max <psi|rho|psi> over members", annihilation)
+    return report
 
 
 def bipartitions(n: int):
@@ -126,22 +184,15 @@ def bipartitions(n: int):
 
 
 def ppt_report(rho: DensityMatrix) -> VerificationReport:
-    """Minimum partial-transpose eigenvalue for every bipartition.
-
-    Passes iff every cut's minimum eigenvalue is >= -EIGENVALUE_SIGN_TOL.
-    """
+    """A lower bound on the least partial-transpose eigenvalue for every
+    bipartition: -``spread``, the same on every cut.  A cut passes iff the
+    bound is >= -EIGENVALUE_SIGN_TOL."""
     n = len(rho.dims)
+    low = 0.0 - rho.spread  # 0.0 rather than -0.0 for an exact set
     report = VerificationReport()
     for subset in bipartitions(n):
-        pt = partial_transpose(rho.matrix, rho.dims, subset)
-        evals = hermitian_eigenvalues(pt)
-        low = float(evals[0])
-        report.add(
-            f"ppt[{cut_label(subset, n)}]",
-            low >= -EIGENVALUE_SIGN_TOL,
-            residual=low,
-            detail="min eigenvalue of the partial transpose",
-        )
+        _bounded(report, f"ppt[{cut_label(subset, n)}]", low >= -EIGENVALUE_SIGN_TOL, low,
+                 "Gram bound on the min eigenvalue of the partial transpose", low)
     return report
 
 

@@ -16,21 +16,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import serialize
-from .boundent import (
-    MEMBER_ANNIHILATION_TOL,
-    be_state,
-    member_annihilation,
-    ppt_report,
-    separability_report,
-    state_rank,
-)
+from .boundent import be_state, ppt_report, separability_report, state_report
 from .circuit import check_commutation, generate_basis, require_basis_size, validate_exclusivity
 from .config import tolerance
 from .ensembles import local_factor_census, preset_circuit
@@ -152,18 +142,7 @@ def cmd_upb(args) -> int:
 def cmd_bestate(args) -> int:
     upb = serialize.read_upb(args.infile)
     rho = be_state(upb)
-    report = VerificationReport()
-    total = math.prod(rho.dims)
-    trace_dev = abs(complex(np.trace(rho.matrix)) - 1.0)
-    report.add("trace", trace_dev <= 1e-10, residual=float(trace_dev),
-               detail="deviation of trace from 1")
-    rank = state_rank(rho)
-    expected_rank = total - len(upb)
-    report.add("rank", rank == expected_rank, residual=float(rank),
-               detail=f"complement rank (expected {expected_rank})")
-    annihilation = member_annihilation(rho, upb)
-    report.add("annihilation", annihilation <= MEMBER_ANNIHILATION_TOL,
-               residual=annihilation, detail="max <psi|rho|psi> over members")
+    report = state_report(rho)
     if args.ppt:
         report.merge(ppt_report(rho))
     if args.separability:

@@ -7,14 +7,17 @@ occupies the most significant tensor slot, i.e. ``kron_all([a, b])`` puts
 ``a`` on the slower-varying index.  The DFT uses the +i sign convention,
 so for qubits it coincides with the Hadamard.
 
-Every spectrum the library needs comes from ``hermitian_eigenvalues``, i.e.
-LAPACK through ``np.linalg.eigvalsh``.  ``jacobi_eigh`` is a pure-Python
-cyclic-Jacobi solver kept as the independent reference the tests compare
-against; no library code calls it.
+No command takes a spectrum: ``bestate`` certifies its rows from the
+set's Gram extremes (``boundent``).  ``hermitian_eigenvalues`` (LAPACK
+through ``np.linalg.eigvalsh``) and ``partial_transpose`` remain for the
+tests' dense references, and ``jacobi_eigh``, a pure-Python cyclic-Jacobi
+solver, as the independent reference for LAPACK; no library code calls
+them.
 
 Every rank, span and orthogonal complement is a view of one SVD of the
 unit-normalised inputs (``_svd``), which holds them as one stacked copy
-normalised in place.
+normalised in place (``unit_rows``); a caller that ranks many subsets of
+one stack normalises it once and passes the picked rows to ``unit_svd``.
 
 The arrays on whole spaces first pass their largest shape to
 ``require_dense_budget``: the complement mixture and the completed basis's
@@ -221,30 +224,43 @@ def partial_transpose(rho: np.ndarray, dims, subset) -> np.ndarray:
     return t.transpose(axes).reshape(total, total)
 
 
-def _svd(vectors, tol: float, dim: int | None = None) -> tuple[int, np.ndarray]:
-    """SVD of the nonzero inputs, each scaled to unit norm, stacked as rows.
-    Returns (rank, vh): the rank counts the singular values above ``tol``,
-    ``vh[:rank]`` spans the inputs and ``vh[rank:]`` their orthogonal
-    complement in C^dim.  An added input lowers no singular value (Cauchy
-    interlacing), so the rank is monotone in the inputs.  The inputs are
-    held as one stacked copy, normalised in place, so the caller's array is
-    never written.  The full vh is asked for only when there are fewer rows
-    than columns; otherwise the reduced one is already square, and a tall
-    stack forms no m x m U."""
+def unit_rows(vectors, dim: int | None = None) -> np.ndarray:
+    """The nonzero inputs stacked as rows, each scaled to unit norm, as one
+    new array (the caller's is never written); empty when no input is
+    nonzero.  Each row's norm is one 1-D norm: a norm along the axis sums
+    in another order and would move the last bits of the unit rows."""
     stack = np.array(vectors, dtype=complex)
-    if stack.size:
-        stack = stack.reshape(len(stack), dim or -1)
-        # one 1-D norm per row: a norm along the axis sums in another order
-        # and would move the last bits of the unit rows
-        norms = np.array([np.linalg.norm(row) for row in stack])
-        if not norms.all():
-            keep = norms != 0.0
-            stack, norms = stack[keep], norms[keep]
+    if not stack.size:
+        return stack
+    stack = stack.reshape(len(stack), dim or -1)
+    norms = np.array([np.linalg.norm(row) for row in stack])
+    if not norms.all():
+        keep = norms != 0.0
+        stack, norms = stack[keep], norms[keep]
+    stack /= norms[:, None]
+    return stack
+
+
+def unit_svd(rows: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """(rank, vh) of a nonempty stack of unit rows (``unit_rows``): the rank
+    counts the singular values above ``tol``, ``vh[:rank]`` spans the rows
+    and ``vh[rank:]`` their orthogonal complement.  An added row lowers no
+    singular value (Cauchy interlacing), so the rank is monotone in the
+    rows.  The full vh is asked for only when there are fewer rows than
+    columns; otherwise the reduced one is already square, and a tall stack
+    forms no m x m U.  The singular values are those of the full
+    decomposition: without U and V they can differ in the last bits."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    return int(np.count_nonzero(s > tol)), vh
+
+
+def _svd(vectors, tol: float, dim: int | None = None) -> tuple[int, np.ndarray]:
+    """``unit_svd`` of the inputs' ``unit_rows`` in C^dim; with no nonzero
+    input the rank is 0 and vh the identity."""
+    stack = unit_rows(vectors, dim)
     if not stack.size:
         return 0, np.eye(dim or 0, dtype=complex)
-    stack /= norms[:, None]
-    _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
-    return int(np.count_nonzero(s > tol)), vh
+    return unit_svd(stack, tol)
 
 
 def orthonormalize(vectors, tol: float | None = None) -> list[np.ndarray]:

@@ -17,10 +17,11 @@ it is found once per search and looked up at every later node.  A mask
 that holds only computational (CB) and dual-basis (DFT) kets (the table's
 ``masks``, which its construction checked to be distinct kets with
 indices in range) has its rank counted, with no SVD, where a bound proves
-the count (``_certified``); every other mask is ranked by
-``linalg.span_dimension``, which computes the singular values of the
-party's rendered factors.  A party is rendered only for such a mask, so
-a set whose ranks are all counted renders nothing.
+the count (``_certified``); every other mask is ranked by the singular
+values of the masked rows of the party's rendered factors, normalised once
+per search (``linalg.unit_rows``, ``linalg.unit_svd``).  A party is
+rendered only for such a mask, so a set whose ranks are all counted
+renders nothing.
 
 That rank never falls when factors are added, so whether the remaining
 members can be placed depends only on the masks, not on the next member
@@ -28,8 +29,10 @@ members can be placed depends only on the masks, not on the next member
 completion failed and skips a subtree that arrives at one, within
 ``linalg.DENSE_BYTES_BUDGET``; with the set full it records no more and
 stays exact, only slower.  While the set has room, the work is bounded
-by the members times the reachable mask tuples, not by n^m.  The first
-successful assignment is the lexicographically least.  Its product
+by the members times the reachable mask tuples, not by n^m.  A member
+whose failed placement left its party's mask as it was skips its later
+parties, which can only fail too (the dominance rule, see ``_search``).
+The first successful assignment is the lexicographically least.  Its product
 witness is a one-row set.  At a party whose assigned factors are all CB,
 all DFT or none, its factor is the lowest-index ket of that kind not
 assigned, exactly orthogonal to them; at any other party it is a
@@ -58,7 +61,7 @@ from .circuit import Circuit, images
 from .config import tolerance
 from .ensembles import canonical_gates
 from .errors import ConstructionError, ContractViolationError, PreconditionError
-from .linalg import orthogonal_complement_basis, span_dimension
+from .linalg import orthogonal_complement_basis
 from .report import VerificationReport, count_text
 from .states import CB, DFT, Dense, LocalFactors
 
@@ -241,16 +244,19 @@ def _certified(d: int, a: int, b: int, tol: float) -> bool:
     return a * b < d * (1 - tol * tol - _CERTIFIED_MARGIN) ** 2
 
 
-def _mask_rank(mask: int, table: LocalFactors, p: int, tol) -> int:
+def _mask_rank(mask: int, table: LocalFactors, p: int, tol, units: list) -> int:
     """Rank of party p's distinct factors in ``table`` named by ``mask``:
     the number of singular values above tol of their renderings in id
     order.  A mask of a CB and b DFT kets (``table.masks[p]``, distinct
     kets with indices in range) with a = 0 or b = 0 is orthonormal, rank
     a + b; with both nonzero its rank is min(d, a + b) where
     ``_certified`` proves it.  Any other mask, and every mask with a
-    ``Dense`` id, is ranked by ``span_dimension`` on the party's rendered
-    factors (``LocalFactors.rendered``); no counted mask renders it.  The
-    search calls this once per (party, mask) it has not seen."""
+    ``Dense`` id, is ranked by ``linalg.unit_svd`` on the masked rows of
+    the party's rendered factors (``LocalFactors.rendered``) at unit norm,
+    the very singular values ``span_dimension`` gives them; no counted
+    mask renders the party.  ``units`` has a slot per party for its unit
+    rows, None until they are made, so that a search normalises a party
+    once; the search calls this once per (party, mask) it has not seen."""
     cb, dft = table.masks[p]
     if not mask & ~(cb | dft):
         a = (mask & cb).bit_count()
@@ -260,7 +266,10 @@ def _mask_rank(mask: int, table: LocalFactors, p: int, tol) -> int:
         d = table.dims[p]
         if _certified(d, a, b, tol):
             return min(d, a + b)
-    return span_dimension([v for k, v in enumerate(table.rendered(p)) if mask >> k & 1], tol)
+    if units[p] is None:
+        units[p] = linalg.unit_rows(table.rendered(p))
+    picked = [k for k in range(mask.bit_length()) if mask >> k & 1]
+    return linalg.unit_svd(units[p][picked], tol)[0]
 
 
 def _search(factors: LocalFactors, tol):
@@ -300,6 +309,21 @@ def _search(factors: LocalFactors, tol):
     ``linalg.DENSE_BYTES_BUDGET`` (``_state_bytes`` each); once it is full
     no more are recorded and the search goes on without them.
 
+    The same condition gives a dominance rule.  Say member i sat at party
+    j with its factor already in masks[j], so that the placement changed no
+    mask, and the branch failed: (i + 1, M) failed, M the masks from which
+    member i was placed.  Placing member i at a later party j' > j leads to
+    (i + 1, M') with M' containing M (only party j' grows), and a success
+    from there would end at masks containing M; placing members i + 1..m-1
+    as it does from (i + 1, M) reaches masks inside those, a success from
+    (i + 1, M), which failed.  So every later party fails for member i: it
+    is popped past them at once, their (n - 1 - j) n^(m - i - 1)
+    completions counted as covered.  The test reads only masks[j] once it
+    is restored on backtrack (``masks[j] >> ids[i][j] & 1``).  Again only
+    failing subtrees are skipped, and the order, the witness and the
+    covered count stay those of the plain search; only ``nodes`` falls.
+    It holds with or without the failed-state set.
+
     The search runs on an explicit stack, so its depth (one level per
     member) is not bounded by the interpreter's recursion limit.
     """
@@ -308,6 +332,7 @@ def _search(factors: LocalFactors, tol):
     m = len(ids)
     n = len(dims)
     memo = [{} for _ in range(n)]
+    units = [None] * n  # each party's unit rows, for the masks an SVD ranks
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
     saved = []  # the mask each placement replaced, restored on backtrack
@@ -326,15 +351,22 @@ def _search(factors: LocalFactors, tol):
                 return None, covered, nodes
             if len(failed) < room:
                 failed.add(tuple(masks))
+            i -= 1
             j = assignment.pop()
             masks[j] = saved.pop()
-            j += 1
+            if masks[j] >> ids[i][j] & 1:
+                # the placement changed no mask, so every later party for
+                # member i fails too (the dominance rule): pop past them
+                covered += (n - 1 - j) * n ** (m - i - 1)
+                j = n
+            else:
+                j += 1
             continue
         nodes += 1
         grown = masks[j] | 1 << ids[i][j]
         rank = memo[j].get(grown)
         if rank is None:
-            rank = memo[j][grown] = _mask_rank(grown, factors, j, tol)
+            rank = memo[j][grown] = _mask_rank(grown, factors, j, tol, units)
         if rank >= dims[j]:
             # party j would be fully spanned: no product state can be
             # orthogonal there, so every completion of this branch fails

@@ -7,11 +7,20 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from nlwe.boundent import separability_completion
+from nlwe.boundent import RANK_EIGENVALUE_THRESHOLD, bipartitions, separability_completion
 from nlwe.circuit import Circuit, ControlDftGate, gate_unitary, generate_basis
-from nlwe.config import tolerance
-from nlwe.linalg import require_dense_budget, span_dimension
+from nlwe.config import EIGENVALUE_SIGN_TOL, tolerance
+from nlwe.ensembles import shift_circuit
+from nlwe.errors import ContractViolationError
+from nlwe.linalg import (
+    hermitian_eigenvalues,
+    partial_transpose,
+    require_dense_budget,
+    span_dimension,
+)
+from nlwe.report import cut_label
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductState, factor_dense
+from nlwe.upb import extract_upb
 
 
 def ket(index, d):
@@ -81,6 +90,62 @@ def local_factors(states, dims):
         [factor_dense(s.factors[j], dims[j]) for j in range(len(dims))]
         for s in states
     ]
+
+
+def shift_upb():
+    """The SHIFT extraction with every excluded index 0: four members on
+    three qubits, unextendible."""
+    return extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
+
+
+def tiles():
+    """Tiles on two qutrits (Bennett et al., PRL 82, 5385 (1999)): four
+    members with the dense factors (|0> - |1>)/sqrt(2) and (|1> - |2>)/sqrt(2),
+    and the stopper F|0> (x) F|0>.  It is unextendible."""
+    a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
+    b = Dense(np.array([0.0, 1.0, -1.0]) / np.sqrt(2))
+    factors = [[CB(0), a, CB(2), b, DFT(0)], [a, CB(2), b, CB(0), DFT(0)]]
+    return LocalFactors((3, 3), factors, np.repeat(np.arange(5), 2).reshape(5, 2))
+
+
+def product_set(left, right):
+    """The members s (x) t of two product sets, s-major, as one id table:
+    each side keeps its parties' distinct factors, and row (i, k) is left's
+    row i followed by right's row k."""
+    ids = np.hstack([np.repeat(left.ids, len(right), axis=0), np.tile(right.ids, (len(left), 1))])
+    return LocalFactors(left.dims + right.dims, list(left.factors) + list(right.factors), ids)
+
+
+def without(table, drop):
+    """The set with member ``drop`` left out, each party's factors
+    renumbered in first-seen order, as a file of those members reads."""
+    ids = np.delete(table.ids, drop, axis=0)
+    factors = []
+    for p, kept in enumerate(table.factors):
+        first = {k: x for x, k in enumerate(dict.fromkeys(ids[:, p].tolist()))}
+        factors.append([kept[k] for k in first])
+        ids[:, p] = [first[k] for k in ids[:, p].tolist()]
+    return LocalFactors(table.dims, factors, ids)
+
+
+def shift_times_cb(d):
+    """SHIFT (x) {|0>, ..., |d-1>}, members SHIFT-major."""
+    basis = LocalFactors((d,), [[CB(k) for k in range(d)]], np.arange(d).reshape(d, 1))
+    return product_set(shift_upb(), basis)
+
+
+def shift_times_shift():
+    return product_set(shift_upb(), shift_upb())
+
+
+def shift_cubed():
+    """SHIFT (x) SHIFT (x) SHIFT: 64 members on nine qubits, unextendible."""
+    return product_set(shift_times_shift(), shift_upb())
+
+
+def tiles_cubed():
+    """Tiles (x) Tiles (x) Tiles: 125 members on six qutrits, unextendible."""
+    return product_set(product_set(tiles(), tiles()), tiles())
 
 
 def brute_force_extendible(states, dims, tol=1e-9):
@@ -212,15 +277,18 @@ def residual_search(states, dims, tol=1e-9):
     return dfs(0), covered, nodes
 
 
-def member_search(factors, tol=1e-9):
+def member_search(factors, tol=1e-9, dominance=False):
     """Reference decider: the library's member->party search as it was
     before it remembered failed states, on the same ``LocalFactors`` table.
 
     Members in listed order, parties ascending; party masks of interned
     factor ids with memoised ``span_dimension`` ranks; a placement is pruned
     when its party's rank would reach d_j.  Every subtree is walked, so its
-    node count is that of ``residual_search``.  Returns (witness assignment
-    or None, assignments covered, nodes visited).
+    node count is that of ``residual_search``.  With ``dominance``, a member
+    whose failed placement added no new factor to its party's mask skips
+    its later parties, their completions counted as covered (the library's
+    dominance rule, read here from a flag kept per placement).  Returns
+    (witness assignment or None, assignments covered, nodes visited).
     """
     dims = factors.dims
     ids = factors.ids.tolist()
@@ -230,6 +298,7 @@ def member_search(factors, tol=1e-9):
     masks = [0] * n
     assignment = []  # party chosen for each member placed so far
     saved = []  # the mask each placement replaced, restored on backtrack
+    same = []  # whether each placement left its party's mask as it was
     covered = 0
     nodes = 0
     j = 0  # next party to try for member len(assignment)
@@ -243,7 +312,11 @@ def member_search(factors, tol=1e-9):
                 return None, covered, nodes
             j = assignment.pop()
             masks[j] = saved.pop()
-            j += 1
+            if same.pop() and dominance:
+                covered += (n - 1 - j) * n ** (m - i)
+                j = n
+            else:
+                j += 1
             continue
         nodes += 1
         grown = masks[j] | 1 << ids[i][j]
@@ -258,6 +331,7 @@ def member_search(factors, tol=1e-9):
             j += 1
             continue
         saved.append(masks[j])
+        same.append(grown == masks[j])
         masks[j] = grown
         assignment.append(j)
         j = 0
@@ -296,6 +370,87 @@ def min_total_overlap(states, dims, restarts=20, iters=200, seed=7):
             val = low
         best = min(best, val)
     return float(best)
+
+
+class DenseDensity:
+    """Dense reference for ``boundent.DensityMatrix``: a D x D matrix checked
+    as a density matrix (finite, Hermitian within 1e-12, trace 1 within
+    1e-10, no eigenvalue below -1e-10), with its ascending LAPACK spectrum
+    kept as ``eigenvalues``."""
+
+    def __init__(self, matrix, dims):
+        mat = np.asarray(matrix, dtype=complex)
+        self.matrix, self.dims = mat, tuple(int(d) for d in dims)
+        total = math.prod(self.dims)
+        if mat.shape != (total, total):
+            raise ContractViolationError(f"matrix shape {mat.shape} does not match dims {dims}")
+        if not np.all(np.isfinite(mat)):
+            raise ContractViolationError("matrix has a non-finite entry")
+        if not float(np.max(np.abs(mat - mat.conj().T), initial=0.0)) <= 1e-12:
+            raise ContractViolationError("matrix not Hermitian within 1e-12")
+        if not abs(complex(np.trace(mat)) - 1.0) <= 1e-10:
+            raise ContractViolationError("trace deviates from 1 beyond 1e-10")
+        self.eigenvalues = hermitian_eigenvalues(mat)
+        if not float(self.eigenvalues[0]) >= -EIGENVALUE_SIGN_TOL:
+            raise ContractViolationError("matrix has a negative eigenvalue")
+
+
+def complement_mixture(members):
+    """The uniform mixture on the complement of a product set, summed over
+    the members' dense product states, with no unextendibility gate."""
+    total = math.prod(members.dims)
+    proj = np.zeros((total, total), dtype=complex)
+    for state in members.states:
+        v = state.dense()
+        proj += np.outer(v, v.conj())
+    rho = (np.eye(total) - proj) / (total - len(members))
+    return DenseDensity((rho + rho.conj().T) / 2, members.dims)
+
+
+def dense_rank(rho):
+    """Eigenvalues above ``RANK_EIGENVALUE_THRESHOLD`` in the kept spectrum."""
+    return int(np.sum(rho.eigenvalues > RANK_EIGENVALUE_THRESHOLD))
+
+
+def dense_annihilation(rho, members):
+    """max_i |<psi_i| rho |psi_i>| over the members' dense product states."""
+    return max((abs(complex(s.dense().conj() @ rho.matrix @ s.dense())) for s in members.states),
+               default=0.0)
+
+
+def dense_ppt_minima(rho):
+    """The least eigenvalue of the partial transpose on every bipartition,
+    by cut label, each from LAPACK."""
+    n = len(rho.dims)
+    return {
+        cut_label(subset, n):
+            float(hermitian_eigenvalues(partial_transpose(rho.matrix, rho.dims, subset))[0])
+        for subset in bipartitions(n)
+    }
+
+
+@st.composite
+def orthonormal_product_sets(draw):
+    """A proper subset of an orthonormal product basis on 2-3 parties of
+    dimension 2-3, as a ``LocalFactors`` table.  Each branch of the
+    basis's tree (the members agreeing on the parties before p) takes its
+    own local basis at party p: the computational basis, the dual basis or
+    a random unitary's columns (``Dense``), so the members are orthogonal
+    within rounding only where dense factors meet."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [()]
+    for d in dims:
+        grown = []
+        for row in rows:
+            kind = draw(st.sampled_from(("cb", "dft", "dense", "dense")))
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            grown += [row + ({"cb": CB(k), "dft": DFT(k), "dense": Dense(q[:, k])}[kind],)
+                      for k in range(d)]
+        rows = grown
+    keep = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows) - 1,
+                         unique=True))
+    return LocalFactors.from_states([ProductState(rows[i], dims) for i in keep], dims)
 
 
 # I/4 spoiled by a NaN on the diagonal, a NaN off it, or an infinite pair

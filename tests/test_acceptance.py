@@ -13,13 +13,7 @@ import time
 
 import numpy as np
 
-from nlwe.boundent import (
-    DensityMatrix,
-    be_state,
-    member_annihilation,
-    ppt_report,
-    state_rank,
-)
+from nlwe.boundent import be_state, member_annihilation, ppt_report, state_rank, state_report
 from nlwe.circuit import Circuit, check_commutation, generate_basis, validate_exclusivity
 from nlwe.cli import main
 from nlwe.ensembles import (
@@ -37,9 +31,12 @@ from nlwe.states import CB, DFT, LocalFactors
 from nlwe.upb import extendibility_search, extract_upb, is_unextendible, minimal_size
 
 from helpers import (
+    DenseDensity,
     apply_dense,
     circuit_unitary,
+    complement_mixture,
     completion_states,
+    dense_ppt_minima,
     ket,
     kron_chain,
     random_gaussian_operator,
@@ -242,18 +239,22 @@ def test_criterion_7_bound_entangled_states():
     parts = []
     shift_upb = extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
     rho = be_state(shift_upb)
-    trace_dev = abs(complex(np.trace(rho.matrix)) - 1.0)
-    parts.append(("shift trace within 1e-10", trace_dev <= 1e-10, f"{trace_dev:.2e}"))
+    trace = state_report(rho).checks[0]
+    parts.append(("shift trace within 1e-10", trace.passed and trace.residual <= 1e-10,
+                  f"{trace.residual:.2e}"))
     parts.append(("shift rank D-m", state_rank(rho) == 4, str(state_rank(rho))))
-    ann = member_annihilation(rho, shift_upb)
+    ann = member_annihilation(rho)
     parts.append(("shift annihilation <= 1e-12", ann <= 1e-12, f"{ann:.2e}"))
     ppt = ppt_report(rho)
     low = min(c.residual for c in ppt.checks)
     parts.append(("shift PPT on all bipartitions", ppt.passed and low >= -1e-10, f"min {low:.2e}"))
+    dense = complement_mixture(shift_upb)
+    dense_low = min(dense_ppt_minima(dense).values())
+    parts.append(("shift Gram bound below the dense PPT minimum", low <= dense_low + 1e-12,
+                  f"bound {low:.2e}, LAPACK {dense_low:.2e}"))
 
     bell = (kron_chain(ket(0, 2), ket(0, 2)) + kron_chain(ket(1, 2), ket(1, 2))) / np.sqrt(2)
-    bell_rho = DensityMatrix(np.outer(bell, bell.conj()), (2, 2))
-    bell_min = ppt_report(bell_rho).checks[0].residual
+    bell_min = dense_ppt_minima(DenseDensity(np.outer(bell, bell.conj()), (2, 2)))["A|B"]
     parts.append(
         ("Bell projector min PT eigenvalue -0.5 +/- 1e-9",
          abs(bell_min - (-0.5)) <= 1e-9, f"{bell_min:.12f}")

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from nlwe import boundent
+from nlwe import boundent, serialize
 from nlwe.boundent import (
     DensityMatrix,
     be_state,
@@ -13,7 +15,9 @@ from nlwe.boundent import (
     separability_completion,
     separability_report,
     state_rank,
+    state_report,
 )
+from nlwe.cli import main
 from nlwe.ensembles import four_qutrit_circuit, preset_circuit, shift_circuit
 from nlwe.errors import ContractViolationError, TooLargeError, UnsupportedShapeError
 from nlwe.linalg import (
@@ -25,28 +29,43 @@ from nlwe.linalg import (
     span_dimension,
 )
 from nlwe.report import cut_label, party_label
-from nlwe.states import CB, Dense, ProductBasis, ProductState, check_factor, factor_dense
+from nlwe.states import (
+    CB,
+    Dense,
+    LocalFactors,
+    ProductBasis,
+    ProductState,
+    check_factor,
+    factor_dense,
+)
 from nlwe.upb import Upb, extract_upb
 
-from helpers import NON_FINITE_CASES, completion_states, ket, kron_chain, non_finite_matrix
+from helpers import (
+    NON_FINITE_CASES,
+    DenseDensity,
+    complement_mixture,
+    completion_states,
+    dense_annihilation,
+    dense_ppt_minima,
+    dense_rank,
+    ket,
+    kron_chain,
+    non_finite_matrix,
+    orthonormal_product_sets,
+    product_set,
+    shift_cubed,
+    shift_upb,
+    tiles,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
 
-def shift_upb():
-    return extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
-
-
-def complement_mixture(upb):
-    """Uniform mixture on the complement, built directly (no
-    unextendibility gate), for characterizing arbitrary orthogonal sets."""
-    total = math.prod(upb.dims)
-    proj = np.zeros((total, total), dtype=complex)
-    for s in upb.states:
-        v = s.dense()
-        proj += np.outer(v, v.conj())
-    rho = (np.eye(total) - proj) / (total - len(upb))
-    return DensityMatrix((rho + rho.conj().T) / 2, upb.dims)
+def write_upb(table, path, stopper_index=0):
+    """Write ``table`` as a UPB file."""
+    upb = Upb(table.dims, table.factors, table.ids, stopper_index=stopper_index)
+    path.write_text(json.dumps(serialize.upb_to_obj(upb)))
+    return path
 
 
 class TestBeState:
@@ -55,21 +74,23 @@ class TestBeState:
         rho = be_state(u)
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
         assert state_rank(rho) == 8 - 4
-        assert member_annihilation(rho, u) <= 1e-12
+        assert member_annihilation(rho) <= 1e-12
         # uniform coefficient 1/(D-m) on the complement
         evals = hermitian_eigenvalues(rho.matrix)
         assert np.allclose(evals[:4], 0.0, atol=1e-12)
         assert np.allclose(evals[4:], 0.25, atol=1e-12)
 
-    def test_rank_reads_the_kept_spectrum(self, monkeypatch):
+    def test_rows_form_no_matrix_and_no_spectrum(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a row rendered the members or took a spectrum")
+
+        monkeypatch.setattr("nlwe.states.LocalFactors.dense", refused)
+        monkeypatch.setattr("numpy.linalg.eigvalsh", refused)
+        monkeypatch.setattr("numpy.linalg.eigh", refused)
         rho = be_state(shift_upb())
-        assert np.array_equal(rho.eigenvalues, hermitian_eigenvalues(rho.matrix))
-
-        def second_spectrum(a):
-            raise AssertionError("rho diagonalised a second time")
-
-        monkeypatch.setattr("nlwe.boundent.hermitian_eigenvalues", second_spectrum)
+        assert state_report(rho).passed and ppt_report(rho).passed
         assert state_rank(rho) == 8 - 4
+        assert "matrix" not in vars(rho)
 
     def test_extendible_input_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -87,11 +108,27 @@ class TestBeState:
         u = extract_upb(four_qutrit_circuit())
         rho = complement_mixture(u)
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
-        assert state_rank(rho) == 81 - 9
-        assert member_annihilation(rho, u) <= 1e-12
-        report = ppt_report(rho)
-        assert len(report.checks) == 7
-        assert report.passed
+        assert dense_rank(rho) == 81 - 9
+        assert dense_annihilation(rho, u) <= 1e-12
+        minima = dense_ppt_minima(rho)
+        assert len(minima) == 7
+        assert min(minima.values()) >= -1e-10
+        # the Gram bound certifies the same rows on the set itself
+        bound = DensityMatrix(u)
+        assert state_rank(bound) == 81 - 9
+        assert state_report(bound).passed
+        assert [c.name for c in ppt_report(bound).checks] == [f"ppt[{cut}]" for cut in minima]
+        assert ppt_report(bound).passed
+
+    def test_shift_cubed_passes_every_row(self, tmp_path, capsys):
+        # 64 members on nine qubits, D = 512: 255 cuts, each certified by
+        # the one Gram bound, with no 512 x 512 spectrum
+        path = write_upb(shift_cubed(), tmp_path / "u.json")
+        assert main(["bestate", "--in", str(path), "--ppt"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3 + 255
+        assert all(row.split()[1] == "ok" for row in rows)
+        assert rows[1].split()[2] == f"{512 - 64:.3e}"
 
 
 @pytest.mark.parametrize("excluded", [None, {0: 0, 1: 0, 2: 0}], ids=["shift", "shift-all=0"])
@@ -110,11 +147,12 @@ class TestReadsTheTable:
         rho = (rho + rho.conj().T) / 2
         assert be_state(u).matrix.tobytes() == rho.tobytes()
 
-    def test_annihilation_is_the_max_over_member_states(self, excluded):
+    def test_annihilation_bounds_the_max_over_member_states(self, excluded):
         u = extract_upb(shift_circuit(), excluded)
         rho = be_state(u)
         walked = max(abs(complex(s.dense().conj() @ rho.matrix @ s.dense())) for s in u.states)
-        assert member_annihilation(rho, u) == walked
+        assert walked <= member_annihilation(rho) + 1e-15
+        assert member_annihilation(rho) <= 1e-15
 
     def test_completion_rests_are_the_kron_of_the_rest_factors(self, excluded):
         u = extract_upb(shift_circuit(), excluded)
@@ -144,20 +182,73 @@ class TestPptReport:
         for check in report.checks:
             assert check.residual >= -1e-10
 
-    def test_maximally_mixed(self):
-        rho = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
-        report = ppt_report(rho)
-        assert report.passed
-        for check in report.checks:
-            assert abs(check.residual - 1 / 8) < 1e-12
+    def test_every_cut_shares_one_bound(self):
+        rho = be_state(shift_upb())
+        (low,) = {c.residual for c in ppt_report(rho).checks}
+        assert low == 0.0 - rho.spread
+        eps = rho.diagonal + (len(rho.members) - 1) * rho.offdiagonal
+        assert rho.spread == eps / (8 - 4)
 
-    def test_bell_projector_is_npt(self):
-        bell = (kron_chain(ket(0, 2), ket(0, 2)) + kron_chain(ket(1, 2), ket(1, 2))) * SQ2
-        rho = DensityMatrix(np.outer(bell, bell.conj()), (2, 2))
+    @settings(max_examples=100, deadline=None)
+    @given(orthonormal_product_sets())
+    def test_gram_bound_against_the_dense_spectra(self, members):
+        # the bound lies below LAPACK's least eigenvalue of every partial
+        # transpose, and the rank, trace and annihilation rows agree with
+        # the dense mixture's to within rounding
+        rho = DensityMatrix(members)
+        dense = complement_mixture(members)
+        minima = dense_ppt_minima(dense)
         report = ppt_report(rho)
-        assert not report.passed
-        assert len(report.checks) == 1
-        assert abs(report.checks[0].residual - (-0.5)) <= 1e-9
+        assert [c.name for c in report.checks] == [f"ppt[{cut}]" for cut in minima]
+        for check, low in zip(report.checks, minima.values()):
+            assert check.passed
+            assert check.residual <= low + 1e-12
+        assert -rho.spread <= float(dense.eigenvalues[0]) + 1e-12
+        rows = {c.name: c for c in state_report(rho).checks}
+        assert all(c.passed for c in rows.values())
+        assert state_rank(rho) == dense_rank(dense) == rows["rank"].residual
+        trace = abs(complex(np.trace(dense.matrix)) - 1.0)
+        # the bounds scale the Gram rounding (below 1e-14 here) by m/(D - m)
+        rounding = 1e-14 * len(members) / rho.rest
+        assert trace <= rows["trace"].residual + 1e-14
+        assert rows["trace"].residual <= rounding
+        annihilation = dense_annihilation(dense, members)
+        assert annihilation <= rows["annihilation"].residual + 1e-14
+        assert rows["annihilation"].residual <= rounding
+
+    def test_overlap_at_the_gate_limit_is_not_certified(self, tmp_path, capsys):
+        # Tiles (x) {|0>,|1>,|2>} with party B's (|0> - |1>)/sqrt(2) turned
+        # towards |2>, so that member 0 overlaps member 1 by 0.99e-10, inside
+        # the Upb gate's 1e-10; the bound on every cut, (14 delta_o +
+        # delta_d)/12, is then above 1e-10, and each ppt row fails as not
+        # certified while the other rows pass
+        t = tiles()
+        s = 0.99e-10 * math.sqrt(2)
+        factors = [list(kept) for kept in t.factors]
+        factors[1][0] = Dense(np.array([1.0, -1.0, 0.0]) * (math.sqrt(1 - s * s) / math.sqrt(2))
+                              + np.array([0.0, 0.0, s]))
+        basis = LocalFactors((3,), [[CB(k) for k in range(3)]], np.arange(3).reshape(3, 1))
+        table = product_set(LocalFactors(t.dims, factors, t.ids), basis)
+        assert 0.9e-10 <= table.max_overlap() <= 1e-10
+        path = write_upb(table, tmp_path / "u.json", stopper_index=12)
+        assert main(["bestate", "--in", str(path), "--ppt"]) == 1
+        rows = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["ok"] * 3 + ["FAIL"] * 3
+        for name, _, residual, detail in rows[3:]:
+            assert name.startswith("ppt[")
+            assert detail == f"not certified by the Gram bound, bound {residual}"
+            assert -1.2e-10 < float(residual) < -1e-10
+
+    def test_maximally_mixed_reference(self):
+        rho = DenseDensity(np.eye(8) / 8, (2, 2, 2))
+        for low in dense_ppt_minima(rho).values():
+            assert abs(low - 1 / 8) < 1e-12
+
+    def test_bell_projector_is_npt_in_the_reference(self):
+        bell = (kron_chain(ket(0, 2), ket(0, 2)) + kron_chain(ket(1, 2), ket(1, 2))) * SQ2
+        minima = dense_ppt_minima(DenseDensity(np.outer(bell, bell.conj()), (2, 2)))
+        assert list(minima) == ["A|B"]
+        assert abs(minima["A|B"] - (-0.5)) <= 1e-9
 
     def test_partial_transpose_keeps_trace_and_hermiticity(self):
         rho = be_state(shift_upb())
@@ -168,20 +259,36 @@ class TestPptReport:
 
 
 class TestDensityMatrixContract:
+    def test_reads_the_sets_gram_extremes(self):
+        u = shift_upb()
+        rho = DensityMatrix(u)
+        assert (rho.diagonal, rho.offdiagonal) == u.gram_extremes()
+        assert rho.dims == u.dims and rho.rest == 4
+
+    def test_rejects_a_set_with_no_complement(self):
+        basis = LocalFactors((2,), [[CB(0), CB(1)]], np.arange(2).reshape(2, 1))
+        with pytest.raises(ContractViolationError, match="no complement"):
+            DensityMatrix(basis)
+
+
+class TestDenseReferenceContract:
+    """The dense reference the Gram bound is tested against checks its
+    matrix as a density matrix."""
+
     def test_rejects_non_hermitian(self):
         bad = np.eye(4, dtype=complex) / 4
         bad[0, 1] = 0.1
         with pytest.raises(ContractViolationError):
-            DensityMatrix(bad, (2, 2))
+            DenseDensity(bad, (2, 2))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ContractViolationError):
-            DensityMatrix(np.eye(4, dtype=complex), (2, 2))
+            DenseDensity(np.eye(4, dtype=complex), (2, 2))
 
     def test_rejects_negative_eigenvalue(self):
         bad = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
         with pytest.raises(ContractViolationError):
-            DensityMatrix(bad, (2, 2))
+            DenseDensity(bad, (2, 2))
 
     @pytest.mark.parametrize("case", NON_FINITE_CASES)
     def test_rejects_non_finite(self, case):
@@ -189,7 +296,7 @@ class TestDensityMatrixContract:
         # passes a positivity gate written as low < -tol; off the diagonal
         # LAPACK may ignore the entry or fail to converge
         with pytest.raises(ContractViolationError):
-            DensityMatrix(non_finite_matrix(case), (2, 2))
+            DenseDensity(non_finite_matrix(case), (2, 2))
 
 
 class TestSeparabilityCompletion:

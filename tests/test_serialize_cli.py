@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlwe import serialize
+from nlwe import boundent, serialize
 from nlwe.circuit import Circuit, ControlDftGate, generate_basis
 from nlwe.cli import _write_or_print, main
 from nlwe.errors import MalformedJsonError, NlweError
@@ -385,6 +385,25 @@ class TestPinnedOutput:
         upb.write_text(json.dumps(_bestate_input(name)))
         assert main(["bestate", "--in", str(upb), "--ppt", "--out", str(rho)]) == 0
         assert hashlib.sha256(rho.read_bytes()).hexdigest() == BESTATE_SHA256[name]
+
+    def test_bestate_takes_no_spectrum(self, tmp_path, monkeypatch):
+        # every row comes from the Gram bound: with the library's spectrum
+        # and partial transpose and numpy's Hermitian eigensolvers refusing,
+        # the reports still pass and the density file keeps its pinned bytes
+        def refused(*args, **kwargs):
+            raise AssertionError("bestate took a spectrum or a partial transpose")
+
+        for name in ("nlwe.linalg.hermitian_eigenvalues", "nlwe.linalg.partial_transpose",
+                     "numpy.linalg.eigvalsh", "numpy.linalg.eigh"):
+            monkeypatch.setattr(name, refused)
+        assert not hasattr(boundent, "hermitian_eigenvalues")
+        assert not hasattr(boundent, "partial_transpose")
+        upb = tmp_path / "upb.json"
+        rho = tmp_path / "rho.json"
+        upb.write_text(json.dumps(_bestate_input("shift")))
+        assert main(["bestate", "--in", str(upb), "--ppt", "--separability",
+                     "--out", str(rho)]) == 0
+        assert hashlib.sha256(rho.read_bytes()).hexdigest() == BESTATE_SHA256["shift"]
 
     @pytest.mark.parametrize("preset", sorted(UPB_CHECK_SHA256))
     def test_upb_check(self, preset, tmp_path, capsys):

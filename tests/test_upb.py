@@ -40,42 +40,18 @@ from helpers import (
     kron_chain,
     member_search,
     min_total_overlap,
+    product_set,
     product_tables,
     residual_search,
+    shift_cubed,
+    shift_times_cb,
+    shift_times_shift,
+    shift_upb,
     symbolic_key,
+    tiles,
+    tiles_cubed,
+    without,
 )
-
-
-def shift_upb():
-    return extract_upb(shift_circuit(), {0: 0, 1: 0, 2: 0})
-
-
-def product_set(left, right):
-    """The set of members s (x) t, s-major, of two product sets."""
-    dims = left.dims + right.dims
-    return LocalFactors.from_states(
-        [ProductState(s.factors + t.factors, dims) for s in left.states for t in right.states],
-        dims,
-    )
-
-
-def without(table, drop):
-    """The set with member ``drop`` left out."""
-    return LocalFactors.from_states(table.states[:drop] + table.states[drop + 1:], table.dims)
-
-
-def shift_times_cb(d):
-    """SHIFT (x) {|0>, ..., |d-1>}, members SHIFT-major."""
-    basis = LocalFactors.from_states([ProductState((CB(k),), (d,)) for k in range(d)], (d,))
-    return product_set(shift_upb(), basis)
-
-
-def shift_times_shift():
-    return product_set(shift_upb(), shift_upb())
-
-
-def shift_cubed():
-    return product_set(shift_times_shift(), shift_upb())
 
 
 def assert_witness(res, table):
@@ -85,16 +61,6 @@ def assert_witness(res, table):
     assert abs(np.vdot(w, w) - 1) <= 1e-9
     for member in table.dense():
         assert abs(np.vdot(member, w)) <= 1e-9
-
-
-def tiles():
-    """Tiles on two qutrits (Bennett et al., PRL 82, 5385 (1999)): four
-    members with the dense factors (|0> - |1>)/sqrt(2) and (|1> - |2>)/sqrt(2),
-    and the stopper F|0> (x) F|0>.  It is unextendible."""
-    a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
-    b = Dense(np.array([0.0, 1.0, -1.0]) / np.sqrt(2))
-    rows = [(CB(0), a), (a, CB(2)), (CB(2), b), (b, CB(0)), (DFT(0), DFT(0))]
-    return LocalFactors.from_states([ProductState(r, (3, 3)) for r in rows], (3, 3))
 
 
 def mixed_witness_set():
@@ -291,20 +257,23 @@ class TestUnextendibility:
 
     def test_shift_times_qutrit_basis_counts(self):
         # SHIFT (x) {|0>,|1>,|2>}, members x-major: unextendible; the
-        # reference walks a tree of 20 040 nodes, the search skips the
-        # subtrees whose party masks it has seen fail and walks 828
+        # reference walks a tree of 20 040 nodes, 4 000 with the dominance
+        # rule alone; the search also skips the subtrees whose party masks
+        # it has seen fail and walks 392 (828 without the dominance rule)
         table = shift_times_cb(3)
         res = extendibility_search(table)
         assert not res.extendible
-        assert res.nodes_visited == 828
+        assert res.nodes_visited == 392
         assert res.assignments_covered == 4**12
         assert member_search(table) == (None, 4**12, 20_040)
+        assert member_search(table, dominance=True) == (None, 4**12, 4_000)
 
     def test_shift_times_shift_unextendible(self):
-        # 16 members on six qubits: the reference walks 2 596 074 nodes
+        # 16 members on six qubits: the reference walks 2 596 074 nodes,
+        # the search 2 621 (11 148 without the dominance rule)
         res = extendibility_search(shift_times_shift())
         assert not res.extendible
-        assert res.nodes_visited == 11_148
+        assert res.nodes_visited == 2_621
         assert res.assignments_covered == 6**16
 
     @pytest.mark.parametrize("drop", range(16))
@@ -317,10 +286,12 @@ class TestUnextendibility:
 
     def test_shift_cubed_unextendible(self):
         # 64 members on nine qubits: skipping every arrival at party masks
-        # that failed for any member, the search walks 1 173 456 nodes
+        # that failed for any member, and every later party of a member
+        # that failed where it grew no mask, the search walks 106 485 nodes
+        # (1 173 456 without the dominance rule)
         res = extendibility_search(shift_cubed())
         assert not res.extendible
-        assert res.nodes_visited == 1_173_456
+        assert res.nodes_visited == 106_485
         assert res.assignments_covered == 9**64
 
     @pytest.mark.parametrize("drop", [0, 32, 63])
@@ -331,6 +302,28 @@ class TestUnextendibility:
         assert res.assignments_covered < 9**63
         assert res.witness_state.dense().shape == (1, 512)
         assert_witness(res, rest)
+
+    def test_shift_cubed_without_member_5_keeps_its_witness(self):
+        # the plain search's lexicographically least witness and covered
+        # count, as the search found them before the dominance rule; the
+        # rule cuts the nodes from 1 159 776 to 116 714
+        res = extendibility_search(without(shift_cubed(), 5))
+        assert res.extendible
+        assert res.witness_assignment == (3, 3, 3, 3, 6, 7, 8) + (4,) * 4 + (5,) * 4 + sum(
+            ((p,) * 16 for p in range(3)), ())
+        assert res.assignments_covered == (
+            491335510520493654080110929638630929472350137958177107493998)
+        assert res.nodes_visited == 116_714
+        assert [f for (f,) in res.witness_state.factors] == [
+            CB(0), CB(1), DFT(1), CB(1), CB(1), DFT(1), CB(1), CB(1), DFT(1)]
+
+    def test_tiles_cubed_unextendible(self):
+        # 125 members on six qutrits, two dense factors per party: the
+        # search without the dominance rule did not end within 60 s
+        res = extendibility_search(tiles_cubed())
+        assert not res.extendible
+        assert res.assignments_covered == 6**125
+        assert res.nodes_visited == 122_646
 
     def test_minimization_oracle_shift_bounded_away_from_zero(self):
         u = shift_upb()
@@ -415,9 +408,29 @@ class TestCertifiedRanks:
                     continue
                 rank = min(d, a + b)
                 assert span_dimension(rows, tol) == rank, (d, mask, tol)
-                assert _mask_rank(mask, table, 0, tol) == rank
+                assert _mask_rank(mask, table, 0, tol, [None]) == rank
                 certified[tol] += bool(a and b)
         assert all(certified.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_tables(max_members=12), st.data())
+    def test_rows_normalised_once_give_the_same_singular_values(self, table, data):
+        # the search normalises each party's rendered rows once and picks a
+        # mask's rows from them; their singular values are bit for bit those
+        # of the picked rows normalised on their own, as the witness's
+        # complement takes them
+        units = [None] * len(table.dims)
+        for p in range(len(table.dims)):
+            rendered = table.rendered(p)
+            full = (1 << len(rendered)) - 1
+            for mask in data.draw(st.lists(st.integers(1, full), min_size=1, max_size=8)):
+                picked = [k for k in range(len(rendered)) if mask >> k & 1]
+                rank = _mask_rank(mask, table, p, 1e-9, units)
+                assert rank == span_dimension(rendered[picked], 1e-9)
+                if units[p] is not None:
+                    once = np.linalg.svd(units[p][picked], compute_uv=True)[1]
+                    alone = np.linalg.svd(linalg.unit_rows(rendered[picked]), compute_uv=True)[1]
+                    assert once.tobytes() == alone.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(product_tables(max_members=8), st.data())
@@ -533,7 +546,8 @@ class TestFailureSet:
             assert res.assignments_covered == covered
         assert unbounded.nodes_visited <= starved.nodes_visited <= nodes
         if room == 0:
-            assert starved.nodes_visited == nodes
+            # no failed state recorded: the reference with the dominance rule
+            assert (witness, covered, starved.nodes_visited) == member_search(table, dominance=True)
 
     @staticmethod
     def traced_peak(table):
@@ -545,20 +559,21 @@ class TestFailureSet:
             tracemalloc.stop()
 
     def test_set_memory_stays_within_the_budget(self, monkeypatch):
-        # on SHIFT (x) {|0>,...,|3>} the full set takes about 38 KiB and the
-        # rest of the search (rank memo, stacks) about 6 KiB, so the peak
-        # above a run with no set is the set's own size; the plain search
-        # walks the reference's 226 096 nodes
+        # on SHIFT (x) {|0>,...,|3>} the full set takes about 10 KiB and the
+        # rest of the search (rank memo, stacks) about 2 KiB, so the peak
+        # above a run with no set is the set's own size; with no set the
+        # search walks the nodes of the reference with the dominance rule
         table = shift_times_cb(4)
         extendibility_search(table)  # first use of the table and numpy paths
+        dominated = member_search(table, dominance=True)[2]
         full, full_peak = self.traced_peak(table)
-        budget = 2**14
+        budget = 2**12
         monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", 0)
         plain, floor = self.traced_peak(table)
         monkeypatch.setattr(linalg, "DENSE_BYTES_BUDGET", budget)
         capped, peak = self.traced_peak(table)
         assert peak - floor <= budget < full_peak - floor
-        assert full.nodes_visited < capped.nodes_visited < plain.nodes_visited == 226_096
+        assert full.nodes_visited < capped.nodes_visited < plain.nodes_visited == dominated == 12_317
         for res in (plain, capped):
             assert res.assignments_covered == full.assignments_covered == 4**16
 
@@ -628,7 +643,7 @@ class TestWitnessCheck:
         # a search that thinks every party has room reaches the all-party-0
         # assignment, whose four factors (a dense one, |2>, another dense
         # one and F|0>) span party 0 completely
-        monkeypatch.setattr("nlwe.upb._mask_rank", lambda mask, table, p, tol: 1)
+        monkeypatch.setattr("nlwe.upb._mask_rank", lambda *args: 1)
         with pytest.raises(ContractViolationError, match="no orthogonal direction"):
             extendibility_search(mixed_witness_set())
 
