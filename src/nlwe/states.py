@@ -204,9 +204,11 @@ class LocalFactors:
         if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"
                 and ids.ndim == 2 and ids.shape[1] == n):
             raise DimensionMismatchError(f"ids must be an m x {n} integer array")
-        # whole-table reductions, with no table-sized temporary: numpy reduces
-        # a narrow table along axis 0 slowly, so each party's range is taken
-        # only when some id is negative or reaches the shortest factor list
+        # whole-table reductions, with no table-sized temporary, cost what the
+        # per-party ones along axis 0 cost on a narrow table and half on a wide
+        # one (0.76 against 1.38 ms at 9 801 x 100, numpy 2.4), so each party's
+        # range is taken only when some id is negative or reaches the shortest
+        # factor list
         if ids.size and (ids.min() < 0 or ids.max() >= min(map(len, self.factors))):
             for p, (kept, lo, hi) in enumerate(zip(self.factors, ids.min(axis=0).tolist(),
                                                    ids.max(axis=0).tolist())):
@@ -229,21 +231,6 @@ class LocalFactors:
             masks.append((bits[KIND_CB], bits[KIND_DFT]))
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "masks", masks)
-
-    @classmethod
-    def from_states(cls, states, dims, **fields):
-        """The set of ``ProductState`` members in listed order; ``fields``
-        are a subclass's other fields."""
-        dims = tuple(int(d) for d in dims)
-        if any(s.dims != dims for s in states):
-            raise DimensionMismatchError("state dims differ from the set's dims")
-        distinct = []
-        ids = np.zeros((len(states), len(dims)), dtype=np.intp)
-        for p in range(len(dims)):
-            first = {}  # party p's factors, each mapped to its first-seen id
-            ids[:, p] = [first.setdefault(s.factors[p], len(first)) for s in states]
-            distinct.append(list(first))
-        return cls(dims, distinct, ids, **fields)
 
     def __len__(self) -> int:
         return self.ids.shape[0]

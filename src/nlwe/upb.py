@@ -222,8 +222,9 @@ _CERTIFIED_MARGIN = 1e-9
 
 def _certified(d: int, a: int, b: int, tol: float) -> bool:
     """Whether a distinct CB kets and b distinct DFT kets of one d-dimensional
-    party (indices in range, a, b >= 1) provably have rank min(d, a + b),
-    i.e. that many singular values above tol.
+    party (indices in range) provably have rank min(d, a + b), i.e. that
+    many singular values above tol; always so for orthonormal kets of one
+    kind (a = 0 or b = 0, where a + b <= d and 0 < d (1 - tol^2 - margin)^2).
 
     The rows' Gram matrix is [[I, X], [X+, I]] with |X_kl| = |<k|F|l>| =
     1/sqrt(d), so its eigenvalues are 1 and 1 +- s for the singular values
@@ -248,9 +249,9 @@ def _mask_rank(mask: int, table: LocalFactors, p: int, tol, units: list) -> int:
     """Rank of party p's distinct factors in ``table`` named by ``mask``:
     the number of singular values above tol of their renderings in id
     order.  A mask of a CB and b DFT kets (``table.masks[p]``, distinct
-    kets with indices in range) with a = 0 or b = 0 is orthonormal, rank
-    a + b; with both nonzero its rank is min(d, a + b) where
-    ``_certified`` proves it.  Any other mask, and every mask with a
+    kets with indices in range) has rank min(d, a + b) where
+    ``_certified`` proves it, as it does for every mask of one kind
+    (orthonormal kets, rank a + b).  Any other mask, and every mask with a
     ``Dense`` id, is ranked by ``linalg.unit_svd`` on the masked rows of
     the party's rendered factors (``LocalFactors.rendered``) at unit norm,
     the very singular values ``span_dimension`` gives them; no counted
@@ -261,8 +262,6 @@ def _mask_rank(mask: int, table: LocalFactors, p: int, tol, units: list) -> int:
     if not mask & ~(cb | dft):
         a = (mask & cb).bit_count()
         b = (mask & dft).bit_count()
-        if not (a and b):
-            return a + b
         d = table.dims[p]
         if _certified(d, a, b, tol):
             return min(d, a + b)

@@ -11,7 +11,7 @@ from nlwe.boundent import RANK_EIGENVALUE_THRESHOLD, bipartitions, separability_
 from nlwe.circuit import Circuit, ControlDftGate, gate_unitary, generate_basis
 from nlwe.config import EIGENVALUE_SIGN_TOL, tolerance
 from nlwe.ensembles import shift_circuit
-from nlwe.errors import ContractViolationError
+from nlwe.errors import ContractViolationError, DimensionMismatchError
 from nlwe.linalg import (
     hermitian_eigenvalues,
     partial_transpose,
@@ -90,6 +90,23 @@ def local_factors(states, dims):
         [factor_dense(s.factors[j], dims[j]) for j in range(len(dims))]
         for s in states
     ]
+
+
+def from_states(cls, states, dims, **fields):
+    """The set of ``ProductState`` members in listed order, as a ``cls``
+    (``LocalFactors`` or a subclass): each party's distinct factors in
+    first-seen order and the members' ids there.  ``fields`` are the
+    subclass's other fields."""
+    dims = tuple(int(d) for d in dims)
+    if any(s.dims != dims for s in states):
+        raise DimensionMismatchError("state dims differ from the set's dims")
+    distinct = []
+    ids = np.zeros((len(states), len(dims)), dtype=np.intp)
+    for p in range(len(dims)):
+        first = {}  # party p's factors, each mapped to its first-seen id
+        ids[:, p] = [first.setdefault(s.factors[p], len(first)) for s in states]
+        distinct.append(list(first))
+    return cls(dims, distinct, ids, **fields)
 
 
 def shift_upb():
@@ -450,7 +467,7 @@ def orthonormal_product_sets(draw):
         rows = grown
     keep = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows) - 1,
                          unique=True))
-    return LocalFactors.from_states([ProductState(rows[i], dims) for i in keep], dims)
+    return from_states(LocalFactors, [ProductState(rows[i], dims) for i in keep], dims)
 
 
 # I/4 spoiled by a NaN on the diagonal, a NaN off it, or an infinite pair
@@ -531,7 +548,7 @@ def product_rows(draw, max_members=40):
 def product_tables(max_members=40):
     """The ``LocalFactors`` tables of ``product_rows``."""
     return product_rows(max_members).map(
-        lambda case: LocalFactors.from_states([ProductState(r, case[1]) for r in case[0]], case[1])
+        lambda case: from_states(LocalFactors, [ProductState(r, case[1]) for r in case[0]], case[1])
     )
 
 

@@ -37,6 +37,7 @@ from helpers import (
     complement_mixture,
     completion_states,
     dense_ppt_minima,
+    from_states,
     ket,
     kron_chain,
     random_gaussian_operator,
@@ -192,7 +193,7 @@ def test_criterion_6_unextendibility():
     )
     for drop in range(4):
         rest = [s for i, s in enumerate(shift_upb.states) if i != drop]
-        sub = extendibility_search(LocalFactors.from_states(rest, shift_upb.dims))
+        sub = extendibility_search(from_states(LocalFactors, rest, shift_upb.dims))
         witness_ok = False
         if sub.extendible and sub.witness_state is not None:
             w = sub.witness_state.dense()

@@ -48,6 +48,7 @@ from helpers import (
     dense_annihilation,
     dense_ppt_minima,
     dense_rank,
+    from_states,
     ket,
     kron_chain,
     non_finite_matrix,
@@ -376,12 +377,12 @@ class TestSeparabilityCompletion:
     def test_reversed_members_complete_every_cut(self, make_upb):
         u = make_upb()
         m = len(u)
-        rev = Upb.from_states(u.states[::-1], u.dims, stopper_index=m - 1 - u.stopper_index)
+        rev = from_states(Upb, u.states[::-1], u.dims, stopper_index=m - 1 - u.stopper_index)
         total = math.prod(rev.dims)
         for s in range(len(u.dims)):
             states = completion_states(rev, s)
             assert len(states) == total
-            g = ProductBasis.from_states(states, states[0].dims).gram()
+            g = from_states(ProductBasis, states, states[0].dims).gram()
             assert np.max(np.abs(g - np.eye(total))) <= 1e-9
             for st, member in zip(states[:m], rev.states):
                 assert st.factors[0] == member.factors[s]
@@ -393,7 +394,7 @@ class TestSeparabilityCompletion:
         u = shift_upb()
         assert u.states[0].factors[0] == CB(0)
         first = ProductState((Dense([1.0, 0.0]),) + u.states[0].factors[1:], u.dims)
-        mixed = Upb.from_states((first,) + u.states[1:], u.dims, stopper_index=u.stopper_index)
+        mixed = from_states(Upb, (first,) + u.states[1:], u.dims, stopper_index=u.stopper_index)
         with pytest.raises(ContractViolationError):
             separability_completion(mixed, 0)
         report = separability_report(mixed)
@@ -409,7 +410,7 @@ class TestSeparabilityCompletion:
         u = extract_upb(preset_circuit("canonical:n=5,d=4"))
         states = completion_states(u, 2)
         assert len(states) == 1024
-        g = ProductBasis.from_states(states, (4, 256)).gram()
+        g = from_states(ProductBasis, states, (4, 256)).gram()
         assert np.max(np.abs(g - np.eye(1024))) <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -1,5 +1,6 @@
-"""The command line's one parser and its dispatch by name, and the operator
-file read by ``serialize``.
+"""The command line's one parser and its dispatch by name, the operator
+file read by ``serialize``, and the package's surface: ``nlwe`` re-exports
+nothing, so each name is imported from the module that defines it.
 
 ``main`` builds its parser once per process and runs the module's
 ``cmd_<command>`` attribute looked up at each call, so a wrapper that
@@ -8,11 +9,13 @@ the function that runs."""
 
 import argparse
 import importlib.util
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlwe
 from nlwe import cli, serialize
 from nlwe.cli import main
 from nlwe.errors import MalformedJsonError
@@ -25,6 +28,17 @@ def load_spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+class TestPackageSurface:
+    def test_package_attributes_are_its_modules(self):
+        # with the command line loaded, every module of the package is
+        # imported; the package's public attributes are those modules and
+        # nothing re-exported from them
+        assert nlwe.__version__ == "0.1.0"
+        public = {k: v for k, v in vars(nlwe).items() if not k.startswith("_")}
+        assert "cli" in public
+        assert [k for k, v in public.items() if not isinstance(v, types.ModuleType)] == []
 
 
 class TestOneParser:

@@ -28,7 +28,15 @@ from nlwe.ensembles import local_factor_census, preset_circuit
 from nlwe.linalg import dft_matrix
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_dense
 
-from helpers import control_dft_circuits, dft_col, factor_sets, ket, kron_chain, product_tables
+from helpers import (
+    control_dft_circuits,
+    dft_col,
+    factor_sets,
+    from_states,
+    ket,
+    kron_chain,
+    product_tables,
+)
 
 PRODUCT_FORM_TOL = 1e-10  # the threshold of verify's product-form row
 
@@ -116,9 +124,9 @@ class TestGramAgainstDense:
     @given(sets_with_repeats())
     def test_extremes_and_norms_match_the_dense_gram(self, case):
         states, dims = case
-        basis = ProductBasis.from_states(states, dims)
+        basis = from_states(ProductBasis, states, dims)
         diag, off, deviation = dense_gram_extremes(basis)
-        factored = LocalFactors.from_states(states, dims).gram_extremes()
+        factored = from_states(LocalFactors, states, dims).gram_extremes()
         assert abs(factored[0] - diag) <= 1e-12
         assert abs(factored[1] - off) <= 1e-12
         assert abs(basis.gram_deviation() - deviation) <= 1e-12
@@ -130,12 +138,13 @@ class TestGramAgainstDense:
     def test_repeated_member_overlaps_by_one(self):
         s = ProductState((DFT(1), CB(0)), (3, 2))
         t = ProductState((DFT(2), CB(0)), (3, 2))
-        diag, off = LocalFactors.from_states([s, t, s], (3, 2)).gram_extremes()
+        diag, off = from_states(LocalFactors, [s, t, s], (3, 2)).gram_extremes()
         assert diag <= 1e-15
         assert abs(off - 1.0) <= 1e-15
 
     def test_distinct_dual_kets_are_exactly_orthogonal(self):
-        table = LocalFactors.from_states(
+        table = from_states(
+            LocalFactors,
             [ProductState((DFT(k),), (3,)) for k in range(3)] + [ProductState((CB(0),), (3,))],
             (3,),
         ).overlap_table(0)
@@ -144,12 +153,12 @@ class TestGramAgainstDense:
         assert np.allclose(np.abs(table[3, :3]), 1 / np.sqrt(3))
 
     def test_empty_set(self):
-        assert LocalFactors.from_states([], (2, 2)).gram_extremes() == (0.0, 0.0)
+        assert from_states(LocalFactors, [], (2, 2)).gram_extremes() == (0.0, 0.0)
 
     @pytest.mark.parametrize("m, off", [(1, 0.0), (2, 1.0), (3, 1.0)])
     def test_no_parties(self, m, off):
         # every member is the empty product 1, as ``dense`` renders it
-        table = LocalFactors.from_states([ProductState((), ())] * m, ())
+        table = from_states(LocalFactors, [ProductState((), ())] * m, ())
         assert table.gram_extremes() == (0.0, off)
         assert np.array_equal(table.dense(), np.ones((m, 1)))
 
@@ -193,7 +202,7 @@ class TestKindsRule:
     @given(orthogonal_symbolic_rows())
     def test_orthogonal_symbolic_sets_have_an_exact_zero(self, case):
         rows, dims = case
-        table = LocalFactors.from_states([ProductState(r, dims) for r in rows], dims)
+        table = from_states(LocalFactors, [ProductState(r, dims) for r in rows], dims)
         assert table.max_overlap() == 0.0
         assert not vars(table).get("_rendered")  # nothing rendered for it
         basis = ProductBasis(table.dims, table.factors, table.ids)
@@ -250,7 +259,7 @@ class TestDenseRendering:
 
     def test_oversized_set_is_refused_before_rendering(self):
         # one member of dimension 2100^2: a 67 MiB row, above the 64 MiB budget
-        table = LocalFactors.from_states([ProductState((CB(0), CB(0)), (2100, 2100))], (2100, 2100))
+        table = from_states(LocalFactors, [ProductState((CB(0), CB(0)), (2100, 2100))], (2100, 2100))
         with pytest.raises(TooLargeError, match="the rendered members"):
             table.dense()
         assert not vars(table).get("_rendered")

@@ -24,7 +24,7 @@ from nlwe.ensembles import preset_circuit, shift_circuit
 from nlwe.states import CB, Dense, LocalFactors, ProductBasis, ProductState
 from nlwe.upb import extract_upb
 
-from helpers import circuits_on, product_tables, reference_dumps
+from helpers import circuits_on, from_states, product_tables, reference_dumps
 
 
 # the writers' whole texts: their pieces joined
@@ -52,7 +52,7 @@ class TestSerialization:
 
     def test_dense_factor_round_trip_exact(self):
         v = np.array([1 / np.sqrt(3), 1j / np.sqrt(3), -1 / np.sqrt(3)])
-        basis = ProductBasis.from_states([ProductState((Dense(v), CB(1)), (3, 2))], (3, 2))
+        basis = from_states(ProductBasis, [ProductState((Dense(v), CB(1)), (3, 2))], (3, 2))
         back, _ = serialize.basis_from_obj(serialize.loads(basis_text(basis)))
         assert np.array_equal(back.factors[0][0].entries, v)
 
@@ -256,7 +256,7 @@ class TestSetWriter:
         plus = Dense(np.array([1.0, 0.0j]))
         minus = Dense(np.array([1.0, complex(0.0, -0.0)]))
         states = [ProductState((f, CB(k)), (2, 2)) for f in (plus, minus) for k in (0, 1)]
-        table = LocalFactors.from_states(states, (2, 2))
+        table = from_states(LocalFactors, states, (2, 2))
         assert len(table.factors[0]) == 2
         upb = SimpleNamespace(dims=table.dims, factors=table.factors, ids=table.ids,
                               stopper_index=0)
@@ -428,8 +428,8 @@ def wide_basis(tmp_path_factory):
     local factor table and a local gate factor would each be 2100 x 2100
     (67 MiB), above the dense budget, though D is only 4200."""
     path = tmp_path_factory.mktemp("wide") / "basis.json"
-    basis = ProductBasis.from_states(
-        [ProductState((CB(i), CB(0)), (2100, 2)) for i in range(2100)], (2100, 2)
+    basis = from_states(
+        ProductBasis, [ProductState((CB(i), CB(0)), (2100, 2)) for i in range(2100)], (2100, 2),
     )
     circuit = Circuit((2100, 2), [ControlDftGate({1: 0}, target=0),
                                   ControlDftGate({0: 0}, target=1)])
@@ -479,7 +479,7 @@ class TestCliFlows:
         states = [ProductState((CB(a), CB(b)), (2, 2)) for a, b in ((0, 0), (0, 1), (1, 0))]
         states.append(ProductState((CB(1), tilted), (2, 2)))
         path = tmp_path / "basis.json"
-        path.write_text(serialize.dumps(serialize.basis_to_obj(ProductBasis.from_states(states, (2, 2)))))
+        path.write_text(serialize.dumps(serialize.basis_to_obj(from_states(ProductBasis, states, (2, 2)))))
         assert main(["verify", "--in", str(path), "--checks", "orth"]) == 1
         monkeypatch.setenv("NLWE_TOLERANCE", "1e-5")
         assert main(["verify", "--in", str(path), "--checks", "orth"]) == 0

@@ -1,6 +1,6 @@
 """Product sets as one ``LocalFactors`` table.
 
-A set interned from ``ProductState`` members (``from_states``) and one made
+A set interned from ``ProductState`` members (``helpers.from_states``) and one made
 by the file loader or by ``generate_basis`` must be the same set, of the
 same class; ``generate_basis`` and a plain per-input firing rule must give
 the same images.
@@ -21,7 +21,13 @@ from nlwe.errors import ContractViolationError, DimensionMismatchError, NlweErro
 from nlwe.states import CB, DFT, Dense, LocalFactors, ProductBasis, ProductState, factor_descriptor
 from nlwe.upb import Upb, extract_upb
 
-from helpers import control_dft_circuits, product_rows, product_tables, reference_interning
+from helpers import (
+    control_dft_circuits,
+    from_states,
+    product_rows,
+    product_tables,
+    reference_interning,
+)
 
 PRESETS = [
     "oneway", "shift", "fig4", "canonical:n=4,d=3", "canonical:n=4,d=3,4,3,3",
@@ -92,18 +98,18 @@ class TestLoaderAgreesWithStates:
     @example(case=(EXTRACTIONS[1].states, EXTRACTIONS[1].dims))
     def test_tables_agree(self, case):
         states, dims = case
-        built = ProductBasis.from_states(states, dims)
+        built = from_states(ProductBasis, states, dims)
         loaded = loaded_basis(states, dims)
         assert_same_set(loaded, built)
         assert built.states == tuple(states)
-        interned = LocalFactors.from_states(states, dims)
+        interned = from_states(LocalFactors, states, dims)
         assert type(interned) is LocalFactors
         assert np.array_equal(interned.ids, built.ids)
         assert interned.factors == built.factors
         assert interned.states == built.states
         # a UPB, where the members pass its gates with the last as stopper
         try:
-            upb = Upb.from_states(states, dims, stopper_index=len(states) - 1)
+            upb = from_states(Upb, states, dims, stopper_index=len(states) - 1)
         except ContractViolationError:
             pass
         else:
@@ -133,7 +139,7 @@ class TestLoaderAgreesWithStates:
         assert near.entries[1].real < 0
         assert factor_descriptor(Dense(v)) == factor_descriptor(near)
         states = [ProductState((Dense(v), CB(0)), (2, 2)), ProductState((near, CB(1)), (2, 2))]
-        assert local_factor_census(ProductBasis.from_states(states, (2, 2)), 0) == {
+        assert local_factor_census(from_states(ProductBasis, states, (2, 2)), 0) == {
             factor_descriptor(Dense(v)): 2
         }
 
@@ -178,7 +184,7 @@ class TestFactorIdentity:
                    (2, 2)))
     def test_from_states_interns_like_the_reference(self, case):
         rows, dims = case
-        table = LocalFactors.from_states([ProductState(r, dims) for r in rows], dims)
+        table = from_states(LocalFactors, [ProductState(r, dims) for r in rows], dims)
         factors, ids = reference_interning(rows, len(dims))
         assert np.array_equal(table.ids, ids)
         # the same first-seen objects, in the same order
@@ -264,7 +270,7 @@ class TestOneFiringRule:
         for state, cb_input in zip(basis.states, inputs):
             expected = fired_factors(circuit, cb_input)
             assert state.factors == expected
-        assert_same_set(ProductBasis.from_states(basis.states, circuit.dims), basis)
+        assert_same_set(from_states(ProductBasis, basis.states, circuit.dims), basis)
 
     @settings(max_examples=150, deadline=None)
     @given(control_dft_circuits())
@@ -284,9 +290,9 @@ EXTRACT_PRESETS = ["shift", "canonical:n=4,d=3", "canonical:n=4,d=3,4,3,3",
 
 
 def assert_interned(upb):
-    """An extraction is the set that ``Upb.from_states`` makes of its
+    """An extraction is the set that ``from_states(Upb, ...)`` makes of its
     members, with the same stopper."""
-    interned = Upb.from_states(upb.states, upb.dims, stopper_index=upb.stopper_index)
+    interned = from_states(Upb, upb.states, upb.dims, stopper_index=upb.stopper_index)
     assert_same_set(upb, interned)
     assert upb.stopper_index == interned.stopper_index == len(upb) - 1
 

@@ -36,6 +36,7 @@ from helpers import (
     brute_force_extendible,
     dft_parties,
     factor_sets,
+    from_states,
     ket,
     kron_chain,
     member_search,
@@ -161,7 +162,7 @@ class TestUpbContainer:
         u1 = ProductState((CB(1), CB(1), CB(0)), (2, 2, 2))
         u2 = ProductState((CB(1), CB(0), CB(1)), (2, 2, 2))
         with pytest.raises(ContractViolationError):
-            Upb.from_states((s, t, u1, u2), (2, 2, 2), stopper_index=0)
+            from_states(Upb, (s, t, u1, u2), (2, 2, 2), stopper_index=0)
 
     def test_rejects_undersized(self):
         states = tuple(
@@ -169,7 +170,7 @@ class TestUpbContainer:
             for a, b in [(0, 0), (0, 1), (1, 0)]
         )
         with pytest.raises(ContractViolationError):
-            Upb.from_states(states, (2, 2, 2), stopper_index=0)
+            from_states(Upb, states, (2, 2, 2), stopper_index=0)
 
     def test_rejects_complete_basis(self):
         states = tuple(
@@ -177,7 +178,7 @@ class TestUpbContainer:
             for a, b in itertools.product(range(2), repeat=2)
         )
         with pytest.raises(ContractViolationError):
-            Upb.from_states(states, (2, 2), stopper_index=0)
+            from_states(Upb, states, (2, 2), stopper_index=0)
 
 
 class TestUnextendibility:
@@ -200,7 +201,7 @@ class TestUnextendibility:
 
     def test_stopper_removed_is_extendible(self):
         u = shift_upb()
-        rest = LocalFactors.from_states(u.states[:3], u.dims)
+        rest = from_states(LocalFactors, u.states[:3], u.dims)
         res = extendibility_search(rest)
         assert res.extendible
         assert_witness(res, rest)
@@ -220,7 +221,7 @@ class TestUnextendibility:
         assert res.assignments_covered < 3**3
         assert len(res.witness_state.factors) == 3
         assert_witness(res, rows)
-        interned = extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+        interned = extendibility_search(from_states(LocalFactors, u.states[:3], u.dims))
         assert res.witness_assignment == interned.witness_assignment
 
     def test_every_leave_one_out_subset_extendible(self):
@@ -236,15 +237,17 @@ class TestUnextendibility:
     def test_member_order_invariance(self):
         u = shift_upb()
         for perm in ((3, 2, 1, 0), (1, 3, 0, 2)):
-            reordered = LocalFactors.from_states([u.states[i] for i in perm], u.dims)
+            reordered = from_states(LocalFactors, [u.states[i] for i in perm], u.dims)
             assert not extendibility_search(reordered).extendible
 
     def test_party_relabel_invariance(self):
         u = shift_upb()
         perm = (2, 0, 1)
         dims = tuple(u.dims[p] for p in perm)
-        relabeled = LocalFactors.from_states(
-            [ProductState(tuple(s.factors[p] for p in perm), dims) for s in u.states], dims
+        relabeled = from_states(
+            LocalFactors,
+            [ProductState(tuple(s.factors[p] for p in perm), dims) for s in u.states],
+            dims,
         )
         assert not extendibility_search(relabeled).extendible
 
@@ -370,7 +373,7 @@ class TestSearchProperties:
     @given(factor_sets())
     def test_agrees_with_brute_force_and_residual_search(self, case):
         states, dims = case
-        table = LocalFactors.from_states(states, dims)
+        table = from_states(LocalFactors, states, dims)
         res = extendibility_search(table)
         hits, first = brute_force_extendible(states, dims)
         assert res.extendible == (hits > 0)
@@ -506,12 +509,12 @@ class TestSymbolicFactorsAreNotRendered:
 
     def test_all_symbolic_product_is_decided_unrendered(self, rendered, tmp_path):
         # SHIFT (x) {F|0>, ..., F|3>}: every mask rank is counted or certified
-        basis = LocalFactors.from_states([ProductState((DFT(k),), (4,)) for k in range(4)], (4,))
+        basis = from_states(LocalFactors, [ProductState((DFT(k),), (4,)) for k in range(4)], (4,))
         assert self.read_and_decide(product_set(shift_upb(), basis), tmp_path / "u.json").passed
         assert rendered == {"symbolic": [], "dense_party": []}
 
     def test_tiles_product_renders_its_dense_parties_only(self, rendered, tmp_path):
-        basis = LocalFactors.from_states([ProductState((CB(k),), (3,)) for k in range(3)], (3,))
+        basis = from_states(LocalFactors, [ProductState((CB(k),), (3,)) for k in range(3)], (3,))
         assert self.read_and_decide(product_set(tiles(), basis), tmp_path / "u.json").passed
         assert rendered["dense_party"] and all(rendered["dense_party"])
 
@@ -531,7 +534,7 @@ class TestFailureSet:
     @given(factor_sets(), st.integers(0, 1))
     def test_starved_set_decides_the_same(self, case, room):
         states, dims = case
-        table = LocalFactors.from_states(states, dims)
+        table = from_states(LocalFactors, states, dims)
         for p in range(len(table.dims)):
             table.rendered(p)  # built under the real budget, before it is starved
         unbounded = extendibility_search(table)
@@ -611,7 +614,7 @@ class TestWitnessCheck:
         u = shift_upb()
         table, expected = {
             # one assigned ket per party: CB(0), DFT(1) and CB(1)
-            "shift-first-three": (LocalFactors.from_states(u.states[:3], u.dims),
+            "shift-first-three": (from_states(LocalFactors, u.states[:3], u.dims),
                                   [CB(1), DFT(0), CB(0)]),
             # party 0 is given |0> and |2> (it also holds dense factors),
             # party 1 |0> and F|0>
@@ -652,8 +655,10 @@ class TestWitnessCheck:
         # so every computational basis vector leaves residual 1/sqrt(3) there
         a = Dense(np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
         b = Dense(np.array([1.0, 1.0, -2.0]) / np.sqrt(6))
-        table = LocalFactors.from_states(
-            [ProductState((a, CB(0)), (3, 2)), ProductState((b, CB(1)), (3, 2))], (3, 2)
+        table = from_states(
+            LocalFactors,
+            [ProductState((a, CB(0)), (3, 2)), ProductState((b, CB(1)), (3, 2))],
+            (3, 2),
         )
         monkeypatch.setenv("NLWE_TOLERANCE", "0.6")
         with pytest.raises(PreconditionError, match=r"1/sqrt\(3\)"):
@@ -679,7 +684,7 @@ class TestWitnessCheck:
                             lambda kind, taken, d: min(taken, key=lambda f: f.index))
         u = shift_upb()
         with pytest.raises(ContractViolationError, match="overlaps member 0 by 5.000e-01"):
-            extendibility_search(LocalFactors.from_states(u.states[:3], u.dims))
+            extendibility_search(from_states(LocalFactors, u.states[:3], u.dims))
 
     def test_witness_ranks_the_distinct_factors_the_search_ranked(self):
         # f2 sits in two members that the witness assignment gives party 0;
@@ -690,7 +695,8 @@ class TestWitnessCheck:
         f2 = np.array([np.cos(eps), np.sin(eps)])
         assert span_dimension([f1, f2]) == 1
         assert span_dimension([f1, f2, f2]) == 2
-        u = Upb.from_states(
+        u = from_states(
+            Upb,
             [ProductState(f, (2, 3)) for f in [(Dense(f1), CB(0)), (Dense(f2), CB(1)),
                                                (Dense(f2), CB(2)), (CB(1), CB(0))]],
             (2, 3), stopper_index=3,
